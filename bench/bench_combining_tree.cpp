@@ -1,26 +1,21 @@
-// E13 — the software combining trees on real threads: shared-counter
+// E13 — the software combining tree on real threads: shared-counter
 // throughput of (a) bare hardware fetch_add, (b) a mutex-protected
-// counter, (c) the blocking mutex/condvar combining tree, and (d) the
-// lock-free status-word combining tree, across thread counts.
+// counter, and (c) a CombiningBackend cell (the lock-free status-word
+// combining tree behind the RmwBackend seam), across thread counts.
 //
 // Expected shape (and the honest caveat the Ultracomputer literature
 // itself reports): on a machine with a handful of cores, the hardware
 // fetch_add wins outright — combining pays off when the interconnect, not
 // the cache line, is the bottleneck (thousands of processors, §1). The
-// trees' value here is the crossover against the MUTEX baseline under
-// contention, and the lock-free tree's margin over the blocking tree —
-// the same four-phase protocol with kernel sleep/wake replaced by local
-// spinning (docs/PERFORMANCE.md records the measured trajectory in
-// BENCH_combining.json via tools/run_bench.sh).
+// tree's value here is the crossover against the MUTEX baseline under
+// contention (docs/PERFORMANCE.md; tools/run_bench.sh records the measured
+// trajectory in BENCH_combining.json).
 #include <benchmark/benchmark.h>
 
 #include <atomic>
 #include <mutex>
 
-#include "runtime/combining_tree.hpp"
-#include "runtime/fetch_and_op.hpp"
-#include "runtime/lock_free_combining_tree.hpp"
-#include "util/bits.hpp"
+#include "runtime/combining_backend.hpp"
 
 using namespace krs::runtime;
 
@@ -56,25 +51,18 @@ BENCHMARK(BM_MutexCounter)
     ->Threads(1)->Threads(2)->Threads(4)->Threads(8)->Threads(16)
     ->UseRealTime();
 
-// One fixed-width tree per implementation, shared by all thread
-// configurations (allocating inside the benchmark would race with the
-// other worker threads). Both satisfy CombiningCounter, so one templated
-// body measures either.
-BlockingCombiningTree<long> g_blocking_tree(kTreeWidth, 0);
-LockFreeCombiningTree<long> g_lockfree_tree(kTreeWidth, 0);
+// One fixed-width cell shared by all thread configurations (allocating
+// inside the benchmark would race with the other worker threads).
+const CombiningBackend g_backend(kTreeWidth);
+CombiningBackend::Cell g_cell(g_backend, 0);
 
-template <typename Tree>
-void BM_CombiningTree(benchmark::State& state, Tree& tree) {
-  const auto slot = static_cast<unsigned>(state.thread_index());
+void BM_CombiningBackendCell(benchmark::State& state) {
   for (auto _ : state) {
-    benchmark::DoNotOptimize(tree.fetch_and_op(slot, 1));
+    benchmark::DoNotOptimize(g_backend.fetch_add(g_cell, 1));
   }
   state.SetItemsProcessed(state.iterations());
 }
-BENCHMARK_CAPTURE(BM_CombiningTree, blocking, g_blocking_tree)
-    ->Threads(1)->Threads(2)->Threads(4)->Threads(8)->Threads(16)
-    ->UseRealTime();
-BENCHMARK_CAPTURE(BM_CombiningTree, lockfree, g_lockfree_tree)
+BENCHMARK(BM_CombiningBackendCell)
     ->Threads(1)->Threads(2)->Threads(4)->Threads(8)->Threads(16)
     ->UseRealTime();
 

@@ -12,8 +12,6 @@ document with one record per (benchmark family, thread count):
 plus a `comparisons` block with the acceptance series the perf trajectory
 tracks (see docs/PERFORMANCE.md):
 
-  lockfree_vs_blocking_ops_ratio — combining-tree throughput ratio per
-      thread count (> 1.0 means the lock-free tree wins)
   combining_vs_atomic_ops_ratio — RmwBackend seam: throughput of each
       "BM_X/combining" family over its "BM_X/atomic" twin per thread
       count, keyed "X/threads" (> 1.0 means the software combining tree
@@ -231,20 +229,6 @@ def normalize(runs, context, config, profiles=(), traffic=()):
                 entry[key] = percentile(sorted(rec[key]), 50)
         benchmarks.append(entry)
 
-    # The acceptance series: lock-free tree throughput over blocking tree
-    # throughput, per thread count. > 1.0 means the lock-free tree wins.
-    by_variant = {}
-    for b in benchmarks:
-        if b["name"].startswith("BM_CombiningTree/") and b["ops_per_sec"]:
-            variant = b["name"].split("/", 1)[1]
-            by_variant.setdefault(variant, {})[b["threads"]] = b["ops_per_sec"]
-    ratios = {}
-    for threads in sorted(by_variant.get("lockfree", {})):
-        blocking = by_variant.get("blocking", {}).get(threads)
-        if blocking:
-            ratios[str(threads)] = round(
-                by_variant["lockfree"][threads] / blocking, 3)
-
     # The backend seam: any family published as both "BM_X/atomic" and
     # "BM_X/combining" yields a combining-over-atomic throughput ratio per
     # thread count, keyed "X/threads". > 1.0: the software combining tree
@@ -418,8 +402,6 @@ def normalize(runs, context, config, profiles=(), traffic=()):
         return {"host_cpus": host_cpus, "values": values}
 
     comparisons = {}
-    if ratios:
-        comparisons["lockfree_vs_blocking_ops_ratio"] = series(ratios)
     if backend_ratios:
         comparisons["combining_vs_atomic_ops_ratio"] = series(backend_ratios)
     if speedups:

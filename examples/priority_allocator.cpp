@@ -9,8 +9,8 @@
 // operations instead of P.
 //
 // The demo runs the protocol twice: on the simulated combining machine
-// (with the Theorem 4.2 checker) and on real threads with hardware
-// compare-exchange.
+// (with the Theorem 4.2 checker) and on real threads through AtomicBackend,
+// whose fetch_rmw is a hardware compare-exchange loop.
 //
 // Build & run:   ./examples/priority_allocator
 #include <atomic>
@@ -19,8 +19,9 @@
 #include <thread>
 #include <vector>
 
+#include "core/any_rmw.hpp"
 #include "core/fetch_theta.hpp"
-#include "runtime/fetch_and_op.hpp"
+#include "runtime/rmw_backend.hpp"
 #include "sim/machine.hpp"
 #include "verify/memory_checker.hpp"
 #include "workload/workloads.hpp"
@@ -69,8 +70,9 @@ int main() {
   std::printf("Theorem 4.2 checker: %s\n\n",
               check.ok ? "PASS" : check.error.c_str());
 
-  std::printf("== real threads (CAS-loop fetch_and_min) ==\n");
-  std::atomic<Word> cell{core::MinOp::identity_element};
+  std::printf("== real threads (AtomicBackend CAS-loop fetch-and-min) ==\n");
+  const runtime::AtomicBackend backend;
+  runtime::AtomicBackend::Cell cell(backend, core::MinOp::identity_element);
   const unsigned nt =
       std::max(2u, std::min(8u, std::thread::hardware_concurrency()));
   std::vector<Word> tdl(nt);
@@ -81,15 +83,17 @@ int main() {
     std::vector<std::jthread> ts;
     for (unsigned t = 0; t < nt; ++t) {
       ts.emplace_back([&, t] {
-        const Word old = runtime::fetch_and_min(cell, tdl[t]);
+        const Word old =
+            backend.fetch_rmw(cell, core::AnyRmw(FetchMin(tdl[t])));
         if (old > tdl[t]) winners.fetch_add(1);
       });
     }
   }
   Word best2 = core::MinOp::identity_element;
   for (auto d : tdl) best2 = std::min(best2, d);
+  const Word final_min = backend.load(cell);
   std::printf("%u threads; cell = %llu (true minimum %llu); %u lowered it\n",
-              nt, static_cast<unsigned long long>(cell.load()),
+              nt, static_cast<unsigned long long>(final_min),
               static_cast<unsigned long long>(best2), winners.load());
-  return (m.value_at(2) == best && cell.load() == best2 && check.ok) ? 0 : 1;
+  return (m.value_at(2) == best && final_min == best2 && check.ok) ? 0 : 1;
 }

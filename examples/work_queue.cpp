@@ -3,11 +3,11 @@
 // to one cell] can form the basis for a completely parallel, decentralized
 // operating system."
 //
-// Worker threads pull task indices from a fetch-and-add ticket counter (via
-// the software combining tree), process them, and push results through the
-// GLR-style parallel FIFO queue; an aggregator reduces the results. A
-// sense-reversing fetch-and-add barrier separates rounds. There is no lock
-// and no serial critical section anywhere.
+// Worker threads pull task indices from a fetch-and-add ticket counter (a
+// CombiningBackend cell, served by the software combining tree), process
+// them, and push results through the GLR-style parallel FIFO queue; an
+// aggregator reduces the results. A fetch-and-add barrier separates
+// rounds. There is no lock and no serial critical section anywhere.
 //
 // Build & run:   ./examples/work_queue [threads] [tasks]
 #include <atomic>
@@ -16,10 +16,9 @@
 #include <thread>
 #include <vector>
 
+#include "runtime/combining_backend.hpp"
 #include "runtime/coordination.hpp"
-#include "runtime/lock_free_combining_tree.hpp"
 #include "runtime/parallel_queue.hpp"
-#include "util/bits.hpp"
 
 using namespace krs::runtime;
 
@@ -43,10 +42,9 @@ int main(int argc, char** argv) {
       argc > 1 ? std::atoi(argv[1])
                : std::max(2u, std::min(8u, std::thread::hardware_concurrency()));
   const std::uint64_t tasks = argc > 2 ? std::atoll(argv[2]) : 20000;
-  const unsigned width = static_cast<unsigned>(krs::util::ceil_pow2(
-      std::max(2u, threads)));
 
-  LockFreeCombiningTree<long> tickets(width, 0);  // shared task counter
+  const CombiningBackend backend(threads);
+  CombiningBackend::Cell tickets(backend, 0);  // shared task counter
   ParallelQueue<std::uint64_t> results(1024);  // results pipeline
   FaaBarrier barrier(threads + 1);             // workers + aggregator
   std::atomic<std::uint64_t> done{0};
@@ -58,16 +56,15 @@ int main(int argc, char** argv) {
   std::vector<std::jthread> workers;
   for (unsigned t = 0; t < threads; ++t) {
     workers.emplace_back([&, t] {
-      bool sense = true;
       std::uint64_t processed = 0;
       for (;;) {
-        const long ticket = tickets.fetch_and_op(t, 1);
-        if (static_cast<std::uint64_t>(ticket) >= tasks) break;
-        results.enqueue(task_cost(static_cast<std::uint64_t>(ticket)));
+        const Word ticket = backend.fetch_add(tickets, 1);
+        if (ticket >= tasks) break;
+        results.enqueue(task_cost(ticket));
         ++processed;
       }
       done.fetch_add(processed);
-      barrier.arrive_and_wait(sense);
+      barrier.arrive_and_wait();
       std::printf("  worker %u processed %llu tasks\n", t,
                   static_cast<unsigned long long>(processed));
     });
@@ -75,7 +72,6 @@ int main(int argc, char** argv) {
 
   // Aggregator drains results concurrently.
   std::uint64_t total_cost = 0, drained = 0;
-  bool sense = true;
   while (drained < tasks) {
     if (auto v = results.try_dequeue()) {
       total_cost += *v;
@@ -84,11 +80,12 @@ int main(int argc, char** argv) {
       std::this_thread::yield();
     }
   }
-  barrier.arrive_and_wait(sense);
+  barrier.arrive_and_wait();
 
-  std::printf("aggregate: %llu tasks, total cost %llu, tickets issued %ld\n",
+  std::printf("aggregate: %llu tasks, total cost %llu, tickets issued %llu\n",
               static_cast<unsigned long long>(drained),
-              static_cast<unsigned long long>(total_cost), tickets.read());
+              static_cast<unsigned long long>(total_cost),
+              static_cast<unsigned long long>(backend.load(tickets)));
   if (done.load() != tasks || drained != tasks) {
     std::fprintf(stderr, "LOST WORK: done=%llu drained=%llu\n",
                  static_cast<unsigned long long>(done.load()),

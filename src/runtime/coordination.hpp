@@ -19,15 +19,11 @@
 
 #include <atomic>
 #include <cstdint>
-#include <thread>
 
 #include "analysis/instrument.hpp"
-#include "runtime/combining_concept.hpp"
-#include "runtime/fetch_and_op.hpp"
 #include "runtime/rmw_backend.hpp"
 #include "runtime/wait_policy.hpp"
 #include "util/assert.hpp"
-#include "util/bits.hpp"
 
 namespace krs::runtime {
 
@@ -70,13 +66,6 @@ class BasicBarrier {
     Instrument::acquire(this);
   }
 
-  /// Backwards-compatible sense-style call; the flag is ignored but
-  /// flipped so loops written for sense-reversing barriers keep working.
-  void arrive_and_wait(bool& sense) {
-    arrive_and_wait();
-    sense = !sense;
-  }
-
   /// Number of completed phases.
   [[nodiscard]] Word phase() const noexcept {
     return phase_.load(std::memory_order_acquire);
@@ -94,56 +83,6 @@ template <typename Instrument = analysis::DefaultInstrument>
 using BasicFaaBarrier = BasicBarrier<AtomicBackend, Instrument>;
 
 using FaaBarrier = BasicFaaBarrier<>;
-
-/// The centralized barrier with its hot spot served by a software
-/// combining tree instead of a single fetch-and-add word — the §6 story
-/// end to end: arrivals are tickets from `Tree::fetch_and_op`, so P
-/// simultaneous arrivals cost O(log P) root operations instead of P.
-/// Templated over the CombiningCounter concept, so the blocking and the
-/// lock-free tree are drop-in interchangeable.
-///
-/// Callers pass their slot id (< parties, one thread per slot), which the
-/// tree uses to place them on a leaf. BasicBarrier<CombiningBackend>
-/// subsumes this (same ticket algorithm, slot derived from
-/// thread_ordinal()); this class remains for callers that want explicit
-/// slot placement or the blocking tree.
-template <CombiningCounter Tree,
-          typename Instrument = analysis::DefaultInstrument,
-          WaitPolicy Policy = SpinYieldWait>
-class BasicCombiningBarrier {
- public:
-  explicit BasicCombiningBarrier(unsigned parties)
-      : parties_(parties),
-        tree_(static_cast<unsigned>(util::ceil_pow2(
-            parties < 2 ? 2 : parties))) {
-    KRS_EXPECTS(parties >= 1);
-  }
-
-  void arrive_and_wait(unsigned slot) {
-    // Publish this thread's pre-barrier history before counting in.
-    Instrument::release(this);
-    const auto ticket =
-        static_cast<std::uint64_t>(tree_.fetch_and_op(slot, 1));
-    const std::uint64_t my_phase = ticket / parties_;
-    if (ticket % parties_ == parties_ - 1) {
-      phase_.store(my_phase + 1, std::memory_order_release);
-    } else {
-      Policy pol;
-      while (phase_.load(std::memory_order_acquire) <= my_phase) pol.pause();
-    }
-    // Absorb every party's pre-barrier history on the way out.
-    Instrument::acquire(this);
-  }
-
-  [[nodiscard]] std::uint64_t phase() const noexcept {
-    return phase_.load(std::memory_order_acquire);
-  }
-
- private:
-  unsigned parties_;
-  Tree tree_;
-  std::atomic<std::uint64_t> phase_{0};
-};
 
 /// Readers–writers coordination in the busy-waiting fetch-and-add style of
 /// Gottlieb–Lubachevsky–Rudolph: readers announce with fetch-and-add and

@@ -28,7 +28,7 @@
 // only) — the inversion of the §1 hot spot that tools/krs_profile's flat
 // run demonstrates. Waiting is local spinning on the thread's own slot,
 // paced by the WaitPolicy seam (runtime/wait_policy.hpp): SpinYieldWait
-// reproduces the historical ExpBackoff schedule, FutexWait parks waiters
+// spins with bounded exponential backoff then yields, FutexWait parks waiters
 // on their own slot word (the combiner wakes them when the reply lands,
 // with bounded park timeouts covering the publish-after-scan race).
 //

@@ -1,36 +1,27 @@
-// The software combining tree with the kernel taken out of the loop: every
-// node transition is a CAS on one packed status word, waiting is local
-// spinning with bounded exponential backoff, and no mutex or condition
-// variable appears anywhere on the operation path.
+// The software combining tree: the §6 "virtual tree embedded in the
+// interconnection network", realized in shared memory with the kernel
+// taken out of the loop. Every node transition is a CAS on one packed
+// status word, waiting is local spinning through the WaitPolicy seam, and
+// no mutex or condition variable appears anywhere on the operation path.
 //
-// The tree is built in two layers:
+// MappingCombiningTree<M> is the general §4.2 mechanism. Node slots hold
+// ENCODED MAPPINGS of a semigroup family M (core::CombinableMapping): a
+// second arrival deposits its mapping g, the first folds it in with
+// compose(f, g) on the way up, the root applies the combined mapping, and
+// decombination on the way down answers the second with ⟨id2, f(val)⟩ —
+// the first's accumulated mapping applied to the prior value, exactly the
+// paper's reply rule. Because composition may DECLINE (try_compose →
+// nullopt: Möbius overflow, cross-family core::AnyRmw), a declined second
+// is served individually at the root during the first's distribute phase
+// — §7's "partial combining is always correct" realized in the tree.
+// CombiningBackend (combining_backend.hpp) serves every RmwBackend cell
+// through one of these trees over core::AnyRmw.
 //
-//  * MappingCombiningTree<M> — the general §4.2 mechanism. Node slots hold
-//    ENCODED MAPPINGS of a semigroup family M (core::CombinableMapping):
-//    a second arrival deposits its mapping g, the first folds it in with
-//    compose(f, g) on the way up, the root applies the combined mapping,
-//    and decombination on the way down answers the second with
-//    ⟨id2, f(val)⟩ — the first's accumulated mapping applied to the prior
-//    value, exactly the paper's reply rule. Because composition may
-//    DECLINE (try_compose → nullopt: Möbius overflow, cross-family
-//    core::AnyRmw), a declined second is served individually at the root
-//    during the first's distribute phase — §7's "partial combining is
-//    always correct" realized in the tree.
-//  * LockFreeCombiningTree<T, Op> — the classic fetch-and-θ counter
-//    (getAndIncrement generalized to any associative θ), now a thin
-//    adapter over MappingCombiningTree with the operand family
-//    {θ_a : x ↦ θ(x, a)}; same public surface (CombiningCounter concept)
-//    as always.
-//
-// The blocking tree (combining_tree.hpp) serializes every node transition
-// through a std::mutex + condition_variable — each combine handshake costs
-// kernel-arbitrated sleep/wake pairs, which is why it loses to the very
-// mutex baseline it is meant to beat (bench_combining_tree). This tree
-// keeps the same four-phase protocol (precombine / combine / operate /
-// distribute) but runs each node as a word-sized state machine in the
-// style of Goodman-style combining words: second arrivals deposit their
-// mapping in a per-node slot and spin-then-yield until the distributed
-// result lands.
+// The protocol is the classic four-phase combining tree (precombine /
+// combine / operate / distribute) of Yew–Tzeng–Lawrie and Herlihy–Shavit,
+// with each node run as a word-sized state machine in the style of
+// Goodman-style combining words: second arrivals deposit their mapping in
+// a per-node slot and spin-then-yield until the distributed result lands.
 //
 // Node status word (64 bits):
 //
@@ -66,13 +57,13 @@
 //      either way the node flips to Result, the waiting second picks the
 //      value up and resets the node.
 //
-// The Instrument policy publishes the same happens-before edges as the
-// blocking tree: an operation acquires the tree's history on entry and
-// releases its own on exit, so operations separated in real time are
-// ordered for the race detector while overlapping ones stay unordered.
+// The Instrument policy publishes the tree's happens-before edges: an
+// operation acquires the tree's history on entry and releases its own on
+// exit, so operations separated in real time are ordered for the race
+// detector while overlapping ones stay unordered.
 //
-// See docs/PERFORMANCE.md for the encoding walkthrough, the backoff
-// strategy, and measured crossovers against the blocking tree.
+// See docs/PERFORMANCE.md for the encoding walkthrough and the backoff
+// strategy.
 #pragma once
 
 #include <algorithm>
@@ -94,32 +85,6 @@
 #include "util/bits.hpp"
 
 namespace krs::runtime {
-
-namespace detail {
-
-/// The operand family {θ_a : x ↦ θ(x, a)} of an associative θ, as a
-/// combinable mapping: θ_a ∘ θ_b = θ_{θ(a,b)}. This is what lets the
-/// operand-style LockFreeCombiningTree<T, Op> ride on the mapping tree.
-template <typename T, typename Op>
-struct OpMapping {
-  using value_type = T;
-
-  T operand{};
-  [[no_unique_address]] Op op{};
-
-  [[nodiscard]] T apply(const T& x) const { return op(x, operand); }
-
-  friend OpMapping compose(const OpMapping& f, const OpMapping& g) {
-    // compose(f, g)(x) = g(f(x)) = θ(θ(x, fa), ga) = θ(x, θ(fa, ga)).
-    return OpMapping{f.op(f.operand, g.operand), f.op};
-  }
-  friend std::optional<OpMapping> try_compose(const OpMapping& f,
-                                              const OpMapping& g) {
-    return compose(f, g);
-  }
-};
-
-}  // namespace detail
 
 /// Partial-combining telemetry (§7): how much of the tree's traffic
 /// actually folded on the way up, and how much reached the root. Without
@@ -252,12 +217,6 @@ class MappingCombiningTree {
   /// load is a coherent (and per-reader monotone) snapshot — no lock.
   [[nodiscard]] V read() const {
     Instrument::shared_load(&root_, KRS_SITE);
-    return root_.load(std::memory_order_acquire);
-  }
-
-  /// Quiescent-only read, kept for CombiningCounter interface parity; on
-  /// this tree it is the same relaxed-cost load as read().
-  [[nodiscard]] V read_unsynchronized() const {
     return root_.load(std::memory_order_acquire);
   }
 
@@ -673,52 +632,6 @@ class MappingCombiningTree {
   std::atomic<std::uint64_t> root_applies_{0};
   std::vector<Node> nodes_;  // heap layout, nodes_[1..width-1]
   std::vector<unsigned> order_;  // topology slot permutation; empty = identity
-};
-
-/// The operand-style combining counter: atomically result ← result ⊕ v.
-/// An adapter over MappingCombiningTree with the {⊕_v} operand family;
-/// satisfies the CombiningCounter concept alongside BlockingCombiningTree.
-template <typename T, typename Op = std::plus<T>,
-          typename Instrument = analysis::DefaultInstrument,
-          WaitPolicy Policy = SpinYieldWait>
-class LockFreeCombiningTree {
- public:
-  using value_type = T;
-
-  /// `width`: requested slot capacity, rounded up to a power of two ≥ 2
-  /// like the underlying mapping tree. Thread slots are 0..width()-1; two
-  /// slots share each leaf.
-  explicit LockFreeCombiningTree(unsigned width, T initial = T{},
-                                 Op op = Op{})
-      : op_(op), tree_(width, initial) {}
-
-  LockFreeCombiningTree(const LockFreeCombiningTree&) = delete;
-  LockFreeCombiningTree& operator=(const LockFreeCombiningTree&) = delete;
-
-  /// Atomically result ← result ⊕ v, returning the prior value, combining
-  /// with concurrent callers on the way up. `slot` must be < width and
-  /// used by at most one thread at a time.
-  T fetch_and_op(unsigned slot, T v) {
-    return tree_.fetch_rmw(slot, Mapping{std::move(v), op_});
-  }
-
-  /// Atomic snapshot of the current value; safe concurrently with
-  /// operations in flight.
-  [[nodiscard]] T read() const { return tree_.read(); }
-
-  /// Quiescent-only read, kept for interface parity with the blocking
-  /// tree; here it costs the same as read().
-  [[nodiscard]] T read_unsynchronized() const {
-    return tree_.read_unsynchronized();
-  }
-
-  [[nodiscard]] unsigned width() const noexcept { return tree_.width(); }
-
- private:
-  using Mapping = detail::OpMapping<T, Op>;
-
-  [[no_unique_address]] Op op_;
-  MappingCombiningTree<Mapping, Instrument, Policy> tree_;
 };
 
 }  // namespace krs::runtime

@@ -57,7 +57,6 @@
 #include "analysis/instrument.hpp"
 #include "core/any_rmw.hpp"
 #include "core/types.hpp"
-#include "runtime/backoff.hpp"
 #include "runtime/cacheline.hpp"
 #include "runtime/wait_policy.hpp"
 
@@ -122,9 +121,9 @@ struct OrdinalGuard {
 /// core to retire its store at all. Templated over the atomic and the
 /// backoff policy so the pacing contract (exactly one pause per failure,
 /// fresh schedule per call) is testable with a scripted flaky atomic.
-/// The default pacing is the WaitPolicy seam's SpinYieldWait — the
-/// ExpBackoff schedule routed through the policy point; any WaitPolicy
-/// (or anything with pause()) drops in.
+/// The default pacing is the WaitPolicy seam's SpinYieldWait (bounded
+/// exponential backoff); any WaitPolicy (or anything with pause()) drops
+/// in.
 template <typename AtomicLike, typename Backoff = SpinYieldWait>
 Word paced_cas_rmw(AtomicLike& word, const core::AnyRmw& m,
                    Backoff bo = Backoff{}) {
@@ -171,8 +170,8 @@ concept RmwBackend =
 /// typed fast paths are the native RMW instructions, and fetch_rmw is a
 /// CAS loop applying m.apply(old) (the §2 semantics when the memory has no
 /// combining support — correct, but a hot cell serializes). The Policy
-/// paces the CAS retries (SpinYieldWait = the historical ExpBackoff
-/// schedule; FutexWait makes oversubscribed retry storms sleep instead of
+/// paces the CAS retries (SpinYieldWait = bounded exponential backoff;
+/// FutexWait makes oversubscribed retry storms sleep instead of
 /// burning the winner's quantum).
 template <typename Instrument = analysis::DefaultInstrument,
           WaitPolicy Policy = SpinYieldWait>

@@ -15,13 +15,42 @@
 
 #include <atomic>
 #include <cstdint>
+#include <thread>
 
 #include "analysis/instrument.hpp"
-#include "runtime/backoff.hpp"
 #include "runtime/cacheline.hpp"
 #include "runtime/wait_policy.hpp"
 
 namespace krs::runtime {
+
+namespace detail {
+
+inline constexpr std::uint64_t kProportionalSpinsPerWaiter = 48;
+inline constexpr std::uint64_t kProportionalYieldAhead = 16;
+
+/// Pure schedule of proportional_backoff: how many pause instructions a
+/// waiter `ahead` places from service spins before re-reading, or 0 for
+/// the yield regime (and, trivially, at the head of the line).
+constexpr std::uint64_t proportional_spin_count(std::uint64_t ahead) noexcept {
+  return ahead >= kProportionalYieldAhead
+             ? 0
+             : ahead * kProportionalSpinsPerWaiter;
+}
+
+/// Wait roughly proportional to how far back in line we are: `ahead`
+/// waiters will be served first, so there is no point re-reading sooner.
+/// Long waits (deep queues, oversubscription) degrade to a yield;
+/// ahead == 0 (served next) is a no-op.
+inline void proportional_backoff(std::uint64_t ahead) noexcept {
+  if (ahead >= kProportionalYieldAhead) {
+    std::this_thread::yield();
+    return;
+  }
+  const std::uint64_t n = proportional_spin_count(ahead);
+  for (std::uint64_t i = 0; i < n; ++i) cpu_relax();
+}
+
+}  // namespace detail
 
 template <typename Instrument = analysis::DefaultInstrument,
           WaitPolicy Policy = SpinYieldWait>
@@ -47,7 +76,7 @@ class BasicTicketLock {
       if (ahead >= prev_ahead) {
         pol.pause();
       } else {
-        proportional_backoff(ahead);
+        detail::proportional_backoff(ahead);
         pol.reset();  // queue advanced: a fresh wait episode
       }
       prev_ahead = ahead;

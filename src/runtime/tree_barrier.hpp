@@ -31,7 +31,9 @@ template <typename Instrument = analysis::DefaultInstrument,
           WaitPolicy Policy = SpinYieldWait>
 class BasicTreeBarrier {
  public:
-  /// `parties` threads, identified by slot 0..parties-1.
+  /// `parties` threads, identified by slot 0..parties-1. Callers keep a
+  /// per-thread `bool sense`, initially false, flipped by every call —
+  /// the same convention as BasicSenseBarrier.
   explicit BasicTreeBarrier(unsigned parties) : parties_(parties) {
     KRS_EXPECTS(parties >= 1);
     // Internal nodes in heap layout over ceil_pow2(parties) leaves.
@@ -44,7 +46,10 @@ class BasicTreeBarrier {
     KRS_EXPECTS(slot < parties_);
     // Arrival: publish everything this thread did before the barrier.
     Instrument::release(this);
-    const bool my_sense = sense;
+    // The value the release word takes when THIS phase completes: phases
+    // alternate 1, 0, 1, … starting from the initial 0.
+    const std::uint32_t target = sense ? 0u : 1u;
+    sense = !sense;
     // Ascend: the second arrival at each node continues upward; the first
     // waits for the release wave.
     unsigned node = (static_cast<unsigned>(nodes_.size()) + slot) / 2;
@@ -62,7 +67,6 @@ class BasicTreeBarrier {
       nodes_[node]->arrived.store(false, std::memory_order_relaxed);
       node /= 2;
     }
-    const std::uint32_t target = my_sense ? 1u : 0u;
     if (node < 1 || climbing) {
       // Reached past the root: this thread triggers the release.
       release_.store(target, std::memory_order_release);
@@ -79,7 +83,6 @@ class BasicTreeBarrier {
     // released above before any waiter passes the release wave, so the
     // joined clock covers the whole phase.
     Instrument::acquire(this);
-    sense = !sense;
   }
 
  private:

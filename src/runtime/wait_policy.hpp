@@ -9,10 +9,10 @@
 //  * SpinWait — pure local spinning with bounded exponential pacing, never
 //    yielding the core. The paper's model verbatim; right when waiters ≤
 //    cores and latency is everything.
-//  * SpinYieldWait — today's default: the ExpBackoff schedule (spin 1, 2,
-//    4, … pause instructions to a cap, then std::this_thread::yield each
-//    round). The yield matters once the partner we wait for may need our
-//    core (mild oversubscription).
+//  * SpinYieldWait — today's default: bounded exponential backoff (spin
+//    1, 2, 4, … pause instructions to a cap, then std::this_thread::yield
+//    each round). The yield matters once the partner we wait for may need
+//    our core (mild oversubscription).
 //  * FutexWait — spin-then-park: a short spin grace, a few yields, then
 //    the thread PARKS in the kernel (Linux futex(2); a striped
 //    mutex+condvar parking lot elsewhere) until the waited word changes or
@@ -49,8 +49,6 @@
 #include <thread>
 #include <type_traits>
 
-#include "runtime/backoff.hpp"
-
 #if defined(__linux__)
 #include <linux/futex.h>
 #include <sys/syscall.h>
@@ -62,6 +60,17 @@
 #endif
 
 namespace krs::runtime {
+
+/// One "doing nothing, politely" instruction for spin loops.
+inline void cpu_relax() noexcept {
+#if defined(__x86_64__) || defined(__i386__)
+  __builtin_ia32_pause();
+#elif defined(__aarch64__)
+  asm volatile("isb" ::: "memory");
+#else
+  // No pause hint on this target; the loop's atomic load is the pacing.
+#endif
+}
 
 /// Cumulative wait-side work: spin rounds (in pause instructions), yields,
 /// parks (kernel sleeps, timed or woken), and wakes issued by notifiers.
@@ -278,7 +287,7 @@ inline void do_wake(const std::atomic<std::uint32_t>* w, bool all) noexcept {
 class SpinWait {
  public:
   static constexpr bool kParks = false;
-  static constexpr std::uint32_t kSpinCap = ExpBackoff::kSpinCap;
+  static constexpr std::uint32_t kSpinCap = 64;
 
   SpinWait() = default;
   SpinWait(const SpinWait&) = delete;
@@ -315,13 +324,14 @@ class SpinWait {
   WaitStats local_{};
 };
 
-/// The historical default: ExpBackoff's exact schedule — spin 1, 2, 4, …
-/// pause instructions up to the cap, then yield every further round. Keeps
-/// every primitive's pre-seam behavior while routing it through the policy
-/// point (and counting it).
+/// The default: bounded exponential backoff — spin 1, 2, 4, … pause
+/// instructions up to the cap, then yield every further round. The yield
+/// matters on oversubscribed hosts (more waiters than cores): the partner
+/// we are waiting for may need our core to make progress at all.
 class SpinYieldWait {
  public:
   static constexpr bool kParks = false;
+  static constexpr std::uint32_t kSpinCap = SpinWait::kSpinCap;
 
   SpinYieldWait() = default;
   SpinYieldWait(const SpinYieldWait&) = delete;
@@ -329,13 +339,14 @@ class SpinYieldWait {
   ~SpinYieldWait() { flush(); }
 
   void pause() noexcept {
-    const std::uint32_t budget = bo_.current_spins();
-    if (budget <= ExpBackoff::kSpinCap) {
-      local_.spins += budget;
+    if (spins_ <= kSpinCap) {
+      for (std::uint32_t i = 0; i < spins_; ++i) cpu_relax();
+      local_.spins += spins_;
+      spins_ *= 2;  // saturates one doubling past the cap: yields from here
     } else {
+      std::this_thread::yield();
       ++local_.yields;
     }
-    bo_.pause();
   }
 
   void wait_while_equal(const std::atomic<std::uint32_t>&,
@@ -345,7 +356,7 @@ class SpinYieldWait {
 
   void reset() noexcept {
     flush();
-    bo_.reset();
+    spins_ = 1;
   }
 
   static void notify_one(std::atomic<std::uint32_t>&) noexcept {}
@@ -357,7 +368,7 @@ class SpinYieldWait {
     local_ = {};
   }
 
-  ExpBackoff bo_;
+  std::uint32_t spins_ = 1;
   WaitStats local_{};
 };
 

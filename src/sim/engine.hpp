@@ -89,7 +89,7 @@ class ParallelEngine {
           static_cast<std::uint32_t>(std::uint64_t{shards} * w / workers);
       const auto hi =
           static_cast<std::uint32_t>(std::uint64_t{shards} * (w + 1) / workers);
-      bool sense = true;
+      bool sense = false;
       for (;;) {
         for (unsigned ph = 0; ph < phases; ++ph) {
           for (std::uint32_t sh = lo; sh < hi; ++sh) {

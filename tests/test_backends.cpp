@@ -8,17 +8,22 @@
 //    nodes (§7 partial combining);
 //  * cross-backend equivalence: the same workload through AtomicBackend,
 //    CombiningBackend, FlatCombiningBackend, and SimBackend (cells in the
-//    simulated Omega machine) yields identical priors and sum/ticket-set
-//    invariants at 2/4/8 threads (mirroring test_lockfree_combining.cpp);
+//    simulated Omega machine) yields identical priors, ticket-set
+//    invariants and monotone load() snapshots at 2/4/8 threads;
+//  * the combining tree behind CombiningBackend: odd and width-2 trees
+//    (shared leaves and shared slots), mixed-addend sum conservation, and
+//    a non-plus family (fetch-and-max) through every phase of the
+//    protocol; the same tickets, sums and snapshots on the tree itself,
+//    driven slot by slot below the seam;
 //  * every §6 primitive (barrier, rw-lock, semaphore, queue, full/empty
 //    cell, group lock) run against ALL FOUR backends;
 //  * partial-combining telemetry (§7): a deterministic single-threaded
 //    drive of the four-phase protocol through CombiningTreeTestPeer pins
 //    the fold/decline counters and the declined second's root-served
 //    reply, value by value;
-//  * a deterministic race_explorer model of the declined-composition
-//    fetch_rmw path, with a control showing the verdict comes from the
-//    modeled edges.
+//  * deterministic race_explorer models of the node handshake and of the
+//    declined-composition fetch_rmw path, with controls showing the
+//    verdicts come from the modeled edges.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -136,10 +141,6 @@ static_assert(sizeof(BasicRwLock<AtomicBackend, NoInstrument>) ==
               sizeof(BasicRwLock<AtomicBackend, GlobalInstrument>));
 static_assert(sizeof(BasicSemaphore<AtomicBackend, NoInstrument>) ==
               sizeof(BasicSemaphore<AtomicBackend, GlobalInstrument>));
-
-// The mapping tree still satisfies the counter concept through its
-// operand adapter.
-static_assert(CombiningCounter<LockFreeCombiningTree<long>>);
 
 // --- single-thread backend semantics ----------------------------------------
 
@@ -410,8 +411,8 @@ TEST(CombineTelemetry, SuccessfulFoldCountedOnceWithDecombinedReply) {
 
 // The same hotspot-counter workload through any backend: every thread's
 // priors are its tickets; across the run the tickets must be exactly
-// 0..N-1 with per-thread monotonicity and final == N — the invariants
-// test_lockfree_combining.cpp pins for the tree, here pinned for the seam.
+// 0..N-1 with per-thread monotonicity and final == N, and load()
+// snapshots taken while the writers run must never go backwards.
 template <typename B>
 void hotspot_counter_invariants(B backend) {
   for (const unsigned nt : {2u, 4u, 8u}) {
@@ -427,6 +428,12 @@ void hotspot_counter_invariants(B backend) {
             got[t].push_back(b.fetch_add(cell, 1));
           }
         });
+      }
+      Word last = 0;
+      for (unsigned i = 0; i < kPer; ++i) {
+        const Word v = b.load(cell);
+        EXPECT_GE(v, last) << "torn snapshot at " << nt << " writers";
+        last = v;
       }
     }
     std::set<Word> all;
@@ -457,6 +464,185 @@ TEST(BackendEquivalence, HotspotTicketsSim) {
   // Real threads multiplexed onto simulated processors via the mailboxes;
   // the ticket invariants must survive the indirection.
   hotspot_counter_invariants(SimBackend{SimBackendConfig{.log2_procs = 3}});
+}
+
+// --- the combining tree behind CombiningBackend ------------------------------
+
+TEST(CombiningTree, SingleThreadSequence) {
+  const CombiningBackend b(4);
+  CombiningBackend::Cell c(b, 100);
+  EXPECT_EQ(b.fetch_add(c, 5), 100u);
+  EXPECT_EQ(b.fetch_add(c, 7), 105u);
+  EXPECT_EQ(b.fetch_add(c, 1), 112u);
+  EXPECT_EQ(b.load(c), 113u);
+  EXPECT_EQ(c.tree.width(), 4u);
+}
+
+TEST(CombiningTree, ConcurrentIncrementsGiveDistinctTickets) {
+  // An odd width, as CpuTopology sizing on a 3-core host would ask for:
+  // the heap rounds up to 4 slots while the thread→slot modulo stays at 3.
+  hotspot_counter_invariants(CombiningBackend{3});
+}
+
+TEST(CombiningTree, TwoThreadsPerLeafShareCorrectly) {
+  // Width 2: both slots share the root's leaf — the most combining-prone
+  // shape — and from 4 threads on, slots are shared too.
+  hotspot_counter_invariants(CombiningBackend{2});
+}
+
+TEST(CombiningTree, ArbitraryAddendsConserveSum) {
+  for (const unsigned nt : {2u, 4u, 8u}) {
+    const CombiningBackend b(8);
+    CombiningBackend::Cell c(b, 0);
+    constexpr unsigned kPer = 200;
+    std::atomic<Word> expected{0};
+    {
+      std::vector<std::jthread> ts;
+      for (unsigned t = 0; t < nt; ++t) {
+        ts.emplace_back([&, t] {
+          Word local = 0;
+          for (unsigned i = 0; i < kPer; ++i) {
+            const Word v = (t * kPer + i) % 17 + 1;
+            b.fetch_add(c, v);
+            local += v;
+          }
+          expected.fetch_add(local);
+        });
+      }
+    }
+    EXPECT_EQ(b.load(c), expected.load()) << nt << " threads";
+  }
+}
+
+TEST(CombiningTree, FetchMaxThroughEveryPhase) {
+  // A non-plus family through precombine / combine / operate / distribute:
+  // the final value is the max over every deposited operand.
+  const CombiningBackend b(4);
+  CombiningBackend::Cell c(b, 0);
+  {
+    std::vector<std::jthread> ts;
+    for (unsigned t = 0; t < 4; ++t) {
+      ts.emplace_back([&, t] {
+        for (unsigned i = 1; i <= 300; ++i) {
+          b.fetch_rmw(c, AnyRmw(krs::core::FetchMax(t * 1000 + i)));
+        }
+      });
+    }
+  }
+  EXPECT_EQ(b.load(c), 3300u);
+}
+
+// --- the lock-free tree below the seam, slot by slot -------------------------
+//
+// The same invariants on MappingCombiningTree itself, with each thread
+// naming its slot explicitly instead of going through the backend's
+// thread→slot map.
+
+using AddTree = MappingCombiningTree<AnyRmw>;
+
+Word tree_add(AddTree& tree, unsigned slot, Word v) {
+  return tree.fetch_rmw(slot, AnyRmw(FetchAdd(v)));
+}
+
+TEST(LockFreeCombiningTree, SingleThreadSequence) {
+  AddTree tree(4, 100);
+  EXPECT_EQ(tree_add(tree, 0, 5), 100u);
+  EXPECT_EQ(tree_add(tree, 1, 7), 105u);
+  EXPECT_EQ(tree_add(tree, 3, 1), 112u);
+  EXPECT_EQ(tree.read(), 113u);
+  EXPECT_EQ(tree.width(), 4u);
+}
+
+TEST(LockFreeCombiningTree, ConcurrentIncrementsGiveDistinctTickets) {
+  for (const unsigned nt : {2u, 4u, 8u}) {
+    AddTree tree(8, 0);
+    constexpr unsigned kPer = 300;
+    std::vector<std::vector<Word>> got(nt);
+    {
+      std::vector<std::jthread> ts;
+      for (unsigned slot = 0; slot < nt; ++slot) {
+        ts.emplace_back([&, slot] {
+          for (unsigned i = 0; i < kPer; ++i) {
+            got[slot].push_back(tree_add(tree, slot, 1));
+          }
+        });
+      }
+    }
+    std::set<Word> all;
+    for (const auto& v : got) {
+      // Per-thread tickets strictly increase (M2.3 at the tree level).
+      EXPECT_TRUE(std::is_sorted(v.begin(), v.end()));
+      all.insert(v.begin(), v.end());
+    }
+    EXPECT_EQ(all.size(), static_cast<std::size_t>(nt) * kPer);
+    EXPECT_EQ(*all.begin(), 0u);
+    EXPECT_EQ(*all.rbegin(), static_cast<Word>(nt) * kPer - 1);
+    EXPECT_EQ(tree.read(), static_cast<Word>(nt) * kPer);
+  }
+}
+
+TEST(LockFreeCombiningTree, ArbitraryAddendsConserveSum) {
+  for (const unsigned nt : {2u, 4u, 8u}) {
+    AddTree tree(8, 0);
+    constexpr unsigned kPer = 200;
+    std::atomic<Word> expected{0};
+    {
+      std::vector<std::jthread> ts;
+      for (unsigned slot = 0; slot < nt; ++slot) {
+        ts.emplace_back([&, slot] {
+          Word local = 0;
+          for (unsigned i = 0; i < kPer; ++i) {
+            const Word v = (slot * kPer + i) % 17 + 1;
+            tree_add(tree, slot, v);
+            local += v;
+          }
+          expected.fetch_add(local);
+        });
+      }
+    }
+    EXPECT_EQ(tree.read(), expected.load()) << nt << " threads";
+  }
+}
+
+TEST(LockFreeCombiningTree, TwoThreadsPerLeafShareCorrectly) {
+  // Slots 0 and 1 share the root leaf — the most combining-prone shape.
+  AddTree tree(2, 0);
+  constexpr unsigned kPer = 500;
+  {
+    std::jthread a([&] {
+      for (unsigned i = 0; i < kPer; ++i) tree_add(tree, 0, 1);
+    });
+    std::jthread b([&] {
+      for (unsigned i = 0; i < kPer; ++i) tree_add(tree, 1, 1);
+    });
+  }
+  EXPECT_EQ(tree.read(), 2u * kPer);
+}
+
+TEST(LockFreeCombiningTree, ReadSnapshotsWhileContended) {
+  // read() must return monotonically non-decreasing snapshots while eight
+  // incrementers are in flight (it loads only the root word, never a node).
+  AddTree tree(8, 0);
+  constexpr unsigned kPer = 400;
+  std::atomic<bool> torn{false};
+  {
+    std::vector<std::jthread> ts;
+    for (unsigned slot = 0; slot < 8; ++slot) {
+      ts.emplace_back([&, slot] {
+        for (unsigned i = 0; i < kPer; ++i) tree_add(tree, slot, 1);
+      });
+    }
+    ts.emplace_back([&] {
+      Word last = 0;
+      for (unsigned i = 0; i < 500; ++i) {
+        const Word v = tree.read();
+        if (v < last) torn = true;
+        last = v;
+      }
+    });
+  }
+  EXPECT_FALSE(torn.load());
+  EXPECT_EQ(tree.read(), 8u * kPer);
 }
 
 // --- every §6 primitive on both backends ------------------------------------
@@ -492,6 +678,13 @@ TEST(BackendMatrix, BarrierFlat) {
 }
 TEST(BackendMatrix, BarrierSim) {
   barrier_phases(SimBackend{SimBackendConfig{.log2_procs = 2}}, 4);
+}
+
+TEST(CombiningBarrier, PhasesAlignedOverLockFreeTree) {
+  // The ticket barrier's arrivals combined in a width-2 tree: four parties
+  // share two slots, so arrivals also meet at the slots, not only at the
+  // root's leaf.
+  barrier_phases(CombiningBackend{2}, 4);
 }
 
 template <typename B>
@@ -683,10 +876,11 @@ TEST(BackendMatrix, GroupLockSim) {
 using krs::analysis::ForkHandle;
 
 TEST(BackendAnalysis, CombiningBackendOrdersTemporallySeparatedOps) {
-  // Same experiment test_lockfree_combining.cpp runs on the raw tree, now
-  // through the backend seam: the only detector-visible ordering between
-  // t0's payload write and t1's read is the cell's entry-acquire /
-  // exit-release edge inside fetch_rmw.
+  // Both fork edges are snapshotted BEFORE either thread runs, so the only
+  // detector-visible ordering between t0's payload write and t1's read is
+  // the tree's entry-acquire / exit-release edge inside fetch_rmw. The
+  // atomic flag gives real-time separation without telling the detector
+  // anything.
   krs::analysis::RaceDetector det;
   krs::analysis::ScopedDetector guard(det);
   BasicCombiningBackend<GlobalInstrument> backend(4);
@@ -715,6 +909,40 @@ TEST(BackendAnalysis, CombiningBackendOrdersTemporallySeparatedOps) {
   f1.join();
 
   EXPECT_EQ(backend.load(cell), 2u);
+  EXPECT_TRUE(det.clean()) << det.races()[0].to_string();
+}
+
+TEST(LockFreeCombiningTreeAnalysis, TemporallySeparatedOpsAreOrdered) {
+  // The same experiment on the tree itself, each thread on its own slot:
+  // the edge is the tree's entry-acquire / exit-release in fetch_rmw, with
+  // no backend wrapper around it.
+  krs::analysis::RaceDetector det;
+  krs::analysis::ScopedDetector guard(det);
+  MappingCombiningTree<AnyRmw, GlobalInstrument> tree(4, 0);
+  std::atomic<int> payload{0};
+  std::atomic<bool> done{false};
+
+  ForkHandle f0;
+  ForkHandle f1;
+  std::thread t0([&] {
+    f0.adopt();
+    payload.store(7, std::memory_order_relaxed);
+    krs::analysis::shadow_write(&payload, KRS_SITE);
+    tree.fetch_rmw(0, AnyRmw(FetchAdd(1)));  // exit releases t0's history
+    done.store(true, std::memory_order_release);
+  });
+  std::thread t1([&] {
+    f1.adopt();
+    while (!done.load(std::memory_order_acquire)) std::this_thread::yield();
+    tree.fetch_rmw(1, AnyRmw(FetchAdd(1)));  // entry acquires it
+    krs::analysis::shadow_read(&payload, KRS_SITE);
+  });
+  t0.join();
+  f0.join();
+  t1.join();
+  f1.join();
+
+  EXPECT_EQ(tree.read(), 2u);
   EXPECT_TRUE(det.clean()) << det.races()[0].to_string();
 }
 
@@ -750,7 +978,37 @@ TEST(BackendAnalysis, AtomicBackendOrdersTemporallySeparatedOps) {
   EXPECT_TRUE(det.clean()) << det.races()[0].to_string();
 }
 
-// --- deterministic model of the declined-composition path --------------------
+TEST(BackendAnalysis, WithoutTheBackendEdgeTheSameShapeRaces) {
+  // Control experiment: identical structure, no backend operations — the
+  // detector must flag it, proving the clean verdicts above came from the
+  // cell's edge and not from some accidental ordering.
+  krs::analysis::RaceDetector det;
+  krs::analysis::ScopedDetector guard(det);
+  std::atomic<int> payload{0};
+  std::atomic<bool> done{false};
+
+  ForkHandle f0;
+  ForkHandle f1;
+  std::thread t0([&] {
+    f0.adopt();
+    payload.store(7, std::memory_order_relaxed);
+    krs::analysis::shadow_write(&payload, KRS_SITE);
+    done.store(true, std::memory_order_release);
+  });
+  std::thread t1([&] {
+    f1.adopt();
+    while (!done.load(std::memory_order_acquire)) std::this_thread::yield();
+    krs::analysis::shadow_read(&payload, KRS_SITE);
+  });
+  t0.join();
+  f0.join();
+  t1.join();
+  f1.join();
+
+  EXPECT_EQ(det.race_count(), 1u);
+}
+
+// --- deterministic models of the node handshake -----------------------------
 
 using krs::verify::EAcquire;
 using krs::verify::ERead;
@@ -758,6 +1016,49 @@ using krs::verify::ERelease;
 using krs::verify::EventProgram;
 using krs::verify::EWrite;
 using krs::verify::explore_races;
+
+TEST(CombineModel, NodeHandshakeIsRaceFreeUnderAllSchedules) {
+  // Abstract model of one combine at one node. Var 0 = the second's
+  // deposited mapping slot, var 1 = the node's result slot; lock 0 = the
+  // node's status word, whose CAS transitions carry the release/acquire
+  // edges. The first (thread 0) reads the deposit and writes the reply;
+  // the second (thread 1) deposits then picks the reply up. Every edge is
+  // mediated by the status word — no schedule may report a race.
+  EventProgram prog;
+  prog.threads = {
+      // first: combine (acquire status, read deposit) → distribute
+      // (write result, release status)
+      {EAcquire{0}, ERead{0}, EWrite{1}, ERelease{0}},
+      // second: deposit (write mapping, release status) → await
+      // (acquire status, read result)
+      {EAcquire{0}, EWrite{0}, ERelease{0}, EAcquire{0}, ERead{1},
+       ERelease{0}},
+  };
+  const auto res = explore_races(prog);
+  EXPECT_GT(res.schedules, 0u);
+  EXPECT_TRUE(res.never_racy())
+      << res.racy_schedules << " of " << res.schedules << " schedules racy";
+}
+
+TEST(CombineModel, DepositWithoutStatusEdgeAlwaysRaces) {
+  // Drop the status-word edges entirely: the second deposits and reads
+  // the reply with no synchronization. With no release/acquire pair there
+  // is no cross-thread happens-before edge at all, so the detector must
+  // flag EVERY schedule (the defining property over lockset or sampling
+  // detectors — the race is visible even in schedules where the accesses
+  // did not physically collide). Note the second may not touch lock 0
+  // even once: a single trailing release would order a schedule where it
+  // runs entirely first, and that schedule would then be clean.
+  EventProgram prog;
+  prog.threads = {
+      {EAcquire{0}, ERead{0}, EWrite{1}, ERelease{0}},
+      {EWrite{0}, ERead{1}},  // naked deposit + naked reply pickup
+  };
+  const auto res = explore_races(prog);
+  EXPECT_GT(res.schedules, 0u);
+  EXPECT_TRUE(res.always_racy())
+      << res.racy_schedules << " of " << res.schedules << " schedules racy";
+}
 
 TEST(DeclinedCombineModel, RootServiceOfDeclinedSecondIsRaceFree) {
   // Abstract model of one DECLINED combine: var 0 = the second's deposited

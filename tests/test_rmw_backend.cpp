@@ -85,7 +85,7 @@ TEST(PacedCasRmw, OnePausePerFailedCas) {
 TEST(PacedCasRmw, FreshScheduleEveryCall) {
   // The backoff schedule must reset per call: a second call after a
   // heavily contended one starts from the shortest pause again. Pinned
-  // through ExpBackoff itself via the default argument path.
+  // through the default SpinYieldWait via the default argument path.
   FlakyWord w{0, 40};
   (void)detail::paced_cas_rmw(w, AnyRmw(FetchAdd(1)));  // contended call
   int pauses = 0;

@@ -1,63 +1,46 @@
-// Real-thread runtime: fetch-and-op wrappers, the software combining tree,
+// Real-thread runtime: the fetch-and-op repertoire on hardware atomics,
 // full/empty cells, and the fetch-and-add coordination algorithms, all
 // stress-tested for the invariants the paper's formalism promises
 // (serializability of RMW: distinct tickets, conserved sums, FIFO order).
+// The combining tree's invariants live with the backend seam that serves
+// it (test_backends.cpp).
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <numeric>
 #include <set>
 #include <thread>
 #include <vector>
 
-#include "runtime/backoff.hpp"
-#include "runtime/combining_tree.hpp"
+#include "core/any_rmw.hpp"
 #include "runtime/coordination.hpp"
-#include "runtime/fetch_and_op.hpp"
 #include "runtime/full_empty_cell.hpp"
 #include "runtime/parallel_queue.hpp"
 #include "runtime/group_lock.hpp"
 #include "runtime/ticket_lock.hpp"
 #include "runtime/tree_barrier.hpp"
+#include "runtime/wait_policy.hpp"
 
 namespace {
 
 using namespace krs::runtime;
+using krs::core::Affine;
+using krs::core::AnyRmw;
+using krs::core::FetchMax;
+using krs::core::FetchMin;
 
 unsigned hw_threads() {
   return std::max(2u, std::min(8u, std::thread::hardware_concurrency()));
 }
 
-// --- busy-wait pacing policies ----------------------------------------------
-
-TEST(Backoff, ExpBackoffDoublesToCapThenSaturates) {
-  ExpBackoff bo;
-  // Budget doubles 1, 2, 4, ..., kSpinCap while in the spinning regime.
-  for (std::uint32_t expect = 1; expect <= ExpBackoff::kSpinCap; expect *= 2) {
-    EXPECT_EQ(bo.current_spins(), expect);
-    bo.pause();
-  }
-  // One doubling past the cap parks the budget in the yield regime, where
-  // further pauses no longer grow it.
-  EXPECT_EQ(bo.current_spins(), 2 * ExpBackoff::kSpinCap);
-  bo.pause();
-  EXPECT_EQ(bo.current_spins(), 2 * ExpBackoff::kSpinCap);
-  bo.pause();
-  EXPECT_EQ(bo.current_spins(), 2 * ExpBackoff::kSpinCap);
-}
-
-TEST(Backoff, ExpBackoffResetRestartsTheSchedule) {
-  ExpBackoff bo;
-  for (int i = 0; i < 10; ++i) bo.pause();
-  EXPECT_EQ(bo.current_spins(), 2 * ExpBackoff::kSpinCap);
-  bo.reset();
-  EXPECT_EQ(bo.current_spins(), 1u);
-  bo.pause();
-  EXPECT_EQ(bo.current_spins(), 2u);
-}
+// --- the ticket lock's proportional backoff ----------------------------------
 
 TEST(Backoff, ProportionalScheduleIsLinearUntilYieldThreshold) {
+  using detail::kProportionalSpinsPerWaiter;
+  using detail::kProportionalYieldAhead;
+  using detail::proportional_spin_count;
   // ahead == 0 (served next): no wait at all.
   EXPECT_EQ(proportional_spin_count(0), 0u);
   EXPECT_EQ(proportional_spin_count(1), kProportionalSpinsPerWaiter);
@@ -72,43 +55,90 @@ TEST(Backoff, ProportionalScheduleIsLinearUntilYieldThreshold) {
 TEST(Backoff, ProportionalBackoffRunsInAllRegimes) {
   // The pure schedule above pins the behavior; this just exercises the
   // side-effecting wrapper in its three regimes (no-op, spin, yield).
-  proportional_backoff(0);
-  proportional_backoff(3);
-  proportional_backoff(kProportionalYieldAhead + 1);
+  detail::proportional_backoff(0);
+  detail::proportional_backoff(3);
+  detail::proportional_backoff(detail::kProportionalYieldAhead + 1);
 }
 
-// --- fetch-and-op wrappers ---------------------------------------------------
+// --- SpinYieldWait's exponential schedule, counted ---------------------------
+
+// Spins and yields a fresh SpinYieldWait spends over `rounds` pauses; the
+// counts are policy-local until reset() flushes them into
+// thread_wait_stats().
+WaitStats spin_yield_rounds(SpinYieldWait& pol, unsigned rounds) {
+  const WaitStats before = thread_wait_stats();
+  for (unsigned i = 0; i < rounds; ++i) pol.pause();
+  pol.reset();
+  return thread_wait_stats() - before;
+}
+
+TEST(Backoff, ExpBackoffDoublesToCapThenSaturates) {
+  // Round r spins 2^(r-1) pauses while the budget is at most kSpinCap:
+  // 1, 2, 4, …, 64 over seven rounds.
+  constexpr unsigned kSpinRounds = 7;
+  static_assert(SpinYieldWait::kSpinCap == 1u << (kSpinRounds - 1));
+  for (unsigned r = 1; r <= kSpinRounds; ++r) {
+    SpinYieldWait pol;
+    const WaitStats d = spin_yield_rounds(pol, r);
+    EXPECT_EQ(d.spins, (std::uint64_t{1} << r) - 1) << r << " rounds";
+    EXPECT_EQ(d.yields, 0u) << r << " rounds";
+  }
+  // Past the cap the budget stops growing: one yield per round, no spins.
+  for (unsigned extra = 1; extra <= 3; ++extra) {
+    SpinYieldWait pol;
+    const WaitStats d = spin_yield_rounds(pol, kSpinRounds + extra);
+    EXPECT_EQ(d.spins, 2 * SpinYieldWait::kSpinCap - 1);
+    EXPECT_EQ(d.yields, extra);
+  }
+}
+
+TEST(Backoff, ExpBackoffResetRestartsTheSchedule) {
+  SpinYieldWait pol;
+  const WaitStats saturated = spin_yield_rounds(pol, 10);
+  EXPECT_EQ(saturated.yields, 3u);
+  // reset() inside spin_yield_rounds re-armed the ramp: one pause, then two.
+  const WaitStats d = spin_yield_rounds(pol, 2);
+  EXPECT_EQ(d.spins, 1u + 2u);
+  EXPECT_EQ(d.yields, 0u);
+}
+
+// --- the §5 fetch-and-op repertoire on hardware atomics ----------------------
 
 TEST(FetchAndOp, Basics) {
-  std::atomic<Word> x{10};
-  EXPECT_EQ(fetch_and_add(x, 5), 10u);
-  EXPECT_EQ(fetch_and_or(x, 0xF0), 15u);
-  EXPECT_EQ(fetch_and_and(x, 0x0F), 0xFFu);
-  EXPECT_EQ(fetch_and_xor(x, 0xFF), 0x0Fu);
-  EXPECT_EQ(x.load(), 0xF0u);
-  EXPECT_EQ(swap(x, 3), 0xF0u);
-  EXPECT_EQ(x.load(), 3u);
+  const AtomicBackend b;
+  AtomicBackend::Cell x(b, 10);
+  EXPECT_EQ(b.fetch_add(x, 5), 10u);
+  EXPECT_EQ(b.fetch_or(x, 0xF0), 15u);
+  EXPECT_EQ(b.fetch_and(x, 0x0F), 0xFFu);
+  EXPECT_EQ(b.fetch_xor(x, 0xFF), 0x0Fu);
+  EXPECT_EQ(b.load(x), 0xF0u);
+  EXPECT_EQ(b.exchange(x, 3), 0xF0u);
+  EXPECT_EQ(b.load(x), 3u);
 }
 
 TEST(FetchAndOp, TestAndSet) {
-  std::atomic<Word> x{0};
-  EXPECT_FALSE(test_and_set(x));
-  EXPECT_TRUE(test_and_set(x));
-  EXPECT_EQ(x.load(), 1u);
+  // test-and-set(X) ≡ fetch-and-OR(X, 1) (§5.2).
+  const AtomicBackend b;
+  AtomicBackend::Cell x(b, 0);
+  EXPECT_EQ(b.fetch_or(x, 1) & 1, 0u);
+  EXPECT_EQ(b.fetch_or(x, 1) & 1, 1u);
+  EXPECT_EQ(b.load(x), 1u);
 }
 
 TEST(FetchAndOp, MinMax) {
-  std::atomic<Word> x{50};
-  EXPECT_EQ(fetch_and_min(x, 30), 50u);
-  EXPECT_EQ(x.load(), 30u);
-  EXPECT_EQ(fetch_and_min(x, 40), 30u);
-  EXPECT_EQ(x.load(), 30u);
-  EXPECT_EQ(fetch_and_max(x, 99), 30u);
-  EXPECT_EQ(x.load(), 99u);
+  const AtomicBackend b;
+  AtomicBackend::Cell x(b, 50);
+  EXPECT_EQ(b.fetch_rmw(x, AnyRmw(FetchMin(30))), 50u);
+  EXPECT_EQ(b.load(x), 30u);
+  EXPECT_EQ(b.fetch_rmw(x, AnyRmw(FetchMin(40))), 30u);
+  EXPECT_EQ(b.load(x), 30u);
+  EXPECT_EQ(b.fetch_rmw(x, AnyRmw(FetchMax(99))), 30u);
+  EXPECT_EQ(b.load(x), 99u);
 }
 
 TEST(FetchAndOp, ConcurrentAddsAreTickets) {
-  std::atomic<Word> x{0};
+  const AtomicBackend b;
+  AtomicBackend::Cell x(b, 0);
   constexpr unsigned kPer = 2000;
   const unsigned nt = hw_threads();
   std::vector<std::vector<Word>> tickets(nt);
@@ -117,93 +147,22 @@ TEST(FetchAndOp, ConcurrentAddsAreTickets) {
     for (unsigned t = 0; t < nt; ++t) {
       ts.emplace_back([&, t] {
         for (unsigned i = 0; i < kPer; ++i)
-          tickets[t].push_back(fetch_and_add(x, 1));
+          tickets[t].push_back(b.fetch_add(x, 1));
       });
     }
   }
   std::set<Word> all;
   for (const auto& v : tickets) all.insert(v.begin(), v.end());
   EXPECT_EQ(all.size(), static_cast<std::size_t>(nt) * kPer);
-  EXPECT_EQ(x.load(), static_cast<Word>(nt) * kPer);
+  EXPECT_EQ(b.load(x), static_cast<Word>(nt) * kPer);
 }
 
 TEST(FetchAndOp, GeneralTheta) {
-  std::atomic<Word> x{7};
-  EXPECT_EQ(fetch_and_theta(x, [](Word v) { return v * 3 + 1; }), 7u);
-  EXPECT_EQ(x.load(), 22u);
-}
-
-// --- combining tree ----------------------------------------------------------
-
-TEST(CombiningTree, SingleThreadSequence) {
-  CombiningTree<long> tree(4, 100);
-  EXPECT_EQ(tree.fetch_and_op(0, 5), 100);
-  EXPECT_EQ(tree.fetch_and_op(1, 7), 105);
-  EXPECT_EQ(tree.fetch_and_op(3, 1), 112);
-  EXPECT_EQ(tree.read(), 113);
-}
-
-TEST(CombiningTree, ConcurrentIncrementsGiveDistinctTickets) {
-  const unsigned width = 8;
-  CombiningTree<long> tree(width, 0);
-  constexpr unsigned kPer = 300;
-  std::vector<std::vector<long>> got(width);
-  {
-    std::vector<std::jthread> ts;
-    for (unsigned slot = 0; slot < width; ++slot) {
-      ts.emplace_back([&, slot] {
-        for (unsigned i = 0; i < kPer; ++i)
-          got[slot].push_back(tree.fetch_and_op(slot, 1));
-      });
-    }
-  }
-  std::set<long> all;
-  for (const auto& v : got) {
-    // Per-thread tickets strictly increase (M2.3 at the tree level).
-    EXPECT_TRUE(std::is_sorted(v.begin(), v.end()));
-    all.insert(v.begin(), v.end());
-  }
-  EXPECT_EQ(all.size(), static_cast<std::size_t>(width) * kPer);
-  EXPECT_EQ(*all.begin(), 0);
-  EXPECT_EQ(*all.rbegin(), static_cast<long>(width * kPer) - 1);
-  EXPECT_EQ(tree.read(), static_cast<long>(width * kPer));
-}
-
-TEST(CombiningTree, ArbitraryAddendsConserveSum) {
-  const unsigned width = 8;
-  CombiningTree<long> tree(width, 0);
-  constexpr unsigned kPer = 200;
-  std::atomic<long> expected{0};
-  {
-    std::vector<std::jthread> ts;
-    for (unsigned slot = 0; slot < width; ++slot) {
-      ts.emplace_back([&, slot] {
-        long local = 0;
-        for (unsigned i = 0; i < kPer; ++i) {
-          const long v = static_cast<long>((slot * kPer + i) % 17 + 1);
-          tree.fetch_and_op(slot, v);
-          local += v;
-        }
-        expected.fetch_add(local);
-      });
-    }
-  }
-  EXPECT_EQ(tree.read(), expected.load());
-}
-
-TEST(CombiningTree, TwoThreadsPerLeafShareCorrectly) {
-  // Slots 0 and 1 share a leaf — the most combining-prone configuration.
-  CombiningTree<long> tree(2, 0);
-  constexpr unsigned kPer = 500;
-  {
-    std::jthread a([&] {
-      for (unsigned i = 0; i < kPer; ++i) tree.fetch_and_op(0, 1);
-    });
-    std::jthread b([&] {
-      for (unsigned i = 0; i < kPer; ++i) tree.fetch_and_op(1, 1);
-    });
-  }
-  EXPECT_EQ(tree.read(), 2 * static_cast<long>(kPer));
+  // x ↦ 3x + 1 has no instruction: fetch_rmw is the CAS-loop RMW(X, f).
+  const AtomicBackend b;
+  AtomicBackend::Cell x(b, 7);
+  EXPECT_EQ(b.fetch_rmw(x, AnyRmw(Affine(3, 1))), 7u);
+  EXPECT_EQ(b.load(x), 22u);
 }
 
 // --- full/empty cell ---------------------------------------------------------
@@ -287,11 +246,10 @@ TEST(FaaBarrier, PhasesStayAligned) {
     std::vector<std::jthread> ts;
     for (unsigned t = 0; t < nt; ++t) {
       ts.emplace_back([&] {
-        bool sense = true;
         for (int ph = 0; ph < kPhases; ++ph) {
           // Non-atomic increment: safe only if barrier separates phases.
           __atomic_fetch_add(&counters[ph], 1, __ATOMIC_RELAXED);
-          barrier.arrive_and_wait(sense);
+          barrier.arrive_and_wait();
           if (counters[ph] != static_cast<int>(nt)) torn = true;
         }
       });
@@ -312,7 +270,7 @@ TEST(TreeBarrier, PhasesStayAlignedPowerOfTwo) {
     std::vector<std::jthread> ts;
     for (unsigned t = 0; t < nt; ++t) {
       ts.emplace_back([&, t] {
-        bool sense = true;
+        bool sense = false;
         for (int ph = 0; ph < kPhases; ++ph) {
           __atomic_fetch_add(&counters[ph], 1, __ATOMIC_RELAXED);
           barrier.arrive_and_wait(t, sense);
@@ -321,6 +279,22 @@ TEST(TreeBarrier, PhasesStayAlignedPowerOfTwo) {
       });
     }
   }
+}
+
+TEST(TreeBarrier, LoneArriverWaitsForItsPartner) {
+  // Callers start with sense = false; the first phase must still hold the
+  // first arriver until the second party shows up.
+  krs::runtime::TreeBarrier barrier(2);
+  std::atomic<bool> passed{false};
+  std::jthread early([&] {
+    bool sense = false;
+    barrier.arrive_and_wait(0, sense);
+    passed.store(true, std::memory_order_release);
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  EXPECT_FALSE(passed.load(std::memory_order_acquire));
+  bool sense = false;
+  barrier.arrive_and_wait(1, sense);
 }
 
 TEST(TreeBarrier, WorksForOddPartyCounts) {
@@ -332,7 +306,7 @@ TEST(TreeBarrier, WorksForOddPartyCounts) {
       std::vector<std::jthread> ts;
       for (unsigned t = 0; t < nt; ++t) {
         ts.emplace_back([&, t] {
-          bool sense = true;
+          bool sense = false;
           for (int ph = 0; ph < kPhases; ++ph) {
             sum.fetch_add(1);
             barrier.arrive_and_wait(t, sense);

@@ -5,9 +5,9 @@
 # acceptance comparison series). Two groups:
 #
 #   BENCH_combining.json — contended combining-tree / coordination benches
-#       at 1/2/4/8/16 threads, with the lockfree-vs-blocking ratio, the
-#       combining-vs-atomic RmwBackend ratio (bench_coordination's
-#       BM_*/atomic vs BM_*/combining series), the flat_vs_tree_ops_ratio
+#       at 1/2/4/8/16 threads, with the combining-vs-atomic RmwBackend
+#       ratio (bench_coordination's BM_*/atomic vs BM_*/combining
+#       series), the flat_vs_tree_ops_ratio
 #       crossover (bench_flat_vs_tree: FlatCombiningBackend vs
 #       CombiningBackend per width and thread count), and the sim-backend
 #       sim_cycles_per_op series (BM_SimCoordination/*): cycle-accounted,
@@ -121,7 +121,7 @@ run_group() {
 }
 
 run_group "$OUT" \
-  "lockfree_vs_blocking_ops_ratio,combining_vs_atomic_ops_ratio,sim_cycles_per_op,sim_cycles_per_op:counter_scale/k=6,sim_cycles_per_op:counter_scale/k=10,sim_cycles_per_op:combine=0,sim_cycles_per_op:combine=1,sim_cycles_per_op:scenario_hotspot,sim_cycles_per_op:scenario_bursty,sim_cycles_per_op:scenario_closed,flat_vs_tree_ops_ratio,dls_combine_rate,dls_combine_rate:combining/,dls_combine_rate:budget=narrow,dls_nack_rate,dls_nack_rate:atomic/,dls_nack_rate:flat/" \
+  "combining_vs_atomic_ops_ratio,sim_cycles_per_op,sim_cycles_per_op:counter_scale/k=6,sim_cycles_per_op:counter_scale/k=10,sim_cycles_per_op:combine=0,sim_cycles_per_op:combine=1,sim_cycles_per_op:scenario_hotspot,sim_cycles_per_op:scenario_bursty,sim_cycles_per_op:scenario_closed,flat_vs_tree_ops_ratio,dls_combine_rate,dls_combine_rate:combining/,dls_combine_rate:budget=narrow,dls_nack_rate,dls_nack_rate:atomic/,dls_nack_rate:flat/" \
   "${COMBINING_BENCHES[@]}"
 run_group "$MACHINE_OUT" "machine_parallel_speedup" "${MACHINE_BENCHES[@]}"
 run_group "$SHARDED_OUT" \
