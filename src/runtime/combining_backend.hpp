@@ -35,9 +35,8 @@
 #include "core/any_rmw.hpp"
 #include "core/fetch_theta.hpp"
 #include "core/load_store_swap.hpp"
-#include "runtime/lock_free_combining_tree.hpp"
+#include "runtime/combining_tree.hpp"
 #include "runtime/rmw_backend.hpp"
-#include "runtime/topology.hpp"
 #include "util/bits.hpp"
 
 namespace krs::runtime {
@@ -47,24 +46,17 @@ template <typename Instrument = analysis::DefaultInstrument,
 class BasicCombiningBackend {
  public:
   /// `width`: slot capacity of every cell's tree, ≥ 2 — any value works,
-  /// including odd core counts discovered by CpuTopology (the tree rounds
-  /// its heap up to a power of two internally; the thread→slot modulo
-  /// stays at the requested width so live slots remain dense). More
-  /// threads than `width` still work (slots are shared); sizing width to
-  /// the expected thread count maximizes combining.
+  /// including odd core counts (the tree rounds its heap up to a power of
+  /// two internally; the thread→slot modulo stays at the requested width
+  /// so live slots remain dense). More threads than `width` still work
+  /// (slots are shared); sizing width to the expected thread count
+  /// maximizes combining.
   explicit BasicCombiningBackend(unsigned width = kDefaultWidth)
-      : BasicCombiningBackend(width, IdentityTopology{}) {}
-
-  /// Topology-aware layout: `topo` decides which slots share tree leaves
-  /// (see runtime/topology.hpp). The SlotMap is computed once here; cells
-  /// share it.
-  template <Topology T>
-  BasicCombiningBackend(unsigned width, const T& topo)
-      : width_(std::max(2u, width)), slot_map_(topo.slot_map(width_)) {}
+      : width_(std::max(2u, width)) {}
 
   struct Cell {
     Cell(const BasicCombiningBackend& b, Word initial)
-        : tree(b.slot_map_, initial) {}
+        : tree(b.width_, initial) {}
     Cell(const Cell&) = delete;
     Cell& operator=(const Cell&) = delete;
 
@@ -131,7 +123,6 @@ class BasicCombiningBackend {
   }
 
   unsigned width_;
-  SlotMap slot_map_;
 };
 
 using CombiningBackend = BasicCombiningBackend<>;

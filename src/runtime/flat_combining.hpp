@@ -448,18 +448,14 @@ template <typename Instrument = analysis::DefaultInstrument,
 class BasicFlatCombiningBackend {
  public:
   /// `width`: publication slots per cell, ≥ 2 — no power-of-two rounding
-  /// (a flat list has no heap layout), so odd core counts from CpuTopology
-  /// size exactly. Thread→slot is thread_ordinal() mod width.
-  explicit BasicFlatCombiningBackend(unsigned width = kDefaultWidth,
-                                     unsigned max_passes = 0)
-      : width_(std::max(2u, width)), max_passes_(max_passes) {}
+  /// (a flat list has no heap layout), so odd core counts size exactly.
+  /// Thread→slot is thread_ordinal() mod width.
+  explicit BasicFlatCombiningBackend(unsigned width = kDefaultWidth)
+      : width_(std::max(2u, width)) {}
 
   struct Cell {
     Cell(const BasicFlatCombiningBackend& b, Word initial)
-        : fc(b.width_, initial,
-             b.max_passes_ == 0
-                 ? FlatCombiner<Instrument, Policy>::kDefaultMaxPasses
-                 : b.max_passes_) {}
+        : fc(b.width_, initial) {}
     Cell(const Cell&) = delete;
     Cell& operator=(const Cell&) = delete;
 
@@ -523,7 +519,6 @@ class BasicFlatCombiningBackend {
   }
 
   unsigned width_;
-  unsigned max_passes_;
 };
 
 using FlatCombiningBackend = BasicFlatCombiningBackend<>;

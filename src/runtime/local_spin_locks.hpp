@@ -1,7 +1,6 @@
-// The local-spin competitor tier: MCS and CLH queue locks, a futex-style
-// parking mutex, and a sense-reversing barrier — the RMR-optimal rivals
-// the combining structures must beat (or lose to, honestly) in
-// bench_lock_tier.
+// The local-spin competitor tier: MCS and CLH queue locks and a
+// futex-style parking mutex — the RMR-optimal rivals the combining
+// structures must beat (or lose to, honestly) in bench_lock_tier.
 //
 // The paper's argument for combining assumes waiters cost nothing while
 // they wait; the Mellor-Crummey–Scott line of work made that true on
@@ -23,11 +22,6 @@
 //    or park in the kernel. With FutexWait this is the classic futex
 //    mutex; with SpinWait it is the same algorithm spinning — the
 //    apples-to-apples pair bench_lock_tier measures oversubscription with.
-//  * BasicSenseBarrier — the centralized sense-reversing barrier: one
-//    countdown plus a phase-sense word every waiter watches; the last
-//    arrival flips the sense (and, under a parking policy, wakes the
-//    crowd). The classic baseline the combining-tree barrier is measured
-//    against.
 //
 // Every wait routes through the WaitPolicy seam (runtime/wait_policy.hpp):
 // the queue locks park on their private word under FutexWait, so the same
@@ -356,54 +350,6 @@ class BasicParkingLock {
 };
 
 using ParkingLock = BasicParkingLock<FutexWait>;
-
-/// Centralized sense-reversing barrier: one fetch-and-sub countdown, one
-/// phase-sense word. Every waiter watches (or parks on) the sense word;
-/// the last arrival resets the count and flips the sense. Callers keep a
-/// per-thread `bool sense`, initially false, flipped by every call.
-template <WaitPolicy Policy = SpinYieldWait,
-          typename Instrument = analysis::DefaultInstrument>
-class BasicSenseBarrier {
- public:
-  explicit BasicSenseBarrier(unsigned parties)
-      : parties_(parties), count_(parties) {
-    KRS_EXPECTS(parties >= 1);
-  }
-  BasicSenseBarrier(const BasicSenseBarrier&) = delete;
-  BasicSenseBarrier& operator=(const BasicSenseBarrier&) = delete;
-
-  void arrive_and_wait(bool& sense) {
-    Instrument::release(this);
-    // The value the sense word takes when THIS phase completes: phases
-    // alternate 1, 0, 1, … starting from the initial 0.
-    const std::uint32_t target = sense ? 0u : 1u;
-    sense = !sense;
-    Instrument::contended_rmw(&count_, KRS_SITE);
-    if (count_.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-      // Last arrival: re-arm the count BEFORE releasing (nobody can reach
-      // the next phase's decrement until they pass this release).
-      count_.store(parties_, std::memory_order_relaxed);
-      release_.store(target, std::memory_order_release);
-      if constexpr (Policy::kParks) Policy::notify_all(release_);
-    } else {
-      Policy pol;
-      Instrument::shared_load(&release_, KRS_SITE);
-      while (release_.load(std::memory_order_acquire) != target) {
-        pol.wait_while_equal(release_, target ^ 1u);
-      }
-    }
-    Instrument::acquire(this);
-  }
-
-  [[nodiscard]] unsigned parties() const noexcept { return parties_; }
-
- private:
-  unsigned parties_;
-  alignas(kCacheLine) std::atomic<std::uint32_t> count_;
-  alignas(kCacheLine) std::atomic<std::uint32_t> release_{0};
-};
-
-using SenseBarrier = BasicSenseBarrier<>;
 
 /// Any lock with a nested Scoped RAII guard, exposed as an RmwBackend
 /// substrate: a cell is one padded word plus one lock instance, and every

@@ -27,7 +27,7 @@
 //                        paths, which combine.
 //   b.load(c), b.store(c, v)
 //
-// Two backends ship:
+// Six backends ship:
 //
 //   * AtomicBackend — hardware fetch-and-θ where the instruction exists
 //     (std::atomic fetch_add/fetch_or/...), a CAS loop applying
@@ -37,6 +37,16 @@
 //     through a MappingCombiningTree<core::AnyRmw>, so concurrent
 //     operations on one hot cell combine pairwise on the way to the root
 //     (§4.2) instead of serializing on the coherence protocol.
+//   * FlatCombiningBackend (flat_combining.hpp) — each cell is one
+//     FlatCombiner: threads publish into per-thread slots and an elected
+//     combiner serves them in batches.
+//   * SimBackend (sim_backend.hpp) — each cell is an address of the
+//     cycle-accurate Omega machine, so operations combine in its switches
+//     (§4) and cost simulated network cycles.
+//   * ShardedBackend<Inner> (sharded_backend.hpp) — stripes a cell across
+//     per-shard cells of any inner backend and folds them on read.
+//   * LockBackend<Lock> (local_spin_locks.hpp) — one word guarded by one
+//     lock (MCS, CLH, parking, ...): the serial baseline.
 //
 // Instrumentation: backends carry the Instrument policy and publish the
 // happens-before edges for their cells — a release before every

@@ -33,24 +33,13 @@
 //    routed one. Like any racing store, concurrent updates may interleave;
 //    use it for initialization/reset, not as a synchronization edge.
 //
-// Routing decides WHICH shard an operation touches:
-//
-//  * kThreadOrdinal — shard = placement(key mod S): consecutive client keys
-//    stripe round-robin across shards (the Ultracomputer's interleaving).
-//  * kHashed — shard = placement(mix64(key) mod S): decorrelates shard
-//    choice from key arithmetic, for key populations with stride patterns.
-//
-// The routing KEY defaults to thread_ordinal(), but a harness multiplexing
+// Routing is striped: shard = key mod S, so consecutive client keys stripe
+// round-robin across shards (the Ultracomputer's interleaving). The
+// routing KEY defaults to thread_ordinal(), but a harness multiplexing
 // M logical clients onto N worker threads installs the client's identity
 // with ScopedRouteKey — the shard then follows the CLIENT, not the worker
 // thread, so thread churn (and thread_ordinal() reuse) can never migrate a
 // client's shard mid-sequence.
-//
-// Topology-aware placement: constructed with a Topology policy
-// (runtime/topology.hpp) and an expected key-population width, the backend
-// block-partitions the topology's cluster-major key order across shards,
-// so the threads hitting one shard share a cache cluster and the shard's
-// line ping-pongs inside one L2 instead of across the die.
 #pragma once
 
 #include <atomic>
@@ -64,20 +53,10 @@
 #include "core/types.hpp"
 #include "runtime/cacheline.hpp"
 #include "runtime/rmw_backend.hpp"
-#include "runtime/topology.hpp"
-#include "runtime/wait_policy.hpp"
 
 namespace krs::runtime {
 
 namespace detail {
-
-/// SplitMix64 finalizer: the cheap, well-mixed 64→64 hash used for
-/// kHashed routing (same constants as util::SplitMix64's output stage).
-constexpr std::uint64_t mix64(std::uint64_t z) noexcept {
-  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-  return z ^ (z >> 31);
-}
 
 struct RouteKeyState {
   std::uint64_t key = 0;
@@ -114,11 +93,6 @@ class ScopedRouteKey {
 
  private:
   detail::RouteKeyState saved_;
-};
-
-enum class ShardRouting {
-  kThreadOrdinal,  ///< shard = placement(key mod S) — striped
-  kHashed,         ///< shard = placement(mix64(key) mod S) — decorrelated
 };
 
 /// The semigroup the aggregation read folds shard values with. Must be
@@ -164,8 +138,7 @@ struct ShardedCellStats {
   }
 };
 
-template <RmwBackend Inner, typename Instrument = analysis::DefaultInstrument,
-          WaitPolicy Policy = SpinYieldWait>
+template <RmwBackend Inner, typename Instrument = analysis::DefaultInstrument>
 class BasicShardedBackend {
  public:
   static constexpr unsigned kDefaultShards = 8;
@@ -173,40 +146,12 @@ class BasicShardedBackend {
   /// `inner`: the per-shard substrate (copied; SimBackend copies share one
   /// machine by design). `shards` ≥ 1; 1 degrades to exactly the inner
   /// backend plus one indirection.
-  explicit BasicShardedBackend(Inner inner, unsigned shards = kDefaultShards,
-                               ShardRouting routing =
-                                   ShardRouting::kThreadOrdinal)
-      : inner_(std::move(inner)),
-        shards_(shards < 1 ? 1 : shards),
-        routing_(routing) {
-    placement_.resize(shards_);
-    std::iota(placement_.begin(), placement_.end(), 0u);
-  }
-
-  /// Topology-aware placement: `width` is the expected routing-key
-  /// population (thread or client count); `topo` orders those keys
-  /// cluster-major and the constructor block-partitions that order across
-  /// shards, so keys sharing a cache cluster share a shard. Falls back to
-  /// the striped identity placement when the topology is flat.
-  template <Topology T>
-  BasicShardedBackend(Inner inner, unsigned shards, ShardRouting routing,
-                      unsigned width, const T& topo)
-      : BasicShardedBackend(std::move(inner), shards, routing) {
-    width = width < shards_ ? shards_ : width;
-    const SlotMap sm = topo.slot_map(width);
-    // sm(k) is key k's position in cluster-major order; equal blocks of
-    // that order map to one shard each, so cluster siblings (adjacent
-    // positions) coalesce onto the same shard.
-    placement_.assign(width, 0u);
-    for (unsigned k = 0; k < width; ++k) {
-      placement_[k] = static_cast<unsigned>(
-          (static_cast<std::uint64_t>(sm(k)) * shards_) / width);
-    }
-  }
+  explicit BasicShardedBackend(Inner inner, unsigned shards = kDefaultShards)
+      : inner_(std::move(inner)), shards_(shards < 1 ? 1 : shards) {}
 
   struct Cell {
     Cell(const BasicShardedBackend& b, Word initial)
-        : home(b.shard_of()), ops(b.shards_) {
+        : home(b.shard_of()) {
       // Construct the S inner cells in place (inner cells are pinned —
       // deque never relocates); the initial value lands in the HOME shard
       // (the shard the constructing context routes to, so a
@@ -220,14 +165,17 @@ class BasicShardedBackend {
     Cell(const Cell&) = delete;
     Cell& operator=(const Cell&) = delete;
 
+    /// One shard: its inner cell and the count of ops routed to it, on
+    /// the shard's own line — a shared counter block would put back the
+    /// hot line the striping removes.
     struct alignas(kCacheLine) Slot {
       Slot(const Inner& b, Word v) : cell(b, v) {}
-      typename Inner::Cell cell;
+      [[no_unique_address]] typename Inner::Cell cell;
+      std::atomic<std::uint64_t> ops{0};  ///< per-shard telemetry
     };
 
-    std::deque<Slot> slots;  ///< S cache-line-isolated inner cells
+    std::deque<Slot> slots;  ///< S cache-line-isolated shards
     unsigned home;           ///< shard holding the initial value
-    std::deque<std::atomic<std::uint64_t>> ops;  ///< per-shard telemetry
   };
 
   Word fetch_add(Cell& c, Word v) const {
@@ -263,16 +211,6 @@ class BasicShardedBackend {
     return acc;
   }
 
-  /// Policy-paced quiesce: wait until the aggregate equals `expected`.
-  /// The fold is not a snapshot, so this is a convergence wait (all
-  /// updaters done, or the expected total provably reached) — the
-  /// sharded analogue of spinning on a single cell's value, with the
-  /// wait routed through the WaitPolicy seam instead of a private loop.
-  void await_aggregate(const Cell& c, Word expected) const {
-    Policy pol;
-    while (load(c) != expected) pol.pause();
-  }
-
   /// Quiescing reset: identity into every shard, v into the routed one.
   void store(Cell& c, Word v) const {
     const unsigned target = shard_of();
@@ -282,13 +220,11 @@ class BasicShardedBackend {
   }
 
   [[nodiscard]] unsigned shards() const noexcept { return shards_; }
-  [[nodiscard]] ShardRouting routing() const noexcept { return routing_; }
   [[nodiscard]] const Inner& inner() const noexcept { return inner_; }
 
   /// The shard the given routing key resolves to.
   [[nodiscard]] unsigned shard_of_key(std::uint64_t key) const noexcept {
-    if (routing_ == ShardRouting::kHashed) key = detail::mix64(key);
-    return placement_[key % placement_.size()];
+    return static_cast<unsigned>(key % shards_);
   }
 
   /// The shard the CURRENT context routes to (ScopedRouteKey if installed,
@@ -305,8 +241,8 @@ class BasicShardedBackend {
   [[nodiscard]] ShardedCellStats cell_stats(const Cell& c) const {
     ShardedCellStats out;
     out.shard_ops.reserve(shards_);
-    for (const auto& n : c.ops) {
-      out.shard_ops.push_back(n.load(std::memory_order_relaxed));
+    for (const auto& slot : c.slots) {
+      out.shard_ops.push_back(slot.ops.load(std::memory_order_relaxed));
     }
     return out;
   }
@@ -320,22 +256,24 @@ class BasicShardedBackend {
 
  private:
   typename Inner::Cell& routed(Cell& c) const {
-    const unsigned s = shard_of();
-    c.ops[s].fetch_add(1, std::memory_order_relaxed);
-    return c.slots[s].cell;
+    auto& slot = c.slots[shard_of()];
+    slot.ops.fetch_add(1, std::memory_order_relaxed);
+    return slot.cell;
   }
 
   Inner inner_;
   unsigned shards_;
-  ShardRouting routing_;
   Aggregation agg_ = Aggregation::sum();
-  std::vector<unsigned> placement_;  ///< key-position → shard
 };
 
 template <RmwBackend Inner>
 using ShardedBackend = BasicShardedBackend<Inner>;
 
 static_assert(RmwBackend<ShardedBackend<AtomicBackend>>);
+// The shard's op counter lives in the atomic cell's tail padding: one line
+// per shard, counter included.
+static_assert(sizeof(ShardedBackend<AtomicBackend>::Cell::Slot) ==
+              kCacheLine);
 static_assert(
     RmwBackend<BasicShardedBackend<BasicAtomicBackend<analysis::NoInstrument>,
                                    analysis::NoInstrument>>);

@@ -32,8 +32,7 @@ template <typename Instrument = analysis::DefaultInstrument,
 class BasicTreeBarrier {
  public:
   /// `parties` threads, identified by slot 0..parties-1. Callers keep a
-  /// per-thread `bool sense`, initially false, flipped by every call —
-  /// the same convention as BasicSenseBarrier.
+  /// per-thread `bool sense`, initially false, flipped by every call.
   explicit BasicTreeBarrier(unsigned parties) : parties_(parties) {
     KRS_EXPECTS(parties >= 1);
     // Internal nodes in heap layout over ceil_pow2(parties) leaves.

@@ -40,11 +40,11 @@
 #include "core/fetch_theta.hpp"
 #include "core/load_store_swap.hpp"
 #include "runtime/combining_backend.hpp"
+#include "runtime/combining_tree.hpp"
 #include "runtime/coordination.hpp"
 #include "runtime/flat_combining.hpp"
 #include "runtime/full_empty_cell.hpp"
 #include "runtime/group_lock.hpp"
-#include "runtime/lock_free_combining_tree.hpp"
 #include "runtime/parallel_queue.hpp"
 #include "runtime/rmw_backend.hpp"
 #include "runtime/sharded_backend.hpp"
@@ -195,8 +195,8 @@ TEST(Backends, ScriptedSequenceIdenticalAcrossBackends) {
 
 TEST(Backends, ScriptedSequenceIdenticalShardedOverEveryInner) {
   // The fifth substrate, the 5-way equivalence row: sharding over the
-  // hardware-atomic, combining-tree, and flat-combining inners (plus the
-  // hashed-routing variant) against the unsharded atomic baseline. The
+  // hardware-atomic, combining-tree, and flat-combining inners against
+  // the unsharded atomic baseline. The
   // script runs single-threaded, so every operation routes to the cell's
   // HOME shard — the shard holding the initial value — and the relaxed
   // sharded semantics degrade to exactly the inner backend's, priors,
@@ -206,13 +206,10 @@ TEST(Backends, ScriptedSequenceIdenticalShardedOverEveryInner) {
   ShardedBackend<CombiningBackend> sharded_tree{CombiningBackend{4}, 4};
   ShardedBackend<FlatCombiningBackend> sharded_flat{FlatCombiningBackend{4},
                                                     4};
-  ShardedBackend<AtomicBackend> sharded_hashed{AtomicBackend{}, 8,
-                                               ShardRouting::kHashed};
   const auto base = scripted_run(ab);
   EXPECT_EQ(scripted_run(sharded_atomic), base);
   EXPECT_EQ(scripted_run(sharded_tree), base);
   EXPECT_EQ(scripted_run(sharded_flat), base);
-  EXPECT_EQ(scripted_run(sharded_hashed), base);
   const std::vector<Word> expect{10, 15, 0xFF, 0x0F, 0xF0, 3, 7, 40, 99, 7};
   EXPECT_EQ(base, expect);
 }
@@ -479,7 +476,7 @@ TEST(CombiningTree, SingleThreadSequence) {
 }
 
 TEST(CombiningTree, ConcurrentIncrementsGiveDistinctTickets) {
-  // An odd width, as CpuTopology sizing on a 3-core host would ask for:
+  // An odd width, as sizing to a 3-core host would ask for:
   // the heap rounds up to 4 slots while the thread→slot modulo stays at 3.
   hotspot_counter_invariants(CombiningBackend{3});
 }
@@ -1171,12 +1168,9 @@ TEST(BackendEquivalence, ScriptedDlsOpsAgreeSharded) {
   AtomicBackend ab;
   ShardedBackend<AtomicBackend> sharded_atomic{AtomicBackend{}, 4};
   ShardedBackend<CombiningBackend> sharded_tree{CombiningBackend{4}, 4};
-  ShardedBackend<AtomicBackend> sharded_hashed{AtomicBackend{}, 8,
-                                               ShardRouting::kHashed};
   const auto base = scripted_dls_run(ab);
   EXPECT_EQ(scripted_dls_run(sharded_atomic), base);
   EXPECT_EQ(scripted_dls_run(sharded_tree), base);
-  EXPECT_EQ(scripted_dls_run(sharded_hashed), base);
 }
 
 // One DECLINED §5.6 fold, driven deterministically: two puts whose wire

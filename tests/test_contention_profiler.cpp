@@ -15,7 +15,7 @@
 #include "core/fetch_theta.hpp"
 #include "runtime/cacheline.hpp"
 #include "runtime/combining_backend.hpp"
-#include "runtime/lock_free_combining_tree.hpp"
+#include "runtime/combining_tree.hpp"
 #include "runtime/rmw_backend.hpp"
 #include "runtime/ticket_lock.hpp"
 

@@ -1,5 +1,5 @@
-// The flat combiner (runtime/flat_combining.hpp) and the topology-aware
-// slot layout (runtime/topology.hpp):
+// The flat combiner (runtime/flat_combining.hpp) and the combining tree's
+// fixed slot layout:
 //
 //  * deterministic single-caller waves pinning the batch semantics: one
 //    publication scan serves every pending op with the §3 decombination
@@ -17,23 +17,17 @@
 //  * a race_explorer model of the publication handshake (claim → publish
 //    → serve → pickup), with a control proving the clean verdict comes
 //    from the modeled seq-word edges;
-//  * SlotMap/CpuTopology: permutation validation, sysfs cluster discovery
-//    against a fabricated hierarchy, flat fallback, and an end-to-end
-//    proof via the tree's deterministic wave that a topology permutation
-//    changes which slots fold at a shared leaf;
+//  * the tree's slot→leaf pairing, pinned through its deterministic wave:
+//    slots 2i and 2i+1 fold at their shared leaf, other pairs do not;
 //  * the relaxed MappingCombiningTree width precondition: odd widths
 //    round up internally and stay correct.
 #include <gtest/gtest.h>
-#include <unistd.h>
 
 #include <algorithm>
 #include <atomic>
 #include <cstdint>
-#include <filesystem>
-#include <fstream>
 #include <functional>
 #include <set>
-#include <string>
 #include <thread>
 #include <vector>
 
@@ -42,9 +36,8 @@
 #include "core/fetch_theta.hpp"
 #include "core/load_store_swap.hpp"
 #include "runtime/combining_backend.hpp"
+#include "runtime/combining_tree.hpp"
 #include "runtime/flat_combining.hpp"
-#include "runtime/lock_free_combining_tree.hpp"
-#include "runtime/topology.hpp"
 #include "verify/race_explorer.hpp"
 
 namespace krs::runtime {
@@ -455,116 +448,24 @@ TEST(FlatCombineModel, NakedPublicationAlwaysRaces) {
       << res.racy_schedules << " of " << res.schedules << " schedules racy";
 }
 
-// --- SlotMap / topology policies ---------------------------------------------
-
-TEST(TopologyMap, IdentityAndExplicitPermutation) {
-  const SlotMap id = SlotMap::identity(4);
-  EXPECT_EQ(id.width(), 4u);
-  EXPECT_TRUE(id.is_identity());
-  for (unsigned s = 0; s < 4; ++s) EXPECT_EQ(id(s), s);
-
-  const SlotMap perm(std::vector<unsigned>{2, 0, 3, 1});
-  EXPECT_FALSE(perm.is_identity());
-  EXPECT_EQ(perm(0), 2u);
-  EXPECT_EQ(perm(1), 0u);
-  EXPECT_EQ(perm(2), 3u);
-  EXPECT_EQ(perm(3), 1u);
-}
-
-TEST(TopologyMap, CpuTopologyFallsBackFlatWithoutSysfs) {
-  const CpuTopology topo("/nonexistent/krs-sysfs-root");
-  EXPECT_FALSE(topo.discovered());
-  EXPECT_EQ(topo.cpus(), 0u);
-  EXPECT_TRUE(topo.slot_map(8).is_identity());
-}
-
-// Fabricate /sys/devices/system/cpu with 4 CPUs in two INTERLEAVED L2
-// clusters {0,2} and {1,3} — the case where the identity layout pairs
-// cross-cluster at every leaf and a relayout fixes it.
-class FakeSysfs {
- public:
-  explicit FakeSysfs(const std::vector<std::string>& shared_lists) {
-    namespace fs = std::filesystem;
-    root_ = fs::path(testing::TempDir()) /
-            ("krs-sysfs-" + std::to_string(::getpid()) + "-" +
-             std::to_string(counter_++));
-    for (unsigned cpu = 0; cpu < shared_lists.size(); ++cpu) {
-      const fs::path dir =
-          root_ / ("cpu" + std::to_string(cpu)) / "cache" / "index2";
-      fs::create_directories(dir);
-      std::ofstream(dir / "shared_cpu_list") << shared_lists[cpu] << "\n";
-    }
-  }
-  ~FakeSysfs() {
-    std::error_code ec;
-    std::filesystem::remove_all(root_, ec);
-  }
-  [[nodiscard]] std::string path() const { return root_.string(); }
-
- private:
-  static inline unsigned counter_ = 0;
-  std::filesystem::path root_;
-};
-
-TEST(TopologyMap, CpuTopologyGroupsInterleavedClusters) {
-  const FakeSysfs sysfs({"0,2", "1,3", "0,2", "1,3"});
-  const CpuTopology topo(sysfs.path());
-  ASSERT_TRUE(topo.discovered());
-  EXPECT_EQ(topo.cpus(), 4u);
-  ASSERT_EQ(topo.clusters().size(), 2u);
-  EXPECT_EQ(topo.clusters()[0], (std::vector<unsigned>{0, 2}));
-  EXPECT_EQ(topo.clusters()[1], (std::vector<unsigned>{1, 3}));
-  // Cluster-major relayout: slots 0 and 2 (cluster one) get internal
-  // slots 0 and 1 — a shared leaf; slots 1 and 3 get 2 and 3.
-  const SlotMap m = topo.slot_map(4);
-  EXPECT_EQ(m(0), 0u);
-  EXPECT_EQ(m(2), 1u);
-  EXPECT_EQ(m(1), 2u);
-  EXPECT_EQ(m(3), 3u);
-  // width > ncpus wraps by expected CPU (slot mod ncpus), stably.
-  const SlotMap wide = topo.slot_map(8);
-  EXPECT_EQ(wide(0), 0u);
-  EXPECT_EQ(wide(4), 1u);  // slot 4 → cpu 0 → same cluster, next position
-  EXPECT_EQ(wide(2), 2u);
-  EXPECT_EQ(wide(6), 3u);
-}
-
-TEST(TopologyMap, UniformSysfsFallsBackFlat) {
-  // One shared domain (every CPU reports the same sharing set): relayout
-  // cannot change any pairing, so the policy degrades to identity.
-  const FakeSysfs sysfs({"0-3", "0-3", "0-3", "0-3"});
-  const CpuTopology topo(sysfs.path());
-  EXPECT_FALSE(topo.discovered());
-  // clusters().empty() is the same fallback signal as !discovered(): the
-  // degenerate single domain is dropped, while cpus() still sees the host.
-  EXPECT_TRUE(topo.clusters().empty());
-  EXPECT_EQ(topo.cpus(), 4u);
-  EXPECT_TRUE(topo.slot_map(4).is_identity());
-}
-
-// --- topology → leaf pairing, proven through the tree ------------------------
+// --- the fixed slot → leaf pairing, proven through the tree --------------------
 
 TEST(TopologyTree, PermutationChangesWhichSlotsFold) {
-  // Identity layout, width 4: slots 0 and 2 sit at DIFFERENT leaves, so a
-  // simultaneous wave cannot fold them — two root applications.
-  MappingCombiningTree<AnyRmw> flat_tree(SlotMap::identity(4), 0);
-  using TreeWave = MappingCombiningTree<AnyRmw>::WaveOp;
-  const std::vector<TreeWave> wave{{0, AnyRmw(FetchAdd(1))},
-                                   {2, AnyRmw(FetchAdd(1))}};
-  (void)flat_tree.run_wave(wave);
-  EXPECT_EQ(flat_tree.stats().folds, 0u);
-  EXPECT_EQ(flat_tree.stats().root_applies, 2u);
+  // Width 4: slots 0 and 1 share a leaf, so a simultaneous wave folds them
+  // once and reaches the root once.
+  MappingCombiningTree<AnyRmw> paired(4, 0);
+  (void)paired.run_wave({{0, AnyRmw(FetchAdd(1))}, {1, AnyRmw(FetchAdd(1))}});
+  EXPECT_EQ(paired.stats().folds, 1u);
+  EXPECT_EQ(paired.stats().root_applies, 1u);
+  EXPECT_EQ(paired.read(), 2u);
 
-  // The interleaved-cluster permutation maps slots 0 and 2 to adjacent
-  // internal slots — one shared leaf, so the same wave folds once and
-  // reaches the root once. This is the whole point of the Topology
-  // policy: same threads, same ops, one less root transaction.
-  MappingCombiningTree<AnyRmw> clustered(
-      SlotMap(std::vector<unsigned>{0, 2, 1, 3}), 0);
-  (void)clustered.run_wave(wave);
-  EXPECT_EQ(clustered.stats().folds, 1u);
-  EXPECT_EQ(clustered.stats().root_applies, 1u);
-  EXPECT_EQ(clustered.read(), 2u);
+  // Swap slot 1 for slot 2: slots 0 and 2 sit at DIFFERENT leaves, so the
+  // same wave cannot fold — two root applications.
+  MappingCombiningTree<AnyRmw> apart(4, 0);
+  (void)apart.run_wave({{0, AnyRmw(FetchAdd(1))}, {2, AnyRmw(FetchAdd(1))}});
+  EXPECT_EQ(apart.stats().folds, 0u);
+  EXPECT_EQ(apart.stats().root_applies, 2u);
+  EXPECT_EQ(apart.read(), 2u);
 }
 
 // --- relaxed width precondition ----------------------------------------------
@@ -590,25 +491,6 @@ TEST(TreeWidth, OddWidthBackendCountsExactly) {
   EXPECT_EQ(backend.width(), 3u);
   CombiningBackend::Cell cell(backend, 0);
   constexpr unsigned kThreads = 3;
-  constexpr unsigned kPer = 100;
-  {
-    std::vector<std::jthread> ts;
-    for (unsigned t = 0; t < kThreads; ++t) {
-      ts.emplace_back([&] {
-        for (unsigned i = 0; i < kPer; ++i) backend.fetch_add(cell, 1);
-      });
-    }
-  }
-  EXPECT_EQ(backend.load(cell), static_cast<Word>(kThreads) * kPer);
-}
-
-TEST(TreeWidth, TopologyBackendEndToEnd) {
-  // The full seam: CpuTopology (fabricated interleaved clusters) → SlotMap
-  // → CombiningBackend → counter invariants hold.
-  const FakeSysfs sysfs({"0,2", "1,3", "0,2", "1,3"});
-  CombiningBackend backend(4, CpuTopology(sysfs.path()));
-  CombiningBackend::Cell cell(backend, 0);
-  constexpr unsigned kThreads = 4;
   constexpr unsigned kPer = 100;
   {
     std::vector<std::jthread> ts;

@@ -5,12 +5,11 @@
 //    keeps its shard across worker-thread churn (spawn/join waves that
 //    recycle thread ordinals), the property the M:N traffic harness
 //    depends on;
-//  * striped vs hashed key→shard maps, and topology-aware placement
-//    coalescing cache-cluster siblings (fabricated sysfs, mirroring
-//    test_flat_combining.cpp's FakeSysfs) onto shared shards;
+//  * the striped key→shard map (key mod S);
 //  * the relaxed-semantics invariants that DO survive sharding: sum
 //    conservation under concurrent clients, aggregation folds (sum /
-//    bit_or / max), store()-quiescing, per-shard telemetry shares;
+//    bit_or / max), store()-quiescing, per-shard telemetry shares, and
+//    each shard's op counter sitting on that shard's own cache line;
 //  * shards = 1 degrading to exactly the inner backend (globally
 //    distinct fetch_add tickets);
 //  * a race_explorer model of the aggregation read: per-shard reads
@@ -19,13 +18,8 @@
 //    the verdict comes from the modeled per-shard edges.
 #include <gtest/gtest.h>
 
-#include <unistd.h>
-
 #include <cstdint>
-#include <filesystem>
-#include <fstream>
 #include <set>
-#include <string>
 #include <thread>
 #include <vector>
 
@@ -33,7 +27,6 @@
 #include "runtime/flat_combining.hpp"
 #include "runtime/rmw_backend.hpp"
 #include "runtime/sharded_backend.hpp"
-#include "runtime/topology.hpp"
 #include "verify/race_explorer.hpp"
 
 namespace {
@@ -96,76 +89,12 @@ TEST(ShardedRouting, ScopedRouteKeyNestsAndRestores) {
 }
 
 TEST(ShardedRouting, StripedAndHashedKeyMaps) {
+  // Striped: consecutive keys round-robin (the Ultracomputer stripe).
   constexpr unsigned kShards = 8;
   ShardedBackend<AtomicBackend> striped{AtomicBackend{}, kShards};
-  ShardedBackend<AtomicBackend> hashed{AtomicBackend{}, kShards,
-                                       ShardRouting::kHashed};
-  std::set<unsigned> hashed_hits;
   for (std::uint64_t k = 0; k < 256; ++k) {
-    // Striped: consecutive keys round-robin (the Ultracomputer stripe).
     EXPECT_EQ(striped.shard_of_key(k), k % kShards);
-    // Hashed: deterministic per key, and the population covers all shards.
-    EXPECT_EQ(hashed.shard_of_key(k), hashed.shard_of_key(k));
-    EXPECT_LT(hashed.shard_of_key(k), kShards);
-    hashed_hits.insert(hashed.shard_of_key(k));
   }
-  EXPECT_EQ(hashed_hits.size(), kShards);
-}
-
-// --- topology-aware placement ------------------------------------------------
-
-// Fabricated /sys/devices/system/cpu (same shape as test_flat_combining's
-// helper): 4 CPUs in two INTERLEAVED L2 clusters {0,2} and {1,3}.
-class FakeSysfs {
- public:
-  explicit FakeSysfs(const std::vector<std::string>& shared_lists) {
-    namespace fs = std::filesystem;
-    root_ = fs::path(testing::TempDir()) /
-            ("krs-shard-sysfs-" + std::to_string(::getpid()) + "-" +
-             std::to_string(counter_++));
-    for (unsigned cpu = 0; cpu < shared_lists.size(); ++cpu) {
-      const fs::path dir =
-          root_ / ("cpu" + std::to_string(cpu)) / "cache" / "index2";
-      fs::create_directories(dir);
-      std::ofstream(dir / "shared_cpu_list") << shared_lists[cpu] << "\n";
-    }
-  }
-  ~FakeSysfs() {
-    std::error_code ec;
-    std::filesystem::remove_all(root_, ec);
-  }
-  [[nodiscard]] std::string path() const { return root_.string(); }
-
- private:
-  static inline unsigned counter_ = 0;
-  std::filesystem::path root_;
-};
-
-TEST(ShardedTopology, IdentityTopologyBlockPartitionsKeys) {
-  // Flat topology, width 8 over 4 shards: equal blocks of the identity
-  // order — keys {0,1}→0, {2,3}→1, {4,5}→2, {6,7}→3, wrapping mod 8.
-  ShardedBackend<AtomicBackend> b{AtomicBackend{}, 4,
-                                  ShardRouting::kThreadOrdinal, 8,
-                                  IdentityTopology{}};
-  for (unsigned k = 0; k < 8; ++k) {
-    EXPECT_EQ(b.shard_of_key(k), k / 2) << "key " << k;
-    EXPECT_EQ(b.shard_of_key(k + 8), k / 2) << "wrapped key " << k + 8;
-  }
-}
-
-TEST(ShardedTopology, CpuTopologyCoalescesClusterSiblingsOntoOneShard) {
-  // Interleaved clusters {0,2} / {1,3}: cluster-major order is 0,2,1,3,
-  // so with 2 shards the block partition puts cluster siblings — NOT key
-  // neighbors — on the same shard. The striped fallback would split both
-  // clusters across both shards.
-  const FakeSysfs sysfs({"0,2", "1,3", "0,2", "1,3"});
-  const CpuTopology topo(sysfs.path());
-  ASSERT_TRUE(topo.discovered());
-  ShardedBackend<AtomicBackend> b{AtomicBackend{}, 2,
-                                  ShardRouting::kThreadOrdinal, 4, topo};
-  EXPECT_EQ(b.shard_of_key(0), b.shard_of_key(2));
-  EXPECT_EQ(b.shard_of_key(1), b.shard_of_key(3));
-  EXPECT_NE(b.shard_of_key(0), b.shard_of_key(1));
 }
 
 // --- relaxed-semantics invariants -------------------------------------------
@@ -284,6 +213,23 @@ TEST(ShardedSemantics, PerShardTelemetryTracksRoutedTraffic) {
   for (unsigned s = 0; s < 4; ++s) EXPECT_EQ(stats.shard_ops[s], s + 1);
   EXPECT_EQ(stats.total(), 10u);
   EXPECT_DOUBLE_EQ(stats.max_share(), 0.4);
+}
+
+TEST(ShardedSemantics, ShardCounterSharesItsShardsLine) {
+  // Each shard's op counter sits on that shard's cache line, so routed
+  // traffic to different shards never touches a common line.
+  ShardedBackend<AtomicBackend> b{AtomicBackend{}, 8};
+  ShardedBackend<AtomicBackend>::Cell cell(b, 0);
+  const auto line = [](const void* p) {
+    return reinterpret_cast<std::uintptr_t>(p) / kCacheLine;
+  };
+  std::set<std::uintptr_t> lines;
+  for (unsigned s = 0; s < b.shards(); ++s) {
+    EXPECT_EQ(line(&cell.slots[s].ops), line(&b.shard_cell(cell, s)))
+        << "shard " << s;
+    lines.insert(line(&b.shard_cell(cell, s)));
+  }
+  EXPECT_EQ(lines.size(), b.shards());
 }
 
 // --- aggregation-read linearization model ------------------------------------

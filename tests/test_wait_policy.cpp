@@ -27,6 +27,7 @@
 #include <vector>
 
 #include "runtime/local_spin_locks.hpp"
+#include "runtime/tree_barrier.hpp"
 #include "runtime/wait_policy.hpp"
 
 namespace {
@@ -372,11 +373,11 @@ TEST(ParkingLockTest, OversubscribedConservation) {
   EXPECT_EQ(counter, static_cast<std::uint64_t>(kThreads) * kPerThread);
 }
 
-// ---- the sense-reversing barrier ---------------------------------------
+// ---- the combining-tree barrier under each wait policy -----------------
 
 template <typename Policy>
 void barrier_rounds(unsigned nthreads, int rounds) {
-  BasicSenseBarrier<Policy> bar(nthreads);
+  BasicTreeBarrier<krs::analysis::DefaultInstrument, Policy> bar(nthreads);
   std::vector<std::uint64_t> slot(nthreads, 0);  // one writer each
   std::atomic<int> bad{0};
   std::vector<std::thread> threads;
@@ -386,7 +387,7 @@ void barrier_rounds(unsigned nthreads, int rounds) {
       bool sense = false;  // callers start false; the barrier flips it
       for (int r = 0; r < rounds; ++r) {
         ++slot[me];
-        bar.arrive_and_wait(sense);
+        bar.arrive_and_wait(me, sense);
         if (me == 0) {
           for (unsigned j = 0; j < nthreads; ++j) {
             if (slot[j] != static_cast<std::uint64_t>(r) + 1) {
@@ -394,7 +395,7 @@ void barrier_rounds(unsigned nthreads, int rounds) {
             }
           }
         }
-        bar.arrive_and_wait(sense);  // hold everyone until the check ran
+        bar.arrive_and_wait(me, sense);  // hold everyone until the check ran
       }
     });
   }
@@ -402,11 +403,11 @@ void barrier_rounds(unsigned nthreads, int rounds) {
   EXPECT_EQ(bad.load(), 0);
 }
 
-TEST(SenseBarrierTest, PhasesSpinYield) {
+TEST(TreeBarrier, PhasesSpinYield) {
   barrier_rounds<SpinYieldWait>(4, 200);
 }
 
-TEST(SenseBarrierTest, PhasesFutexParked) {
+TEST(TreeBarrier, PhasesFutexParked) {
   barrier_rounds<FutexWait>(4, 200);
 }
 
