@@ -50,14 +50,8 @@ tracks (see docs/PERFORMANCE.md):
       one shard, so the quotient isolates sharding, not routing
       overhead), keyed "<inner>/s=S/threads". > 1.0: spreading the hot
       word across S shard lines beats one line at that concurrency.
-  tail_latency_p99 — per-op p99 latency in ns. Two sources fold in:
-      BM_Sharded rows' sampled latency_p99_ns counter (keyed
-      "<inner>/<variant>/threads"), and tools/krs_load traffic documents
-      (schema "krs-load-v1", accepted alongside google-benchmark files),
-      whose scenario percentiles land keyed "traffic/<scenario>". The
-      krs_load scenarios come from millions of logical clients
-      multiplexed M:N onto worker threads, so these are the numbers the
-      §3 queueing model's tail predictions compare against.
+  tail_latency_p99 — per-op p99 latency in ns from the BM_Sharded rows'
+      sampled latency_p99_ns counter, keyed "<inner>/<variant>/threads".
 
 Every comparisons series is wrapped as {"host_cpus": N, "values": {...}}
 so a 1-CPU CI artifact cannot be misread as scaling data — the ratios
@@ -131,11 +125,10 @@ COUNTER_KEYS = ("cycles_per_op", "combine_rate", "served_at_root_fraction",
 
 
 def collect(files):
-    """-> runs {(family, threads)}, context, profiles, traffic scenarios"""
+    """-> runs {(family, threads)}, context, profiles"""
     runs = {}
     context = {}
     profiles = []
-    traffic = []
     for path in files:
         try:
             with open(path) as f:
@@ -160,32 +153,6 @@ def collect(files):
             if not doc.get("runs"):
                 sys.exit(f"normalize.py: {path} contains no profiler runs")
             continue
-        if doc.get("schema") == "krs-load-v1":
-            # A krs_load traffic document: per-scenario tail percentiles
-            # from the M:N logical-client harness. Carried through whole
-            # (the scenarios block is already normalized) and folded into
-            # the tail_latency_p99 series.
-            for sc in doc.get("scenarios", []):
-                traffic.append({
-                    "scenario": sc.get("name", "?"),
-                    "shape": sc.get("shape"),
-                    "clients": doc.get("clients"),
-                    "workers": sc.get("workers", doc.get("workers")),
-                    "shards": doc.get("shards"),
-                    "inner": doc.get("inner"),
-                    "ops": sc.get("ops"),
-                    "offered": sc.get("offered"),
-                    "throttled": sc.get("throttled"),
-                    "p50_ns": sc.get("p50_ns"),
-                    "p99_ns": sc.get("p99_ns"),
-                    "p999_ns": sc.get("p999_ns"),
-                    "conserved": sc.get("conserved"),
-                    "wait": sc.get("wait"),
-                })
-            if not doc.get("scenarios"):
-                sys.exit(f"normalize.py: {path} contains no traffic "
-                         "scenarios")
-            continue
         ctx = doc.get("context", {})
         context.setdefault("host_cpus", ctx.get("num_cpus"))
         context.setdefault("library_build_type", ctx.get("library_build_type"))
@@ -208,10 +175,10 @@ def collect(files):
             # A bench that built but produced nothing (crashed mid-run,
             # filtered to zero) must not green-wash the pipeline.
             sys.exit(f"normalize.py: {path} contains no benchmark runs")
-    return runs, context, profiles, traffic
+    return runs, context, profiles
 
 
-def normalize(runs, context, config, profiles=(), traffic=()):
+def normalize(runs, context, config, profiles=()):
     benchmarks = []
     for (family, threads), rec in sorted(runs.items()):
         real = sorted(rec["real_ns"])
@@ -371,17 +338,13 @@ def normalize(runs, context, config, profiles=(), traffic=()):
                     b["declined_fold_rate"], 3)
 
     # Tail accounting: p99 per-op latency in ns, from the sharded bench's
-    # sampled reservoirs and from krs_load traffic scenarios. Zero values
-    # are dropped — an unpopulated reservoir must not green-wash
-    # `--require tail_latency_p99`.
+    # sampled reservoirs. Zero values are dropped — an unpopulated
+    # reservoir must not green-wash `--require tail_latency_p99`.
     tail_p99 = {}
     for b in benchmarks:
         if b["name"].startswith(sharded_prefix) and b.get("latency_p99_ns"):
             key = b["name"][len(sharded_prefix):].replace(":", "=")
             tail_p99[f"{key}/{b['threads']}"] = round(b["latency_p99_ns"], 1)
-    for t in traffic:
-        if t.get("p99_ns"):
-            tail_p99[f"traffic/{t['scenario']}"] = t["p99_ns"]
 
     # The contention-profiler series: hot lines per profiled backend.
     # Zero-hot-line entries are DROPPED so `--require profiler_hot_lines`
@@ -431,7 +394,6 @@ def normalize(runs, context, config, profiles=(), traffic=()):
         "config": cfg,
         "benchmarks": benchmarks,
         "profiles": list(profiles),
-        "traffic": list(traffic),
         "comparisons": comparisons,
     }
 
@@ -451,15 +413,15 @@ def main():
                          "job pins its acceptance series with this")
     args = ap.parse_args()
 
-    runs, context, profiles, traffic = collect(args.files)
-    if not runs and not profiles and not traffic:
+    runs, context, profiles = collect(args.files)
+    if not runs and not profiles:
         sys.exit("normalize.py: no benchmark runs found in inputs")
     config = {}
     if args.min_time is not None:
         config["min_time"] = args.min_time
     if args.repetitions is not None:
         config["repetitions"] = args.repetitions
-    doc = normalize(runs, context, config, profiles, traffic)
+    doc = normalize(runs, context, config, profiles)
     missing = []
     for req in args.require:
         name, _, key = req.partition(":")

@@ -80,7 +80,7 @@ namespace detail {
 /// its ordinal (via the thread-local guard below) and the smallest free
 /// ordinal is handed out next, so a churny process keeps its live threads
 /// dense in 0..peak-1 instead of leaking slots monotonically — otherwise
-/// every combining-tree slot map (combining_backend.hpp slot(), the sim
+/// every ordinal-mod-width mapping (combining_backend.hpp slot(), the sim
 /// backend's processor map) degenerates to a few aliased slots over time.
 /// Mutex-guarded: acquire/release run once per thread lifetime, never on
 /// an operation path.

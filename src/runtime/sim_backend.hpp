@@ -261,8 +261,8 @@ class BasicSimBackend {
 
   /// Outcome of a run_traffic drive: simulated cycles consumed, logical
   /// operations completed, and the per-op issue→reply latency distribution
-  /// in machine cycles — the paper-unit analogue of krs_load's wall-clock
-  /// reservoirs.
+  /// in machine cycles — the paper-unit analogue of a wall-clock latency
+  /// reservoir.
   struct TrafficResult {
     core::Tick cycles = 0;
     std::uint64_t ops = 0;
@@ -499,7 +499,7 @@ class BasicSimBackend {
     }
 
     /// More live threads than simulated processors alias onto one mailbox
-    /// (ordinal mod n, like the combining tree's slot map); the claim CAS
+    /// (ordinal mod n, like the combining backend's slot()); the claim CAS
     /// serializes them, backoff-paced.
     Mailbox& claim_mailbox() {
       Mailbox& mb = mailboxes[thread_ordinal() % nprocs];

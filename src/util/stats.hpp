@@ -89,13 +89,7 @@ class LogHistogram {
   /// which only reports the covering bucket's upper bound.
   [[nodiscard]] double percentile(double q) const noexcept {
     if (count_ == 0) return 0.0;
-    q = q < 0.0 ? 0.0 : (q > 1.0 ? 1.0 : q);
-    // Nearest-rank target: the ceil(q·n)-th sample (1-based), clamped so
-    // q=0 means the first sample.
-    const double scaled = q * static_cast<double>(count_);
-    std::uint64_t rank = static_cast<std::uint64_t>(scaled);
-    if (static_cast<double>(rank) < scaled) ++rank;
-    if (rank == 0) rank = 1;
+    const std::uint64_t rank = nearest_rank(q);
     std::uint64_t seen = 0;
     for (unsigned b = 0; b < kBuckets; ++b) {
       if (buckets_[b] == 0) continue;
@@ -118,17 +112,18 @@ class LogHistogram {
            static_cast<double>(count_);  // unreachable: counts are consistent
   }
 
-  /// Smallest bucket upper bound covering the q-quantile (approximate).
+  /// Upper bound of the bucket holding the q-quantile: the same
+  /// nearest-rank sample percentile() interpolates, reported at bucket
+  /// resolution.
   [[nodiscard]] std::uint64_t quantile_bound(double q) const noexcept {
     if (count_ == 0) return 0;
-    const auto target =
-        static_cast<std::uint64_t>(q * static_cast<double>(count_));
+    const std::uint64_t rank = nearest_rank(q);
     std::uint64_t seen = 0;
     for (unsigned b = 0; b < kBuckets; ++b) {
       seen += buckets_[b];
-      if (seen > target) return (std::uint64_t{1} << (b + 1)) - 1;
+      if (seen >= rank) return (std::uint64_t{1} << (b + 1)) - 1;
     }
-    return ~std::uint64_t{0};
+    return ~std::uint64_t{0};  // unreachable: counts are consistent
   }
 
   [[nodiscard]] std::uint64_t bucket(unsigned b) const noexcept {
@@ -146,6 +141,17 @@ class LogHistogram {
   }
 
  private:
+  /// Nearest-rank target of the q-quantile (q clamped to [0, 1]): the
+  /// ceil(q·n)-th sample, 1-based, so q=0 means the first sample.
+  /// Requires count_ > 0.
+  [[nodiscard]] std::uint64_t nearest_rank(double q) const noexcept {
+    q = q < 0.0 ? 0.0 : (q > 1.0 ? 1.0 : q);
+    const double scaled = q * static_cast<double>(count_);
+    std::uint64_t rank = static_cast<std::uint64_t>(scaled);
+    if (static_cast<double>(rank) < scaled) ++rank;
+    return rank == 0 ? 1 : rank;
+  }
+
   std::array<std::uint64_t, kBuckets> buckets_{};
   std::uint64_t count_ = 0;
   std::uint64_t sum_ = 0;

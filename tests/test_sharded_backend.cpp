@@ -3,8 +3,8 @@
 //
 //  * routing determinism — a logical client pinned with ScopedRouteKey
 //    keeps its shard across worker-thread churn (spawn/join waves that
-//    recycle thread ordinals), the property the M:N traffic harness
-//    depends on;
+//    recycle thread ordinals), the property krs-bench's M:N
+//    clients_sharded workload depends on;
 //  * the striped key→shard map (key mod S);
 //  * the relaxed-semantics invariants that DO survive sharding: sum
 //    conservation under concurrent clients, aggregation folds (sum /

@@ -163,6 +163,17 @@ TEST(Stats, LogHistogramQuantiles) {
   EXPECT_NEAR(h.mean(), 499.5, 1e-9);
   // The 50% quantile of 0..999 lies in the bucket covering 512.
   EXPECT_GE(h.quantile_bound(0.5), 500u);
+  // q = 1 is the maximum sample's bucket, not "past the last bucket".
+  EXPECT_EQ(h.quantile_bound(1.0), 1023u);
+
+  // Nearest rank, as percentile(): the 99th of 100 samples is a 1, so
+  // the bound is bucket 0's, not the lone outlier's [512, 1023].
+  LogHistogram tail;
+  for (int i = 0; i < 99; ++i) tail.add(1);
+  tail.add(1000);
+  EXPECT_LE(tail.percentile(0.99), 1.0);
+  EXPECT_EQ(tail.quantile_bound(0.99), 1u);
+  EXPECT_EQ(tail.quantile_bound(1.0), 1023u);
 }
 
 TEST(Stats, LogHistogramMergeIsBucketExact) {
@@ -220,11 +231,12 @@ TEST(Stats, LogHistogramPercentileInterpolates) {
 }
 
 TEST(Stats, LogHistogramMergePreservesQuantiles) {
-  // The property the traffic harness's per-worker latency reservoirs rely
-  // on: because merge() is bucket-exact and percentile() reads only
-  // bucket counts, merging N per-worker histograms yields EXACTLY the
-  // percentiles of one histogram that saw every sample — no quantile
-  // drift from sharding the stream, regardless of how it was split.
+  // The property per-worker latency reservoirs (the parallel engine's
+  // stats reduction) rely on: because merge() is bucket-exact and
+  // percentile() reads only bucket counts, merging N per-worker
+  // histograms yields EXACTLY the percentiles of one histogram that saw
+  // every sample — no quantile drift from sharding the stream,
+  // regardless of how it was split.
   LogHistogram all;
   LogHistogram workers[4];
   krs::util::Xoshiro256 rng(77);

@@ -6,8 +6,9 @@
 //    the lost-wake ordering (the kernel's atomic re-check of the waited
 //    word), and the escalating bounded park timeout are driven exactly,
 //    on one thread, with no timing dependence;
-//  * real-thread stress — ParkingLock<FutexWait> oversubscribed 8 ways
-//    on one counter (actual futex syscalls on Linux), MCS/CLH distinct
+//  * real-thread stress — BasicParkingLock under SpinWait and FutexWait,
+//    oversubscribed max(8, 4 × cores) ways on one counter (actual futex
+//    syscalls on Linux), MCS/CLH distinct
 //    critical-section tickets at 2/4/8 threads, and deterministic FIFO
 //    handoff via the contended_acquires() stagger (spawn thread i+1 only
 //    after thread i has provably enqueued behind a held lock);
@@ -348,29 +349,38 @@ TEST(ClhLock, FifoHandoffUnderStagger) {
   }
 }
 
-// ---- the parking mutex, oversubscribed (real futex path) ---------------
+// ---- the parking mutex, oversubscribed (spin and real futex paths) -----
 
-TEST(ParkingLockTest, OversubscribedConservation) {
-  // 8 workers ≫ this host's cores in CI: contended waiters actually park
-  // (on Linux: real futex syscalls — no hooks installed here) and every
-  // increment must still land.
-  constexpr unsigned kThreads = 8;
+// max(8, 4 × cores) workers ≫ cores hammer one counter behind Lock, and
+// every increment must land. With FutexWait contended waiters actually
+// park (on Linux: real futex syscalls — no hooks installed here); with
+// SpinWait they burn the quantum the preempted holder needs, which is
+// slow but must still be correct.
+template <typename Lock>
+void oversubscribed_conservation() {
+  const unsigned nthreads =
+      std::max(8u, 4 * std::thread::hardware_concurrency());
   constexpr int kPerThread = 20'000;
-  ParkingLock lk;
+  Lock lk;
   std::uint64_t counter = 0;  // guarded by lk only
 
   std::vector<std::thread> threads;
-  threads.reserve(kThreads);
-  for (unsigned w = 0; w < kThreads; ++w) {
+  threads.reserve(nthreads);
+  for (unsigned w = 0; w < nthreads; ++w) {
     threads.emplace_back([&] {
       for (int i = 0; i < kPerThread; ++i) {
-        ParkingLock::Scoped g(lk);
+        typename Lock::Scoped g(lk);
         ++counter;
       }
     });
   }
   for (auto& t : threads) t.join();
-  EXPECT_EQ(counter, static_cast<std::uint64_t>(kThreads) * kPerThread);
+  EXPECT_EQ(counter, static_cast<std::uint64_t>(nthreads) * kPerThread);
+}
+
+TEST(ParkingLockTest, OversubscribedConservation) {
+  oversubscribed_conservation<BasicParkingLock<SpinWait>>();
+  oversubscribed_conservation<ParkingLock>();
 }
 
 // ---- the combining-tree barrier under each wait policy -----------------

@@ -2,7 +2,7 @@
 # Reproducible benchmark pipeline: Release build → benches in
 # --benchmark_format=json → bench/harness/normalize.py → top-level
 # BENCH_*.json (ops/sec + p50/p99 per-op latency per series, plus the
-# acceptance comparison series). Two groups:
+# acceptance comparison series). Four groups:
 #
 #   BENCH_combining.json — contended combining-tree / coordination benches
 #       at 1/2/4/8/16 threads, with the combining-vs-atomic RmwBackend
@@ -33,12 +33,9 @@
 #       baseline per thread count — the futex rows are the
 #       spin-vs-park verdict) and per-row wait_spins / wait_yields /
 #       wait_parks / wait_wakes telemetry counters.
-#   BENCH_traffic.json   — tools/krs_load: millions of logical clients
-#       multiplexed M:N onto worker threads against sharded cells, five
-#       sharded scenarios (hotspot/uniform/bursty/closed/queue) plus the
-#       oversub_spin/oversub_futex lock pair (workers forced ≫
-#       host_cpus, wait-policy telemetry in each row), per-scenario
-#       p50/p99/p999 folded into tail_latency_p99 as traffic/<scenario>.
+#
+# The end-to-end client-traffic benchmark is krs-bench (bench/e2e/run.sh),
+# a separate command.
 #
 # Usage: tools/run_bench.sh
 # Knobs (environment):
@@ -49,9 +46,6 @@
 #   KRS_BENCH_MACHINE_OUT  machine output        (default BENCH_machine.json)
 #   KRS_BENCH_SHARDED_OUT  sharded output        (default BENCH_sharded.json)
 #   KRS_BENCH_LOCKS_OUT    lock-tier output      (default BENCH_locks.json)
-#   KRS_BENCH_TRAFFIC_OUT  traffic output        (default BENCH_traffic.json)
-#   KRS_LOAD_CLIENTS       krs-load logical clients (default 1048576)
-#   KRS_LOAD_SECONDS       krs-load per-scenario budget (default 5)
 #
 # CI runs the same script with KRS_BENCH_MIN_TIME=0.05 KRS_BENCH_REPETITIONS=1
 # as the bench-smoke job; any bench crash fails the pipeline (set -e).
@@ -67,9 +61,6 @@ OUT="${KRS_BENCH_OUT:-BENCH_combining.json}"
 MACHINE_OUT="${KRS_BENCH_MACHINE_OUT:-BENCH_machine.json}"
 SHARDED_OUT="${KRS_BENCH_SHARDED_OUT:-BENCH_sharded.json}"
 LOCKS_OUT="${KRS_BENCH_LOCKS_OUT:-BENCH_locks.json}"
-TRAFFIC_OUT="${KRS_BENCH_TRAFFIC_OUT:-BENCH_traffic.json}"
-LOAD_CLIENTS="${KRS_LOAD_CLIENTS:-1048576}"
-LOAD_SECONDS="${KRS_LOAD_SECONDS:-5}"
 JOBS="$(nproc 2>/dev/null || echo 4)"
 
 COMBINING_BENCHES=(bench_combining_tree bench_coordination bench_flat_vs_tree
@@ -81,7 +72,7 @@ LOCK_BENCHES=(bench_lock_tier)
 cmake -B "$BUILD" -S "$ROOT" -DCMAKE_BUILD_TYPE=Release
 cmake --build "$BUILD" -j "$JOBS" \
   --target "${COMBINING_BENCHES[@]}" "${MACHINE_BENCHES[@]}" \
-  "${SHARDED_BENCHES[@]}" "${LOCK_BENCHES[@]}" krs-load
+  "${SHARDED_BENCHES[@]}" "${LOCK_BENCHES[@]}"
 
 JSON_DIR="$BUILD/bench-json"
 
@@ -131,22 +122,4 @@ run_group "$LOCKS_OUT" \
   "lock_tier_ops_ratio,lock_tier_ops_ratio:futex/,lock_tier_ops_ratio:mcs/,lock_tier_ops_ratio:clh/,lock_tier_ops_ratio:ticket/,lock_tier_ops_ratio:combining/" \
   "${LOCK_BENCHES[@]}"
 
-# The traffic harness: M logical clients (millions) on N worker threads,
-# all five scenarios, seconds-bounded per scenario. Conservation checks
-# run inside krs-load (non-zero exit on violation); normalize.py then
-# requires a per-scenario tail series so a silent no-op run fails here.
-echo "=== krs-load ==="
-TRAFFIC_DIR="$JSON_DIR/$(basename "$TRAFFIC_OUT" .json)"
-mkdir -p "$TRAFFIC_DIR"
-"$BUILD/tools/krs-load" \
-  --clients="$LOAD_CLIENTS" --shards=8 --scenario=all \
-  --seconds="$LOAD_SECONDS" --json="$TRAFFIC_DIR/krs_load.json"
-python3 bench/harness/normalize.py \
-  --out "$TRAFFIC_OUT" \
-  --require tail_latency_p99 \
-  --require tail_latency_p99:traffic/hotspot \
-  --require tail_latency_p99:traffic/closed \
-  --require tail_latency_p99:traffic/oversub_spin \
-  --require tail_latency_p99:traffic/oversub_futex \
-  "$TRAFFIC_DIR"/*.json
-echo "=== bench pipeline complete: $OUT $MACHINE_OUT $SHARDED_OUT $LOCKS_OUT $TRAFFIC_OUT ==="
+echo "=== bench pipeline complete: $OUT $MACHINE_OUT $SHARDED_OUT $LOCKS_OUT ==="
