@@ -74,13 +74,16 @@ void BM_BackendCounter_Combining(benchmark::State& state) {
   backend_counter_loop(state, g_combining_backend, g_combining_counter);
   if (state.thread_index() == 0) {
     // Partial-combining telemetry (§7) for the hot cell, cumulative over
-    // the run: how much traffic folded below the root vs. serialized at
-    // it. A mixed-family regression shows up as served_at_root → 1.0 long
-    // before the wall-clock numbers move on a small host.
+    // the run: how much traffic folded below the root, how much reached
+    // it, and how much landed with the direct CAS without entering the
+    // tree. served_at_root near 1.0 is normal when the direct CAS lands,
+    // so a mixed-family regression shows in the tree's declined_folds,
+    // not there.
     const CombiningTreeStats ts =
         g_combining_backend.cell_stats(g_combining_counter);
     state.counters["combine_rate"] = ts.combine_rate();
     state.counters["served_at_root_fraction"] = ts.served_at_root_fraction();
+    state.counters["direct_rate"] = ts.direct_rate();
   }
 }
 BENCHMARK(BM_BackendCounter_Combining)

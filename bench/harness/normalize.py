@@ -67,9 +67,9 @@ on the schema string must read series values through the "values" field.
       `--require profiler_hot_lines` fails when the profiler goes blind.
 
 User counters emitted by a bench (e.g. bench_machine's cycles_per_op,
-combine_rate, and the sim dimension's served_at_root_fraction,
-sim_cycles, mean_latency_cycles) are carried into each record as medians
-across repetitions.
+combine_rate, BM_BackendCounter/combining's direct_rate, and the sim
+dimension's served_at_root_fraction, sim_cycles, mean_latency_cycles)
+are carried into each record as medians across repetitions.
 
 Percentiles are taken over repetition-level means: google-benchmark does
 not expose per-iteration samples, so with R repetitions p99 is the
@@ -116,6 +116,7 @@ def to_ns(value, unit):
 # top-level numeric keys on each benchmark record. Carry the known ones
 # through to the normalized output.
 COUNTER_KEYS = ("cycles_per_op", "combine_rate", "served_at_root_fraction",
+                "direct_rate",
                 "combined_fraction", "sim_cycles", "mean_latency_cycles",
                 "latency_p50_ns", "latency_p99_ns", "latency_p999_ns",
                 "latency_p50_cycles", "latency_p99_cycles",

@@ -18,10 +18,17 @@
 //   compare_exchange     → update_at_root          (not a tractable mapping:
 //                                                  the update branches on
 //                                                  the old value, so it
-//                                                  serializes at the root,
+//                                                  never combines: a CAS
+//                                                  loop on the root word,
 //                                                  linearized against all
-//                                                  combined traffic)
+//                                                  direct and combined
+//                                                  traffic)
 //   load                 → tree.read()             (atomic root snapshot)
+//
+// Every operation served by fetch_rmw first tries one CAS on the root
+// word and climbs the tree only when that CAS loses, so an uncontended
+// cell costs one hardware CAS and combining starts where traffic
+// collides.
 //
 // Thread→slot assignment uses thread_ordinal() mod width. Slots may
 // collide (more threads than width): the tree's per-node state machine
@@ -84,17 +91,15 @@ class BasicCombiningBackend {
   }
 
   /// Not a tractable mapping (§5: the update must not branch on the old
-  /// value), so it cannot combine; serialized at the root, linearized
-  /// against every combined operation.
+  /// value), so it cannot combine; a CAS loop at the root, linearized
+  /// against every other operation. The loop may call the lambda more
+  /// than once, so every call sets `ok`; the call whose CAS lands decides.
   bool compare_exchange(Cell& c, Word& expected, Word desired) const {
     bool ok = false;
     const Word want = expected;
     const Word prior = c.tree.update_at_root([&](Word old) {
-      if (old == want) {
-        ok = true;
-        return desired;
-      }
-      return old;
+      ok = old == want;
+      return ok ? desired : old;
     });
     if (!ok) expected = prior;
     return ok;

@@ -17,16 +17,23 @@
 // CombiningBackend (combining_backend.hpp) serves every RmwBackend cell
 // through one of these trees over core::AnyRmw.
 //
-// The protocol is the classic four-phase combining tree (precombine /
-// combine / operate / distribute) of Yew–Tzeng–Lawrie and Herlihy–Shavit,
-// with each node run as a word-sized state machine in the style of
-// Goodman-style combining words: second arrivals deposit their mapping in
-// a per-node slot and spin-then-yield until the distributed result lands.
+// Hardware first (§7: any subset of requests may skip combining without
+// losing correctness): an operation first tries ONE compare-exchange of
+// f(v) for v on the root word and returns v if it lands. Only an operation
+// whose CAS lost — traffic that actually collided — enters the tree and
+// runs the classic four-phase combining protocol (precombine / combine /
+// operate / distribute) of Yew–Tzeng–Lawrie and Herlihy–Shavit, with each
+// node run as a word-sized state machine in the style of Goodman-style
+// combining words: second arrivals deposit their mapping in a per-node
+// slot and spin-then-yield until the distributed result lands. Every
+// write of the root value is an atomic read-modify-write (the direct CAS,
+// or a CAS loop for a combined, declined or update_at_root application),
+// so every operation linearizes at a modification of the root word.
 //
 // Node status word (64 bits):
 //
-//   [63 ............. 4] [3]    [2..0]
-//    generation count     lock   status tag
+//   [63 ............. 3] [2..0]
+//    generation count     status tag
 //
 // Tags: Idle, First (a first arrival passed through, climbing),
 // FirstLocked (the first came back in its combine phase and closed the
@@ -34,21 +41,21 @@
 // flight), SecondReady (mapping deposited), SecondCombined (the first
 // inspected the mapping; reply owed — whether composition succeeded or
 // declined is a first-owned flag off the status word), Result (reply
-// delivered), Root. The lock bit is used only on the root word, as the
-// spinlock that serializes the O(P / combine-degree) operations that
-// actually reach the root. The generation count increments on every reset
-// to Idle, so a stalled CAS from a previous occupancy of the node can
-// never succeed against a later one (ABA).
+// delivered), Root (the root's word, which never changes: the root value
+// itself is the separate `root_` word). The generation count increments
+// on every reset to Idle, so a stalled CAS from a previous occupancy of
+// the node can never succeed against a later one (ABA).
 //
 // Protocol per operation (slot s, mapping f):
+//   0. direct — v = root; CAS root v→f(v). Success: return v, done.
 //   1. precombine — climb from the leaf while CAS Idle→First succeeds;
 //      CAS First→SecondPending stops the climb (we are the second there);
 //      the root always stops the climb.
 //   2. combine — re-walk the path: CAS First→FirstLocked passes through
 //      (no partner), SecondReady folds the deposited mapping in with
 //      compose(first, second) — or records a decline.
-//   3. operate — at the root, apply under the root word's lock bit; at a
-//      SecondPending node, deposit the combined mapping (store + release
+//   3. operate — at the root, apply with a CAS loop on the root word; at
+//      a SecondPending node, deposit the combined mapping (store + release
 //      tag flip) and spin-then-yield for the Result tag.
 //   4. distribute — walk back down: FirstLocked resets to Idle(gen+1);
 //      SecondCombined receives result = first_map(prior) — exactly
@@ -62,8 +69,8 @@
 // exit, so operations separated in real time are ordered for the race
 // detector while overlapping ones stay unordered.
 //
-// See docs/PERFORMANCE.md for the encoding walkthrough and the backoff
-// strategy.
+// See docs/PERFORMANCE.md for the encoding walkthrough, the direct path's
+// measurements and the backoff strategy.
 #pragma once
 
 #include <algorithm>
@@ -96,6 +103,7 @@ struct CombiningTreeStats {
   std::uint64_t folds = 0;          ///< successful try_compose folds
   std::uint64_t declined_folds = 0; ///< cross-family / overflow declines
   std::uint64_t root_applies = 0;   ///< operations served at the root
+  std::uint64_t direct_applies = 0; ///< of root_applies: the direct CAS
 
   /// Fraction of operations absorbed by a fold below the root (§4.2's
   /// win). 0 when nothing ran.
@@ -104,8 +112,16 @@ struct CombiningTreeStats {
                ? static_cast<double>(folds) / static_cast<double>(ops)
                : 0.0;
   }
-  /// Fraction serialized at the root — 1.0 means combining bought nothing
-  /// (the §1 hot-spot regime); (1 - combine_rate) by construction.
+  /// Fraction applied by the direct CAS, never entering the tree.
+  [[nodiscard]] double direct_rate() const {
+    return ops > 0 ? static_cast<double>(direct_applies) /
+                         static_cast<double>(ops)
+                   : 0.0;
+  }
+  /// Fraction applied at the root, directly or after a climb; (1 -
+  /// combine_rate) by construction. Near 1.0 is the normal reading when
+  /// operations rarely collide (most land with the direct CAS); a
+  /// combining regression shows in declined_folds, not here.
   [[nodiscard]] double served_at_root_fraction() const {
     return ops > 0 ? static_cast<double>(root_applies) /
                          static_cast<double>(ops)
@@ -139,60 +155,51 @@ class MappingCombiningTree {
   MappingCombiningTree(const MappingCombiningTree&) = delete;
   MappingCombiningTree& operator=(const MappingCombiningTree&) = delete;
 
-  /// Atomically value ← f(value), returning the prior value, combining
-  /// with concurrent callers on the way up. `slot` must be < width; a slot
-  /// may be shared by threads, but concurrency above two threads per leaf
-  /// degrades to local waiting at that leaf.
-  V fetch_rmw(unsigned slot, M f) {
+  /// Atomically value ← f(value), returning the prior value. One CAS on
+  /// the root word first; only if it loses does the operation climb and
+  /// combine with concurrent callers on the way up. `slot` must be <
+  /// width; a slot may be shared by threads, but concurrency above two
+  /// threads per leaf degrades to local waiting at that leaf.
+  ///
+  /// Out of line: inlined into a caller's loop, the mapping temporaries
+  /// widen the caller's frame, and its deepest call (the first one, which
+  /// binds library symbols lazily) can then touch one more stack page.
+  [[gnu::noinline]] V fetch_rmw(unsigned slot, M f) {
     KRS_EXPECTS(slot < width_);
     Instrument::acquire(this);
-    const unsigned my_leaf = leaf_of(slot);  // heap index
-
-    // Phase 1: precombine — climb while we are the first to arrive.
-    unsigned node = my_leaf;
-    while (precombine(node)) node /= 2;
-    const unsigned stop = node;
-
-    // Phase 2: combine — gather mappings deposited by second arrivals.
-    unsigned path[kMaxDepth];
-    unsigned depth = 0;
-    M combined = std::move(f);
-    for (node = my_leaf; node != stop; node /= 2) {
-      combined = combine(node, std::move(combined));
-      path[depth++] = node;
+    Instrument::contended_rmw(&root_, KRS_SITE);
+    V cur = root_.load(std::memory_order_relaxed);
+    if (root_.compare_exchange_strong(cur, f.apply(cur),
+                                      std::memory_order_acq_rel,
+                                      std::memory_order_relaxed)) {
+      nodes_[leaf_of(slot)].direct_applies.fetch_add(
+          1, std::memory_order_relaxed);
+      Instrument::release(this);
+      return cur;
     }
-
-    // Phase 3: operate — at the root, apply; at a SecondPending node,
-    // deposit and spin for the distributed result.
-    const V prior = stop == kRootIndex ? apply_at_root(combined)
-                                       : deposit_and_await(stop, combined);
-
-    // Phase 4: distribute results back down our path.
-    for (unsigned i = depth; i-- > 0;) distribute(path[i], prior);
+    const V prior = climb(slot, std::move(f));
     Instrument::release(this);
     return prior;
   }
 
-  /// Serialized escape hatch for updates that are NOT tractable mappings
-  /// (compare-and-swap, arbitrary θ): applies `f` to the root value under
-  /// the root lock bit and returns the prior value. Linearizes with every
-  /// combined operation, but combines with none.
+  /// Escape hatch for updates that are NOT tractable mappings
+  /// (compare-and-swap, arbitrary θ): applies `f` to the root value with a
+  /// CAS loop and returns the prior value. `f` may run more than once (a
+  /// lost CAS re-reads the root), so it must depend only on its argument
+  /// for the value it returns. Linearizes with every other operation, but
+  /// combines with none.
   template <std::invocable<V> F>
   V update_at_root(F&& f) {
     Instrument::acquire(this);
     Instrument::contended_rmw(&root_, KRS_SITE);
-    lock_root();
-    const V prior = root_.load(std::memory_order_relaxed);
-    root_.store(std::forward<F>(f)(prior), std::memory_order_release);
-    unlock_root();
-    root_applies_.fetch_add(1, std::memory_order_relaxed);
+    const V prior = cas_root(std::forward<F>(f));
     Instrument::release(this);
     return prior;
   }
 
   /// Atomic snapshot of the current value. The root cell is a single
-  /// atomic word updated only under the root lock bit, so a bare acquire
-  /// load is a coherent (and per-reader monotone) snapshot — no lock.
+  /// atomic word, modified only by atomic read-modify-writes, so a bare
+  /// acquire load is a coherent (and per-reader monotone) snapshot.
   [[nodiscard]] V read() const {
     Instrument::shared_load(&root_, KRS_SITE);
     return root_.load(std::memory_order_acquire);
@@ -209,15 +216,17 @@ class MappingCombiningTree {
   /// relaxed, so a concurrent snapshot is approximate; quiesce first for
   /// exact accounting (then ops == root_applies + folds holds exactly:
   /// every operation either folded into a partner below the root or was
-  /// applied at the root — including declined seconds, which distribute()
-  /// serves with their own root application).
+  /// applied at the root — by the direct CAS, after a climb, or, for a
+  /// declined second, by distribute()'s own root application).
   [[nodiscard]] CombiningTreeStats stats() const {
     CombiningTreeStats s;
-    s.root_applies = root_applies_.load(std::memory_order_relaxed);
     for (const Node& nd : nodes_) {
       s.folds += nd.folds.load(std::memory_order_relaxed);
       s.declined_folds += nd.declined_folds.load(std::memory_order_relaxed);
+      s.direct_applies += nd.direct_applies.load(std::memory_order_relaxed);
     }
+    s.root_applies =
+        root_applies_.load(std::memory_order_relaxed) + s.direct_applies;
     s.ops = s.root_applies + s.folds;
     return s;
   }
@@ -242,12 +251,13 @@ class MappingCombiningTree {
 
   /// Drive every wave[i] through the full four-phase protocol from ONE
   /// caller, interleaved the way a simultaneous round would run, and
-  /// return the priors in wave order. The caller must be the only thread
-  /// using the tree. Fold/root-apply counts after a wave sequence are a
-  /// pure function of that sequence — this is the deterministic
-  /// measurement surface the contention profiler drives (the threaded
-  /// path's combine rate depends on the host scheduler, useless on a
-  /// 1-CPU CI box).
+  /// return the priors in wave order. A wave never takes the direct path:
+  /// it models a round in which every operation's CAS collided. The
+  /// caller must be the only thread using the tree. Fold/root-apply counts
+  /// after a wave sequence are a pure function of that sequence — this is
+  /// the deterministic measurement surface the contention profiler drives
+  /// (the threaded path's combine rate depends on the host scheduler,
+  /// useless on a 1-CPU CI box).
   ///
   /// `on_op(i)` fires each time processing switches to wave[i], BEFORE
   /// any of its node/root traffic — the hook the profiler uses to retag
@@ -271,9 +281,9 @@ class MappingCombiningTree {
 
     struct Flight {
       unsigned stop = 0;
-      unsigned depth = 0;                 // of `stop`: root = 0
-      unsigned path[kMaxDepth];           // leaf..below stop
-      unsigned path_len = 0;
+      unsigned depth = 0;     // of `stop`: root = 0
+      unsigned leaf = 0;
+      unsigned path_len = 0;  // nodes leaf, leaf/2, ... below `stop`
       M combined{};
       V prior{};
       bool done = false;
@@ -288,9 +298,8 @@ class MappingCombiningTree {
       while (precombine(node)) node /= 2;
       fl[i].stop = node;
       fl[i].depth = util::log2_floor(node);
-      for (unsigned n = my_leaf; n != node; n /= 2) {
-        fl[i].path[fl[i].path_len++] = n;
-      }
+      fl[i].leaf = my_leaf;
+      fl[i].path_len = util::log2_floor(my_leaf) - fl[i].depth;
       fl[i].combined = wave[i].op;
     }
 
@@ -306,11 +315,13 @@ class MappingCombiningTree {
       if (on_op) on_op(i);
       Flight& f = fl[i];
       for (unsigned d = 0; d < f.path_len; ++d) {
-        f.combined = combine(f.path[d], std::move(f.combined));
+        f.combined = combine(f.leaf >> d, std::move(f.combined));
       }
       if (f.stop == kRootIndex) {
         f.prior = apply_at_root(f.combined);
-        for (unsigned d = f.path_len; d-- > 0;) distribute(f.path[d], f.prior);
+        for (unsigned d = f.path_len; d-- > 0;) {
+          distribute(f.leaf >> d, f.prior);
+        }
         f.done = true;
       } else {
         plant_second(f.stop, std::move(f.combined));
@@ -330,7 +341,9 @@ class MappingCombiningTree {
         }
         if (on_op) on_op(i);
         f.prior = take_result(f.stop);
-        for (unsigned d = f.path_len; d-- > 0;) distribute(f.path[d], f.prior);
+        for (unsigned d = f.path_len; d-- > 0;) {
+          distribute(f.leaf >> d, f.prior);
+        }
         f.done = true;
         progressed = true;
       }
@@ -367,11 +380,9 @@ class MappingCombiningTree {
     kRoot = 7,
   };
   static constexpr std::uint64_t kTagMask = 0x7;
-  static constexpr std::uint64_t kLockBit = 0x8;
-  static constexpr unsigned kGenShift = 4;
+  static constexpr unsigned kGenShift = 3;
   static constexpr unsigned kRootIndex = 1;
   static constexpr std::uint64_t kRootWord = kRoot;
-  static constexpr unsigned kMaxDepth = 64;
 
   static constexpr Tag tag_of(std::uint64_t w) noexcept {
     return static_cast<Tag>(w & kTagMask);
@@ -381,7 +392,7 @@ class MappingCombiningTree {
   }
   /// Same generation, new tag.
   static constexpr std::uint64_t retag(std::uint64_t w, Tag t) noexcept {
-    return (w & ~(kTagMask | kLockBit)) | t;
+    return (w & ~kTagMask) | t;
   }
   static constexpr std::uint64_t idle_next_gen(std::uint64_t w) noexcept {
     return (gen_of(w) + 1) << kGenShift | kIdle;
@@ -399,12 +410,44 @@ class MappingCombiningTree {
     V result{};
     bool declined = false;
     // Telemetry (relaxed; read by stats() snapshots): try_compose
-    // outcomes at this node. Incremented only by the first in its combine
-    // phase, which owns the node then — atomics because successive
-    // occupancies are different threads and snapshots race by design.
+    // outcomes at this node, incremented only by the first in its combine
+    // phase, which owns the node then; and, on a leaf, the direct root
+    // CASes of the slots it serves, kept here so the direct path's count
+    // stays off the root's line. Atomics because successive occupancies
+    // are different threads and snapshots race by design.
     std::atomic<std::uint64_t> folds{0};
     std::atomic<std::uint64_t> declined_folds{0};
+    std::atomic<std::uint64_t> direct_applies{0};
   };
+
+  /// Phases 1–4 for an operation whose direct CAS lost. Out of line, and
+  /// `f` by reference, so the direct path keeps a small frame.
+  [[gnu::noinline]] V climb(unsigned slot, M&& f) {
+    const unsigned my_leaf = leaf_of(slot);  // heap index
+
+    // Phase 1: precombine — climb while we are the first to arrive.
+    unsigned node = my_leaf;
+    while (precombine(node)) node /= 2;
+    const unsigned stop = node;
+
+    // Phase 2: combine — gather mappings deposited by second arrivals on
+    // the path my_leaf, my_leaf/2, ... below `stop`.
+    unsigned depth = 0;
+    M combined = std::move(f);
+    for (node = my_leaf; node != stop; node /= 2, ++depth) {
+      combined = combine(node, std::move(combined));
+    }
+
+    // Phase 3: operate — at the root, apply; at a SecondPending node,
+    // deposit and spin for the distributed result.
+    const V prior = stop == kRootIndex ? apply_at_root(combined)
+                                       : deposit_and_await(stop, combined);
+
+    // Phase 4: distribute results back down our path (i levels above the
+    // leaf is my_leaf >> i).
+    for (unsigned i = depth; i-- > 0;) distribute(my_leaf >> i, prior);
+    return prior;
+  }
 
   // ---- phase 1 --------------------------------------------------------------
 
@@ -499,13 +542,22 @@ class MappingCombiningTree {
 
   // ---- phase 3 --------------------------------------------------------------
 
-  /// Root case: apply the combined mapping under the root lock bit.
+  /// Root case: apply the combined mapping to the root word.
   V apply_at_root(const M& c) {
     Instrument::contended_rmw(&root_, KRS_SITE);
-    lock_root();
-    const V prior = root_.load(std::memory_order_relaxed);
-    root_.store(c.apply(prior), std::memory_order_release);
-    unlock_root();
+    return cas_root([&c](const V& v) { return c.apply(v); });
+  }
+
+  /// root ← next(root) with a CAS loop; returns the prior value. Every
+  /// root write other than the direct CAS goes through here, so none can
+  /// overwrite a concurrent direct apply.
+  template <typename F>
+  V cas_root(F&& next) {
+    V prior = root_.load(std::memory_order_relaxed);
+    while (!root_.compare_exchange_weak(prior, next(prior),
+                                        std::memory_order_acq_rel,
+                                        std::memory_order_relaxed)) {
+    }
     root_applies_.fetch_add(1, std::memory_order_relaxed);
     return prior;
   }
@@ -578,34 +630,12 @@ class MappingCombiningTree {
     }
   }
 
-  // ---- root lock bit --------------------------------------------------------
-
-  void lock_root() {
-    Node& rt = nodes_[kRootIndex];
-    // Episode per observed root word: each time the lock bit changes
-    // hands the wait re-arms, so a loser of many elections does not carry
-    // a saturated backoff into a freshly-uncontended acquire.
-    Policy pol;
-    EpisodeWait<Policy> ep(pol);
-    for (;;) {
-      std::uint64_t w = rt.status.load(std::memory_order_relaxed);
-      if ((w & kLockBit) == 0 &&
-          rt.status.compare_exchange_weak(w, w | kLockBit,
-                                          std::memory_order_acquire,
-                                          std::memory_order_relaxed)) {
-        return;
-      }
-      ep.observe_and_pause(w);
-    }
-  }
-
-  void unlock_root() {
-    nodes_[kRootIndex].status.store(kRootWord, std::memory_order_release);
-  }
-
   unsigned width_;
   alignas(kCacheLine) std::atomic<V> root_;
-  std::atomic<std::uint64_t> root_applies_{0};
+  // Tree-path root applications (direct ones are counted at the leaves),
+  // on their own line: a counter beside root_ would turn every apply into
+  // a second write to the hot line.
+  alignas(kCacheLine) std::atomic<std::uint64_t> root_applies_{0};
   std::vector<Node> nodes_;  // heap layout, nodes_[1..width-1]
 };
 

@@ -10,8 +10,8 @@
 // machine with wide combining; CAS is the portable spelling). The word
 // lives in an RmwBackend cell (runtime/rmw_backend.hpp) — under
 // AtomicBackend the CAS is the hardware instruction, under
-// CombiningBackend it serializes at the tree root, linearized against
-// combined traffic.
+// CombiningBackend it is a CAS loop on the tree's root word, linearized
+// against direct and combined traffic.
 //
 // The Instrument policy (analysis/instrument.hpp) publishes enter/leave as
 // acquire/release edges on the lock object — conservative (it also orders

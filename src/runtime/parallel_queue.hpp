@@ -13,9 +13,10 @@
 // through a software combining tree. The bounded variant must claim
 // conditionally (a full queue rejects), so tickets advance by
 // compare_exchange rather than a blind fetch-and-add — on a combining
-// backend that conditional claim serializes at the tree root, linearized
-// against all combined traffic. Per-slot phase tags stay plain atomics:
-// they are spread across slots by construction, never a hot spot.
+// backend that conditional claim is a CAS loop on the tree's root word,
+// linearized against all direct and combined traffic. Per-slot phase tags
+// stay plain atomics: they are spread across slots by construction, never
+// a hot spot.
 //
 // The Instrument policy (analysis/instrument.hpp) publishes per-cell
 // happens-before edges: an enqueue releases the producer's history into

@@ -33,10 +33,11 @@
 //     (std::atomic fetch_add/fetch_or/...), a CAS loop applying
 //     m.apply(old) otherwise. This is the §2 "memory does the RMW" model
 //     on a real coherence protocol.
-//   * CombiningBackend (combining_backend.hpp) — every operation funnels
-//     through a MappingCombiningTree<core::AnyRmw>, so concurrent
-//     operations on one hot cell combine pairwise on the way to the root
-//     (§4.2) instead of serializing on the coherence protocol.
+//   * CombiningBackend (combining_backend.hpp) — every cell is a
+//     MappingCombiningTree<core::AnyRmw>: an operation first tries one CAS
+//     on the root word, and only operations whose CAS collided climb the
+//     tree and combine pairwise on the way to the root (§4.2) instead of
+//     serializing on the coherence protocol.
 //   * FlatCombiningBackend (flat_combining.hpp) — each cell is one
 //     FlatCombiner: threads publish into per-thread slots and an elected
 //     combiner serves them in batches.

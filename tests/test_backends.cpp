@@ -20,10 +20,14 @@
 //  * partial-combining telemetry (§7): a deterministic single-threaded
 //    drive of the four-phase protocol through CombiningTreeTestPeer pins
 //    the fold/decline counters and the declined second's root-served
-//    reply, value by value;
-//  * deterministic race_explorer models of the node handshake and of the
-//    declined-composition fetch_rmw path, with controls showing the
-//    verdicts come from the modeled edges.
+//    reply, value by value; a lone caller always lands the direct root
+//    CAS;
+//  * compare_exchange racing direct and combined fetch_adds on one cell:
+//    no increment may be lost;
+//  * deterministic race_explorer models of the node handshake, of the
+//    declined-composition fetch_rmw path and of a direct root CAS racing
+//    a first's root apply, with controls showing the verdicts come from
+//    the modeled edges.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -371,6 +375,7 @@ TEST(CombineTelemetry, DeclinedFoldCountedAndServedAtRoot) {
   EXPECT_EQ(st.folds, 0u);
   EXPECT_EQ(st.declined_folds, 1u);
   EXPECT_EQ(st.root_applies, 2u);  // combined apply + declined service
+  EXPECT_EQ(st.direct_applies, 0u);
   EXPECT_EQ(st.ops, 2u);
   EXPECT_DOUBLE_EQ(st.combine_rate(), 0.0);
   EXPECT_DOUBLE_EQ(st.served_at_root_fraction(), 1.0);
@@ -399,9 +404,32 @@ TEST(CombineTelemetry, SuccessfulFoldCountedOnceWithDecombinedReply) {
   EXPECT_EQ(st.folds, 1u);
   EXPECT_EQ(st.declined_folds, 0u);
   EXPECT_EQ(st.root_applies, 1u);
+  EXPECT_EQ(st.direct_applies, 0u);
   EXPECT_EQ(st.ops, 2u);
   EXPECT_DOUBLE_EQ(st.combine_rate(), 0.5);
   EXPECT_DOUBLE_EQ(st.served_at_root_fraction(), 0.5);
+}
+
+TEST(CombineTelemetry, LoneCallerAlwaysLandsTheDirectCas) {
+  // Nobody else touches the root word, so every operation's first CAS
+  // lands: each is one direct apply, counted in root_applies, and the
+  // tree below the root is never entered.
+  constexpr std::uint64_t kN = 1000;
+  MappingCombiningTree<AnyRmw> tree(8, 0);
+  for (std::uint64_t i = 0; i < kN; ++i) {
+    ASSERT_EQ(tree.fetch_rmw(static_cast<unsigned>(i % 8),
+                             AnyRmw(FetchAdd(1))),
+              i);
+  }
+  EXPECT_EQ(tree.read(), kN);
+  const CombiningTreeStats st = tree.stats();
+  EXPECT_EQ(st.direct_applies, kN);
+  EXPECT_EQ(st.root_applies, kN);
+  EXPECT_EQ(st.ops, kN);
+  EXPECT_EQ(st.folds, 0u);
+  EXPECT_EQ(st.declined_folds, 0u);
+  EXPECT_DOUBLE_EQ(st.served_at_root_fraction(), 1.0);
+  EXPECT_DOUBLE_EQ(st.direct_rate(), 1.0);
 }
 
 // --- cross-backend equivalence ----------------------------------------------
@@ -527,6 +555,33 @@ TEST(CombiningTree, FetchMaxThroughEveryPhase) {
     }
   }
   EXPECT_EQ(b.load(c), 3300u);
+}
+
+TEST(CombiningTree, CompareExchangeLinearizesWithDirectAndCombinedAdds) {
+  // compare_exchange is a CAS loop on the root word, racing direct CASes
+  // and combined root applies. Each thread alternates fetch_add(1) with a
+  // load-then-compare_exchange(e, e+1) retry loop; if any root write were
+  // a plain store, it could overwrite a concurrent increment.
+  constexpr unsigned kRounds = 10000;
+  for (const unsigned nt : {4u, 8u}) {
+    const CombiningBackend b(4);
+    CombiningBackend::Cell c(b, 0);
+    {
+      std::vector<std::jthread> ts;
+      for (unsigned t = 0; t < nt; ++t) {
+        ts.emplace_back([&] {
+          for (unsigned i = 0; i < kRounds; ++i) {
+            b.fetch_add(c, 1);
+            Word e = b.load(c);
+            while (!b.compare_exchange(c, e, e + 1)) {
+            }
+          }
+        });
+      }
+    }
+    EXPECT_EQ(b.load(c), static_cast<Word>(2) * nt * kRounds)
+        << nt << " threads";
+  }
 }
 
 // --- the lock-free tree below the seam, slot by slot -------------------------
@@ -1057,18 +1112,57 @@ TEST(CombineModel, DepositWithoutStatusEdgeAlwaysRaces) {
       << res.racy_schedules << " of " << res.schedules << " schedules racy";
 }
 
+TEST(CombineModel, DirectCasRacingRootApplyIsRaceFree) {
+  // A direct root CAS (thread 1) against a first applying its combined
+  // mapping at the root (thread 0). Var 0 = the root value; lock 1 = the
+  // root word: both sides are atomic read-modify-writes of it, so each is
+  // one indivisible acquire-read-write-release step. The first also holds
+  // its node (lock 0) across the apply, as the four-phase protocol does;
+  // the direct path never touches a node. No schedule may race.
+  EventProgram prog;
+  prog.threads = {
+      {EAcquire{0}, EAcquire{1}, ERead{0}, EWrite{0}, ERelease{1},
+       ERelease{0}},
+      {EAcquire{1}, ERead{0}, EWrite{0}, ERelease{1}},
+  };
+  const auto res = explore_races(prog);
+  EXPECT_GT(res.schedules, 0u);
+  EXPECT_TRUE(res.never_racy())
+      << res.racy_schedules << " of " << res.schedules << " schedules racy";
+}
+
+TEST(CombineModel, RootApplyUnderLockTheDirectPathSkipsAlwaysRaces) {
+  // Control: the first applies at the root with a naked read + write
+  // under a root lock (lock 2) that the direct CAS never takes. The two
+  // sides then share no synchronization at all, so every schedule races
+  // — the lost update a lock-bit root apply would suffer against a
+  // direct CAS.
+  EventProgram prog;
+  prog.threads = {
+      {EAcquire{0}, EAcquire{2}, ERead{0}, EWrite{0}, ERelease{2},
+       ERelease{0}},
+      {EAcquire{1}, ERead{0}, EWrite{0}, ERelease{1}},
+  };
+  const auto res = explore_races(prog);
+  EXPECT_GT(res.schedules, 0u);
+  EXPECT_TRUE(res.always_racy())
+      << res.racy_schedules << " of " << res.schedules << " schedules racy";
+}
+
 TEST(DeclinedCombineModel, RootServiceOfDeclinedSecondIsRaceFree) {
   // Abstract model of one DECLINED combine: var 0 = the second's deposited
   // mapping slot, var 1 = the root value, var 2 = the node's result slot;
-  // lock 0 = the node status word, lock 1 = the root lock bit. The first
-  // (thread 0) reads the deposit, finds the composition declined, applies
-  // the second's mapping at the root during distribute, writes the reply.
-  // The second (thread 1) deposits, then picks the reply up. Every edge is
-  // mediated by one of the two locks — no schedule may report a race.
+  // lock 0 = the node status word, lock 1 = the root word, whose atomic
+  // read-modify-writes make each root application one indivisible step.
+  // The first (thread 0) reads the deposit, finds the composition
+  // declined, applies the second's mapping at the root during distribute,
+  // writes the reply. The second (thread 1) deposits, then picks the reply
+  // up. Every edge is mediated by one of the two words — no schedule may
+  // report a race.
   EventProgram prog;
   prog.threads = {
       // first: combine (acquire status, read deposit) → declined root
-      // service (root lock, read+write root) → distribute reply.
+      // service (one RMW of the root word) → distribute reply.
       {EAcquire{0}, ERead{0}, EAcquire{1}, ERead{1}, EWrite{1}, ERelease{1},
        EWrite{2}, ERelease{0}},
       // second: deposit (write mapping, release status) → await (acquire
@@ -1086,8 +1180,9 @@ TEST(DeclinedCombineModel, DlsNackRetryAfterRootServiceIsRaceFree) {
   // The §5.6 variant of root service: the declined second is a GUARDED
   // operation whose reply (the prior word) told the issuer NACK, so the
   // issuer retries at the root. Same vars/locks as above, plus the retry:
-  // thread 1 re-enters the root lock after reading its reply. Every edge
-  // stays mediated by the status word or the root lock — race-free.
+  // thread 1 applies one more RMW of the root word after reading its
+  // reply. Every edge stays mediated by the status word or the root
+  // word — race-free.
   EventProgram prog;
   prog.threads = {
       // first: combine (acquire status, read deposit) → declined root
@@ -1095,7 +1190,7 @@ TEST(DeclinedCombineModel, DlsNackRetryAfterRootServiceIsRaceFree) {
       {EAcquire{0}, ERead{0}, EAcquire{1}, ERead{1}, EWrite{1}, ERelease{1},
        EWrite{2}, ERelease{0}},
       // second: deposit → pickup → decode nack off the prior → retry the
-      // guarded op directly under the root lock.
+      // guarded op directly on the root word.
       {EAcquire{0}, EWrite{0}, ERelease{0}, EAcquire{0}, ERead{2},
        ERelease{0}, EAcquire{1}, ERead{1}, EWrite{1}, ERelease{1}},
   };
@@ -1206,6 +1301,7 @@ TEST(CombineTelemetry, DlsDeclinedFoldServedAtRoot) {
   EXPECT_EQ(st.folds, 0u);
   EXPECT_EQ(st.declined_folds, 1u);
   EXPECT_EQ(st.root_applies, 2u);
+  EXPECT_EQ(st.direct_applies, 0u);
 }
 
 // Control: the SAME two puts at the default budget (the §5.6 bound) fold
@@ -1235,6 +1331,7 @@ TEST(CombineTelemetry, DlsFoldAtDefaultBudgetCombines) {
   EXPECT_EQ(st.folds, 1u);
   EXPECT_EQ(st.declined_folds, 0u);
   EXPECT_EQ(st.root_applies, 1u);
+  EXPECT_EQ(st.direct_applies, 0u);
 }
 
 }  // namespace

@@ -290,9 +290,11 @@ TEST(ProfilerPlumbing, WaveDrivenCombiningTreeHalvesRootTraffic) {
 
   // The deterministic wave schedule: per wave, the two subtree firsts
   // reach the root (2 root applies) and the two seconds fold (2 folds).
+  // A wave never takes the direct root CAS.
   const auto st = tree.stats();
   EXPECT_EQ(st.root_applies, 2u * kWaves);
   EXPECT_EQ(st.folds, 2u * kWaves);
+  EXPECT_EQ(st.direct_applies, 0u);
 
   // The profiler sees the same story at the root word: 2 RMWs per wave
   // instead of the 4 an uncombined counter would take, alternating
