@@ -15,7 +15,8 @@
 // scaling curve.
 //
 // Counters: the flat rigs report combined_fraction (share of ops a PEER
-// combiner absorbed — the flat-combining win), the tree rigs
+// combiner absorbed — the flat-combining win) and direct_rate (share
+// applied by the direct CAS, never publishing), the tree rigs
 // combine_rate (share folded below the root, §4.2) — cumulative over the
 // run, reported once per family.
 #include <benchmark/benchmark.h>
@@ -42,8 +43,9 @@ template <typename B>
 void report_flat(benchmark::State& state, const B& backend,
                  const typename B::Cell& cell) {
   if (state.thread_index() == 0) {
-    state.counters["combined_fraction"] =
-        backend.cell_stats(cell).combined_fraction();
+    const FlatCombinerStats st = backend.cell_stats(cell);
+    state.counters["combined_fraction"] = st.combined_fraction();
+    state.counters["direct_rate"] = st.direct_rate();
   }
 }
 

@@ -67,9 +67,10 @@ on the schema string must read series values through the "values" field.
       `--require profiler_hot_lines` fails when the profiler goes blind.
 
 User counters emitted by a bench (e.g. bench_machine's cycles_per_op,
-combine_rate, BM_BackendCounter/combining's direct_rate, and the sim
-dimension's served_at_root_fraction, sim_cycles, mean_latency_cycles)
-are carried into each record as medians across repetitions.
+combine_rate, the direct_rate of BM_BackendCounter/combining and
+BM_FlatVsTree/flat/*, and the sim dimension's served_at_root_fraction,
+sim_cycles, mean_latency_cycles) are carried into each record as medians
+across repetitions.
 
 Percentiles are taken over repetition-level means: google-benchmark does
 not expose per-iteration samples, so with R repetitions p99 is the

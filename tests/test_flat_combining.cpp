@@ -5,6 +5,8 @@
 //    publication scan serves every pending op with the §3 decombination
 //    chain (each reply = the running prior), across mixed mapping
 //    families — flat combining needs no compose, so nothing declines;
+//  * the direct path: a lone caller's CAS on the value word always lands,
+//    so it never publishes, elects or scans;
 //  * the combiner-handoff path driven DETERMINISTICALLY: a test
 //    Instrument hook publishes into an already-scanned slot mid-pass, so
 //    the pass cap fires with work still pending and the handoff counter
@@ -12,11 +14,14 @@
 //  * concurrent hotspot-counter invariants (distinct tickets, per-thread
 //    monotonicity, exact final sum) at 2/4/8 threads, plus quiesced
 //    stats accounting;
+//  * the lost-update guard: compare_exchange interleaved with direct,
+//    all-fetch_add and CAS-loop batches must never drop an increment;
 //  * instrumented HB edges through FlatCombiningBackend (the same
 //    temporally-separated-ops experiment the other backends pass);
-//  * a race_explorer model of the publication handshake (claim → publish
-//    → serve → pickup), with a control proving the clean verdict comes
-//    from the modeled seq-word edges;
+//  * race_explorer models of the publication handshake (claim → publish
+//    → serve → pickup) and of a direct CAS racing a batch on the value
+//    word, each with a control proving the clean verdict comes from the
+//    modeled edges;
 //  * the tree's slot→leaf pairing, pinned through its deterministic wave:
 //    slots 2i and 2i+1 fold at their shared leaf, other pairs do not;
 //  * the relaxed MappingCombiningTree width precondition: odd widths
@@ -127,6 +132,7 @@ TEST(FlatCombinerWave, OnePassBatchesAndDecombines) {
   EXPECT_EQ(st.passes, 2u);     // serving pass + the empty closing pass
   EXPECT_EQ(st.handoffs, 0u);
   EXPECT_EQ(st.combined, 0u);  // single caller: nobody was served by a peer
+  EXPECT_EQ(st.direct_applies, 0u);  // a wave always publishes
 }
 
 TEST(FlatCombinerWave, MixedFamiliesEqualSerialFold) {
@@ -143,6 +149,7 @@ TEST(FlatCombinerWave, MixedFamiliesEqualSerialFold) {
   const auto priors = fc.run_wave(wave);
   EXPECT_EQ(priors, (std::vector<Word>{10, 15, 0xFF, 3}));
   EXPECT_EQ(fc.read(), 4u);
+  EXPECT_EQ(fc.stats().direct_applies, 0u);
 }
 
 TEST(FlatCombinerWave, SparseWaveServesOnlyPublishedSlots) {
@@ -155,6 +162,27 @@ TEST(FlatCombinerWave, SparseWaveServesOnlyPublishedSlots) {
   EXPECT_EQ(priors, (std::vector<Word>{0, 7}));
   EXPECT_EQ(fc.read(), 18u);
   EXPECT_EQ(fc.stats().ops, 2u);
+  EXPECT_EQ(fc.stats().direct_applies, 0u);
+}
+
+// --- the direct path ----------------------------------------------------------
+
+TEST(FlatCombinerTelemetry, LoneCallerAlwaysLandsTheDirectCas) {
+  // Nothing races a lone caller's CAS on the value word, so every
+  // operation applies directly: no publication, election or scan.
+  Fc fc(4, 0);
+  constexpr unsigned kN = 100;
+  for (unsigned i = 0; i < kN; ++i) {
+    EXPECT_EQ(fc.fetch_rmw(i, AnyRmw(FetchAdd(2))), 2 * static_cast<Word>(i));
+  }
+  EXPECT_EQ(fc.read(), 2 * static_cast<Word>(kN));
+  const FlatCombinerStats st = fc.stats();
+  EXPECT_EQ(st.direct_applies, kN);
+  EXPECT_EQ(st.ops, kN);
+  EXPECT_EQ(st.takeovers, 0u);
+  EXPECT_EQ(st.passes, 0u);
+  EXPECT_EQ(st.combined, 0u);
+  EXPECT_DOUBLE_EQ(st.direct_rate(), 1.0);
 }
 
 // --- the handoff path, deterministically -------------------------------------
@@ -202,6 +230,7 @@ TEST(FlatCombinerHandoff, PassCapWithPendingWorkCountsAHandoff) {
   EXPECT_EQ(st.takeovers, 1u);
   EXPECT_EQ(st.passes, 1u);
   EXPECT_EQ(st.handoffs, 1u);
+  EXPECT_EQ(st.direct_applies, 0u);  // the peer publishes, never CASes
   EXPECT_EQ(Peer::take(fc, 1), 0u);
 
   // The next tenure (whoever wins the lock) drains the leftover — handoff
@@ -214,6 +243,7 @@ TEST(FlatCombinerHandoff, PassCapWithPendingWorkCountsAHandoff) {
   st = fc.stats();
   EXPECT_EQ(st.takeovers, 2u);
   EXPECT_EQ(st.handoffs, 1u);
+  EXPECT_EQ(st.direct_applies, 0u);
 }
 
 // --- reply ordering: the value word is batched before replies publish --------
@@ -272,11 +302,14 @@ TEST(FlatCombinerConcurrent, HotspotTicketsDistinctMonotoneComplete) {
     EXPECT_EQ(*all.rbegin(), static_cast<Word>(nt) * kPer - 1);
     EXPECT_EQ(fc.read(), static_cast<Word>(nt) * kPer);
     // Quiesced accounting: every op completed; peers can only ABSORB ops,
-    // and each election runs at least one scan pass.
+    // any published op needs an election, and each election runs at least
+    // one scan pass.
     const FlatCombinerStats st = fc.stats();
     EXPECT_EQ(st.ops, static_cast<std::uint64_t>(nt) * kPer);
-    EXPECT_LE(st.combined, st.ops);
-    EXPECT_GE(st.takeovers, 1u);
+    EXPECT_LE(st.direct_applies + st.combined, st.ops);
+    if (st.ops > st.direct_applies) {
+      EXPECT_GE(st.takeovers, 1u);
+    }
     EXPECT_GE(st.passes, st.takeovers);
     EXPECT_LE(st.handoffs, st.passes);
   }
@@ -329,15 +362,15 @@ TEST(FlatCombinerConcurrent, TightPassCapStillCompletesEveryOp) {
   const FlatCombinerStats st = fc.stats();
   EXPECT_EQ(st.ops, static_cast<std::uint64_t>(kThreads) * kPer);
   // Each tenure runs exactly one pass at this cap, and one pass serves at
-  // most slots() ops.
+  // most slots() published ops (direct applies never reach a pass).
   EXPECT_EQ(st.passes, st.takeovers);
-  EXPECT_GE(st.takeovers * fc.slots(), st.ops);
+  EXPECT_GE(st.takeovers * fc.slots(), st.ops - st.direct_applies);
 }
 
 TEST(FlatCombinerConcurrent, SerializedUpdatesLinearizeWithBatches) {
-  // compare_exchange-style updates take the combiner lock instead of
-  // publishing; interleaved with batched adds the final value must still
-  // account exactly.
+  // compare_exchange-style updates run a CAS loop on the value word
+  // instead of publishing; interleaved with direct and batched adds the
+  // final value must still account exactly.
   FlatCombiner<> fc(4, 0);
   constexpr unsigned kPer = 200;
   {
@@ -356,6 +389,43 @@ TEST(FlatCombinerConcurrent, SerializedUpdatesLinearizeWithBatches) {
   const FlatCombinerStats st = fc.stats();
   EXPECT_EQ(st.ops, kPer);
   EXPECT_EQ(st.serialized_updates, kPer);
+}
+
+TEST(FlatCombinerConcurrent, CompareExchangeLinearizesWithDirectAndBatchedOps) {
+  // The lost-update guard. Every write of the value word must be an
+  // atomic RMW: a plain store (a locked update_at_combiner, or a batch
+  // written back with a store) can overwrite a concurrent direct CAS and
+  // drop its increment. Each thread alternates a fetch_add(1) with a
+  // load-then-compare_exchange(e, e + 1) retry loop; odd threads also
+  // issue FetchOr(0), the identity, so batches that need the CAS loop run
+  // beside all-fetch_add batches and direct applies.
+  for (const unsigned nt : {4u, 8u}) {
+    FlatCombiningBackend backend(nt);
+    FlatCombiningBackend::Cell cell(backend, 0);
+    constexpr unsigned kPer = 50'000;
+    {
+      std::vector<std::jthread> ts;
+      for (unsigned t = 0; t < nt; ++t) {
+        ts.emplace_back([&, t] {
+          for (unsigned i = 0; i < kPer; ++i) {
+            backend.fetch_add(cell, 1);
+            Word e = backend.load(cell);
+            while (!backend.compare_exchange(cell, e, e + 1)) {
+            }
+            if (t % 2 == 1) {
+              (void)backend.fetch_rmw(cell, AnyRmw(FetchOr(0)));
+            }
+          }
+        });
+      }
+    }
+    EXPECT_EQ(backend.load(cell), static_cast<Word>(nt) * kPer * 2)
+        << nt << " threads";
+    const FlatCombinerStats st = backend.cell_stats(cell);
+    EXPECT_EQ(st.ops, static_cast<std::uint64_t>(nt) * kPer +
+                          static_cast<std::uint64_t>(nt / 2) * kPer);
+    EXPECT_GE(st.serialized_updates, static_cast<std::uint64_t>(nt) * kPer);
+  }
 }
 
 // --- instrumented HB edges through the backend seam --------------------------
@@ -408,13 +478,17 @@ using krs::verify::explore_races;
 
 TEST(FlatCombineModel, PublicationHandshakeIsRaceFree) {
   // Abstract model of one served publication: var 0 = the slot's op +
-  // result payload, var 1 = the value word; lock 0 = the slot's seq word
-  // (claim CAS / publish / reply / pickup transitions), lock 1 = the
-  // combiner lock. The combiner (thread 0) locks, acquire-reads the
-  // pending slot, serves it against the value word, release-replies. The
-  // owner (thread 1) claims, writes its op, publishes, then awaits the
-  // reply and picks it up. Every cross-thread edge is mediated by the seq
-  // word or the combiner lock — no schedule may report a race.
+  // result payload, var 1 = the value word as the batch sees it; lock 0 =
+  // the slot's seq word (claim CAS / publish / reply / pickup
+  // transitions), lock 1 = the combiner lock. The combiner (thread 0)
+  // locks, acquire-reads the pending slot, serves it against the value
+  // word, release-replies. The owner (thread 1) claims, writes its op,
+  // publishes, then awaits the reply and picks it up. Only the combiner
+  // touches var 1 here; the value word's ordering against the direct path
+  // is DirectCasRacingBatchIsRaceFree's subject, and rests on the value
+  // word's atomic RMWs, not on the combiner lock. Every cross-thread edge
+  // is mediated by the seq word or the combiner lock — no schedule may
+  // report a race.
   EventProgram prog;
   prog.threads = {
       // combiner: elect → scan finds kPending → read op → RMW the value →
@@ -441,6 +515,43 @@ TEST(FlatCombineModel, NakedPublicationAlwaysRaces) {
       {EAcquire{1}, EAcquire{0}, ERead{0}, ERead{1}, EWrite{1}, EWrite{0},
        ERelease{0}, ERelease{1}},
       {EWrite{0}, ERead{0}},  // naked publish + naked pickup
+  };
+  const auto res = explore_races(prog);
+  EXPECT_GT(res.schedules, 0u);
+  EXPECT_TRUE(res.always_racy())
+      << res.racy_schedules << " of " << res.schedules << " schedules racy";
+}
+
+TEST(FlatCombineModel, DirectCasRacingBatchIsRaceFree) {
+  // var 0 = the slot's payload, var 1 = the value word; lock 0 = the
+  // slot's seq word, lock 1 = the combiner lock, lock 2 = the value word
+  // as a synchronizing object: each acq_rel RMW on it (the batch's
+  // fetch_add or CAS, a direct CAS) reads and writes it atomically, so it
+  // is modeled as acquire → read → write → release. The combiner (thread
+  // 0) serves one publication with its batch RMW while a direct caller
+  // (thread 1) lands its CAS without ever touching the combiner lock.
+  EventProgram prog;
+  prog.threads = {
+      {EAcquire{1}, EAcquire{0}, ERead{0}, EAcquire{2}, ERead{1}, EWrite{1},
+       ERelease{2}, EWrite{0}, ERelease{0}, ERelease{1}},
+      {EAcquire{2}, ERead{1}, EWrite{1}, ERelease{2}},
+  };
+  const auto res = explore_races(prog);
+  EXPECT_GT(res.schedules, 0u);
+  EXPECT_TRUE(res.never_racy())
+      << res.racy_schedules << " of " << res.schedules << " schedules racy";
+}
+
+TEST(FlatCombineModel, PlainBatchStoreUnderLockTheDirectPathSkipsAlwaysRaces) {
+  // Control: the combiner writes the batch back with a plain load + store
+  // under the combiner lock, which the direct path never takes. Nothing
+  // orders the two sides' value-word accesses, so every schedule races —
+  // the lost update the RMW-only rule exists to prevent.
+  EventProgram prog;
+  prog.threads = {
+      {EAcquire{1}, EAcquire{0}, ERead{0}, ERead{1}, EWrite{1}, EWrite{0},
+       ERelease{0}, ERelease{1}},
+      {EAcquire{2}, ERead{1}, EWrite{1}, ERelease{2}},
   };
   const auto res = explore_races(prog);
   EXPECT_GT(res.schedules, 0u);

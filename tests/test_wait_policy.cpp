@@ -8,7 +8,8 @@
 //    on one thread, with no timing dependence;
 //  * real-thread stress — BasicParkingLock under SpinWait and FutexWait,
 //    oversubscribed max(8, 4 × cores) ways on one counter (actual futex
-//    syscalls on Linux), MCS/CLH distinct
+//    syscalls on Linux), the flat combiner under SpinYieldWait and
+//    FutexWait just as oversubscribed, MCS/CLH distinct
 //    critical-section tickets at 2/4/8 threads, and deterministic FIFO
 //    handoff via the contended_acquires() stagger (spawn thread i+1 only
 //    after thread i has provably enqueued behind a held lock);
@@ -27,6 +28,7 @@
 #include <thread>
 #include <vector>
 
+#include "runtime/flat_combining.hpp"
 #include "runtime/local_spin_locks.hpp"
 #include "runtime/tree_barrier.hpp"
 #include "runtime/wait_policy.hpp"
@@ -381,6 +383,54 @@ void oversubscribed_conservation() {
 TEST(ParkingLockTest, OversubscribedConservation) {
   oversubscribed_conservation<BasicParkingLock<SpinWait>>();
   oversubscribed_conservation<ParkingLock>();
+}
+
+// ---- the flat combiner, oversubscribed (spin-yield and parking) ---------
+
+// max(8, 4 × cores) workers on one flat-combining cell: a preempted
+// combiner or publisher must never strand a waiter, and with FutexWait
+// the parked owners of slots a pass-cap handoff left pending must be woken
+// (wake_pending) or ride out their park timeout. Every 7th op is a
+// load + compare_exchange retry loop, so CAS-loop updates race the direct
+// path and the batches. Every increment must land, and `ops` must count
+// exactly the fetch_adds (compare_exchange is not a counted op).
+template <typename Policy>
+void flat_oversubscribed_conservation() {
+  using Backend =
+      BasicFlatCombiningBackend<krs::analysis::DefaultInstrument, Policy>;
+  const unsigned nthreads =
+      std::max(8u, 4 * std::thread::hardware_concurrency());
+  constexpr int kPerThread = 20'000;
+  Backend b;
+  typename Backend::Cell c(b, 0);
+  std::atomic<std::uint64_t> fetch_adds{0};
+
+  std::vector<std::thread> threads;
+  threads.reserve(nthreads);
+  for (unsigned w = 0; w < nthreads; ++w) {
+    threads.emplace_back([&] {
+      std::uint64_t adds = 0;
+      for (int i = 0; i < kPerThread; ++i) {
+        if (i % 7 == 6) {
+          Word e = b.load(c);
+          while (!b.compare_exchange(c, e, e + 1)) {
+          }
+        } else {
+          b.fetch_add(c, 1);
+          ++adds;
+        }
+      }
+      fetch_adds.fetch_add(adds, std::memory_order_relaxed);
+    });
+  }
+  for (auto& t : threads) t.join();
+  EXPECT_EQ(b.load(c), static_cast<Word>(nthreads) * kPerThread);
+  EXPECT_EQ(b.cell_stats(c).ops, fetch_adds.load());
+}
+
+TEST(FlatCombinerParking, OversubscribedConservation) {
+  flat_oversubscribed_conservation<SpinYieldWait>();
+  flat_oversubscribed_conservation<FutexWait>();
 }
 
 // ---- the combining-tree barrier under each wait policy -----------------
