@@ -183,7 +183,7 @@ void BM_DlsWave(benchmark::State& state, bool narrow) {
   const auto& pc = protocol();
   rt::CombiningBackend backend(4);
   rt::CombiningBackend::Cell cell(backend, dls_pack({0, 0}));
-  using Wave = std::decay_t<decltype(cell.tree)>::WaveOp;
+  using Wave = std::decay_t<decltype(cell.combiner)>::WaveOp;
   const auto one_value = pc.put(1).encoded_size_bytes();
   const auto put = [&](Word v) {
     auto op = pc.put(v);
@@ -194,12 +194,12 @@ void BM_DlsWave(benchmark::State& state, bool narrow) {
     ++v;
     const std::vector<Wave> puts = {{0, AnyRmw(put(v % 1000 + 1))},
                                     {1, AnyRmw(put(v % 1000 + 501))}};
-    benchmark::DoNotOptimize(cell.tree.run_wave(puts));
+    benchmark::DoNotOptimize(cell.combiner.run_wave(puts));
     const std::vector<Wave> gets = {{0, AnyRmw(pc.get())},
                                     {1, AnyRmw(pc.get())}};
-    benchmark::DoNotOptimize(cell.tree.run_wave(gets));
+    benchmark::DoNotOptimize(cell.combiner.run_wave(gets));
   }
-  const auto st = cell.tree.stats();
+  const auto st = cell.combiner.stats();
   state.counters["combine_rate"] = st.combine_rate();
   const auto attempts = st.folds + st.declined_folds;
   state.counters["declined_fold_rate"] =

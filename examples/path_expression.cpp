@@ -112,7 +112,7 @@ bool section_threads() {
   std::uint64_t appended = 0;
   for (const auto a : appends) appended += a;
   const DlsCell end = host.snapshot();
-  const auto stats = host.cell().tree.stats();
+  const auto stats = host.cell().combiner.stats();
   std::printf("%u threads x %u sessions: %llu acks, %llu nacks (lost open "
               "races), %llu appends; cell ends %s\n",
               kThreads, kSessions, static_cast<unsigned long long>(host.acks()),
@@ -141,14 +141,14 @@ bool section_declined_at_root() {
   // §7 partial combining serves the declined request individually at the
   // root. Slots 0 and 1 share a leaf, so the fold is actually attempted.
   const auto budget = pc.put(111).encoded_size_bytes();  // one value slot
-  using Wave = std::decay_t<decltype(cell.tree)>::WaveOp;
+  using Wave = std::decay_t<decltype(cell.combiner)>::WaveOp;
   const std::vector<Wave> wave = {
       {0, core::AnyRmw(pc.put(111).with_size_budget(budget))},
       {1, core::AnyRmw(pc.put(222).with_size_budget(budget))},
   };
-  const auto priors = cell.tree.run_wave(wave);
-  const auto stats = cell.tree.stats();
-  const DlsCell end = core::dls_unpack(cell.tree.read());
+  const auto priors = cell.combiner.run_wave(wave);
+  const auto stats = cell.combiner.stats();
+  const DlsCell end = core::dls_unpack(cell.combiner.read());
 
   std::printf("wave {put(111), put(222)} at budget %zu B: declined_folds=%llu "
               "root_applies=%llu; cell ends %s\n",

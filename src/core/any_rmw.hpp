@@ -13,6 +13,7 @@
 
 #include <optional>
 #include <string>
+#include <utility>
 #include <variant>
 
 #include "core/affine.hpp"
@@ -47,6 +48,12 @@ class AnyRmw {
     // One tag byte plus the family encoding.
     return 1 + std::visit([](const auto& f) { return f.encoded_size_bytes(); },
                           op_);
+  }
+
+  /// Calls `f` with the held family's mapping.
+  template <typename F>
+  constexpr decltype(auto) visit(F&& f) const {
+    return std::visit(std::forward<F>(f), op_);
   }
 
   template <typename M>

@@ -27,7 +27,7 @@
 // combining words: second arrivals deposit their mapping in a per-node
 // slot and spin-then-yield until the distributed result lands. Every
 // write of the root value is an atomic read-modify-write (the direct CAS,
-// or a CAS loop for a combined, declined or update_at_root application),
+// or a CAS loop for a combined, declined or update() application),
 // so every operation linearizes at a modification of the root word.
 //
 // Node status word (64 bits):
@@ -189,7 +189,7 @@ class MappingCombiningTree {
   /// for the value it returns. Linearizes with every other operation, but
   /// combines with none.
   template <std::invocable<V> F>
-  V update_at_root(F&& f) {
+  V update(F&& f) {
     Instrument::acquire(this);
     Instrument::contended_rmw(&root_, KRS_SITE);
     const V prior = cas_root(std::forward<F>(f));

@@ -30,7 +30,7 @@
 //    loaded cell rotates its combiner.
 //
 // Every write of the value word is an atomic read-modify-write (the
-// direct CAS, the batch's fetch_add or CAS, update_at_combiner's CAS), so
+// direct CAS, the batch's fetch_add or CAS, update()'s CAS), so
 // none can overwrite a concurrent one and every operation linearizes at a
 // modification of the value word. Under collision the shared-memory
 // traffic concentrates on the publication lines (owner↔combiner,
@@ -42,12 +42,12 @@
 // combiner wakes them when the reply lands, with bounded park timeouts
 // covering the publish-after-scan race).
 //
-// FlatCombiningBackend wraps the combiner behind the RmwBackend concept,
-// making it the FOURTH substrate (after atomic / combining-tree / sim):
-// every §6 algorithm runs over it unchanged. compare_exchange is not a
-// tractable mapping, so it never batches: update_at_combiner applies it
-// with a CAS loop on the value word, linearized against every direct and
-// batched operation — the same escape hatch as the tree's update_at_root.
+// FlatCombiningBackend (combining_backend.hpp) wraps the combiner behind
+// the RmwBackend concept, so every §6 algorithm runs over it unchanged.
+// compare_exchange is not a tractable mapping, so it never batches:
+// update() applies it with a CAS loop on the value word, linearized
+// against every direct and batched operation — the same escape hatch as
+// the tree's update().
 //
 // See docs/PERFORMANCE.md for the measured flat-vs-tree crossover, the
 // direct path's measurements and when to pick which.
@@ -62,10 +62,8 @@
 #include "analysis/instrument.hpp"
 #include "core/any_rmw.hpp"
 #include "core/fetch_theta.hpp"
-#include "core/load_store_swap.hpp"
 #include "core/types.hpp"
 #include "runtime/cacheline.hpp"
-#include "runtime/rmw_backend.hpp"
 #include "runtime/wait_policy.hpp"
 #include "util/assert.hpp"
 
@@ -78,8 +76,8 @@ namespace krs::runtime {
 /// touched the value word after their lost CAS); `takeovers` successful
 /// combiner elections; `passes` publication-list scans; `handoffs` lock
 /// releases forced by the pass cap while work was still pending (the
-/// anti-starvation path); `serialized_updates` the update_at_combiner
-/// escape-hatch calls.
+/// anti-starvation path); `serialized_updates` the update() escape-hatch
+/// calls.
 struct FlatCombinerStats {
   std::uint64_t ops = 0;
   std::uint64_t direct_applies = 0;
@@ -162,10 +160,9 @@ class FlatCombiner {
   /// returns the prior value. `f` may run more than once (a lost CAS
   /// re-reads the value), so the value it returns must depend only on its
   /// argument. Lock-free; linearizes with every direct and batched
-  /// operation, combines with none — the analogue of the tree's
-  /// update_at_root.
+  /// operation, combines with none — the analogue of the tree's update().
   template <std::invocable<core::Word> F>
-  core::Word update_at_combiner(F&& f) {
+  core::Word update(F&& f) {
     Instrument::acquire(this);
     Instrument::contended_rmw(&value_, KRS_SITE);
     core::Word prior = value_.load(std::memory_order_relaxed);
@@ -499,101 +496,5 @@ class FlatCombiner {
   std::atomic<std::uint64_t> handoffs_{0};
   std::atomic<std::uint64_t> serialized_updates_{0};
 };
-
-/// The flat-combining RMW backend: every cell is one FlatCombiner, so
-/// concurrent operations on a hot word batch at a single combiner instead
-/// of serializing on the coherence protocol (small-n regime) or paying the
-/// tree's lg n handshakes (large-n regime). Same mapping-family table as
-/// CombiningBackend:
-///
-///   fetch_add/or/and/xor → core::FetchTheta<…>    (§5.2)
-///   exchange             → core::LssOp::swap       (§5.1)
-///   store                → core::LssOp::store      (batches; constant map)
-///   fetch_rmw(m)         → m verbatim              (any core::AnyRmw —
-///                                                   batching needs no
-///                                                   compose, so mixed
-///                                                   families never decline)
-///   compare_exchange     → update_at_combiner      (CAS loop, §5)
-///   load                 → combiner.read()         (atomic snapshot)
-template <typename Instrument = analysis::DefaultInstrument,
-          WaitPolicy Policy = SpinYieldWait>
-class BasicFlatCombiningBackend {
- public:
-  /// `width`: publication slots per cell, ≥ 2 — no power-of-two rounding
-  /// (a flat list has no heap layout), so odd core counts size exactly.
-  /// Thread→slot is thread_ordinal() mod width.
-  explicit BasicFlatCombiningBackend(unsigned width = kDefaultWidth)
-      : width_(std::max(2u, width)) {}
-
-  struct Cell {
-    Cell(const BasicFlatCombiningBackend& b, Word initial)
-        : fc(b.width_, initial) {}
-    Cell(const Cell&) = delete;
-    Cell& operator=(const Cell&) = delete;
-
-    FlatCombiner<Instrument, Policy> fc;
-  };
-
-  Word fetch_add(Cell& c, Word v) const {
-    return c.fc.fetch_rmw(slot(), core::AnyRmw(core::FetchAdd(v)));
-  }
-  Word fetch_or(Cell& c, Word v) const {
-    return c.fc.fetch_rmw(slot(), core::AnyRmw(core::FetchOr(v)));
-  }
-  Word fetch_and(Cell& c, Word v) const {
-    return c.fc.fetch_rmw(slot(), core::AnyRmw(core::FetchAnd(v)));
-  }
-  Word fetch_xor(Cell& c, Word v) const {
-    return c.fc.fetch_rmw(slot(), core::AnyRmw(core::FetchXor(v)));
-  }
-  Word exchange(Cell& c, Word v) const {
-    return c.fc.fetch_rmw(slot(), core::AnyRmw(core::LssOp::swap(v)));
-  }
-
-  Word fetch_rmw(Cell& c, const core::AnyRmw& m) const {
-    return c.fc.fetch_rmw(slot(), m);
-  }
-
-  /// Not a tractable mapping (§5: the update must not branch on the old
-  /// value), so it cannot batch; a CAS loop on the value word, linearized
-  /// against every direct and batched operation. The lambda may run more
-  /// than once, so `ok` is set on every call.
-  bool compare_exchange(Cell& c, Word& expected, Word desired) const {
-    bool ok = false;
-    const Word want = expected;
-    const Word prior = c.fc.update_at_combiner([&](Word old) {
-      ok = old == want;
-      return ok ? desired : old;
-    });
-    if (!ok) expected = prior;
-    return ok;
-  }
-
-  Word load(const Cell& c) const { return c.fc.read(); }
-
-  void store(Cell& c, Word v) const {
-    c.fc.fetch_rmw(slot(), core::AnyRmw(core::LssOp::store(v)));
-  }
-
-  [[nodiscard]] unsigned width() const noexcept { return width_; }
-
-  [[nodiscard]] FlatCombinerStats cell_stats(const Cell& c) const {
-    return c.fc.stats();
-  }
-
-  static constexpr unsigned kDefaultWidth = 16;
-
- private:
-  [[nodiscard]] unsigned slot() const noexcept {
-    return thread_ordinal() % width_;
-  }
-
-  unsigned width_;
-};
-
-using FlatCombiningBackend = BasicFlatCombiningBackend<>;
-
-static_assert(RmwBackend<BasicFlatCombiningBackend<analysis::NoInstrument>>);
-static_assert(RmwBackend<FlatCombiningBackend>);
 
 }  // namespace krs::runtime

@@ -359,7 +359,8 @@ using ParkingLock = BasicParkingLock<FutexWait>;
 /// competitor the combining substrates must be measured against
 /// (bench_lock_tier's mcs / clh / futex / spin rows).
 template <typename Lock, typename Instrument = analysis::DefaultInstrument>
-class BasicLockBackend {
+class BasicLockBackend
+    : public MappingOps<BasicLockBackend<Lock, Instrument>> {
  public:
   struct Cell {
     Cell(const BasicLockBackend&, Word initial) : value(initial) {}
@@ -370,24 +371,18 @@ class BasicLockBackend {
     alignas(kCacheLine) mutable Lock lk;
   };
 
-  Word fetch_add(Cell& c, Word v) const {
-    return rmw(c, [v](Word o) { return o + v; });
-  }
-  Word fetch_or(Cell& c, Word v) const {
-    return rmw(c, [v](Word o) { return o | v; });
-  }
-  Word fetch_and(Cell& c, Word v) const {
-    return rmw(c, [v](Word o) { return o & v; });
-  }
-  Word fetch_xor(Cell& c, Word v) const {
-    return rmw(c, [v](Word o) { return o ^ v; });
-  }
-  Word exchange(Cell& c, Word v) const {
-    return rmw(c, [v](Word) { return v; });
-  }
-
+  /// Dispatches on the family before taking the lock, so the critical
+  /// section applies one concrete mapping.
   Word fetch_rmw(Cell& c, const core::AnyRmw& m) const {
-    return rmw(c, [&m](Word o) { return m.apply(o); });
+    return m.visit([&](const auto& f) {
+      typename Lock::Scoped g(c.lk);
+      Instrument::release(&c);
+      Instrument::shared_store(&c.value, KRS_SITE);
+      const Word prior = c.value;
+      c.value = f.apply(prior);
+      Instrument::acquire(&c);
+      return prior;
+    });
   }
 
   bool compare_exchange(Cell& c, Word& expected, Word desired) const {
@@ -415,19 +410,7 @@ class BasicLockBackend {
   }
 
   void store(Cell& c, Word v) const {
-    rmw(c, [v](Word) { return v; });
-  }
-
- private:
-  template <typename F>
-  Word rmw(Cell& c, F f) const {
-    typename Lock::Scoped g(c.lk);
-    Instrument::release(&c);
-    Instrument::shared_store(&c.value, KRS_SITE);
-    const Word prior = c.value;
-    c.value = f(prior);
-    Instrument::acquire(&c);
-    return prior;
+    (void)fetch_rmw(c, core::AnyRmw(core::LssOp::store(v)));
   }
 };
 

@@ -15,10 +15,9 @@
 //                        movable (they may wrap std::atomic or a combining
 //                        tree); they are constructed in place from
 //                        (const B&, initial_value).
-//   b.fetch_add/or/and/xor(c, v), b.exchange(c, v)
-//                      — the typed fast paths; return the prior value.
-//   b.fetch_rmw(c, m)  — the general path: any tractable mapping, as a
-//                        core::AnyRmw value; returns the prior value.
+//   b.fetch_rmw(c, m)  — the one RMW(X, f) of the paper: any tractable
+//                        mapping, as a core::AnyRmw value; returns the
+//                        prior value.
 //   b.compare_exchange(c, expected, desired)
 //                      — conditional store. Not a tractable mapping (the
 //                        update depends on comparing the old value), so
@@ -26,6 +25,11 @@
 //                        scale under contention should prefer the fetch
 //                        paths, which combine.
 //   b.load(c), b.store(c, v)
+//
+// A backend supplies those four and inherits the typed paths
+// b.fetch_add/or/and/xor(c, v) and b.exchange(c, v) from MappingOps,
+// which maps each onto fetch_rmw through the §5 mapping families — the
+// one op → family table of the runtime layer.
 //
 // Six backends ship:
 //
@@ -38,9 +42,9 @@
 //     on the root word, and only operations whose CAS collided climb the
 //     tree and combine pairwise on the way to the root (§4.2) instead of
 //     serializing on the coherence protocol.
-//   * FlatCombiningBackend (flat_combining.hpp) — each cell is one
-//     FlatCombiner: threads publish into per-thread slots and an elected
-//     combiner serves them in batches.
+//   * FlatCombiningBackend (combining_backend.hpp) — each cell is one
+//     FlatCombiner (flat_combining.hpp): threads publish into per-thread
+//     slots and an elected combiner serves them in batches.
 //   * SimBackend (sim_backend.hpp) — each cell is an address of the
 //     cycle-accurate Omega machine, so operations combine in its switches
 //     (§4) and cost simulated network cycles.
@@ -177,16 +181,56 @@ concept RmwBackend =
       { b.store(c, v) };
     };
 
-/// Hardware fetch-and-θ backend: each cell is one std::atomic<Word>; the
-/// typed fast paths are the native RMW instructions, and fetch_rmw is a
-/// CAS loop applying m.apply(old) (the §2 semantics when the memory has no
-/// combining support — correct, but a hot cell serializes). The Policy
-/// paces the CAS retries (SpinYieldWait = bounded exponential backoff;
-/// FutexWait makes oversubscribed retry storms sleep instead of
-/// burning the winner's quantum).
+/// The typed fetch-and-θ paths, defined once over the backend's fetch_rmw
+/// (CRTP: a backend `B` derives from `MappingOps<B>`):
+///
+///   fetch_add/or/and/xor → core::FetchTheta<…>  (§5.2: combine = θ on operands)
+///   exchange             → core::LssOp::swap     (§5.1, first table)
+///
+/// Each backend decides what fetch_rmw does with the family — a hardware
+/// instruction, a combining tree, a publication slot, a network packet, a
+/// critical section. The members are templates over the cell type because
+/// `Self` is still incomplete where this base is instantiated.
+template <typename Self>
+class MappingOps {
+ public:
+  template <typename Cell>
+  Word fetch_add(Cell& c, Word v) const {
+    return self().fetch_rmw(c, core::AnyRmw(core::FetchAdd(v)));
+  }
+  template <typename Cell>
+  Word fetch_or(Cell& c, Word v) const {
+    return self().fetch_rmw(c, core::AnyRmw(core::FetchOr(v)));
+  }
+  template <typename Cell>
+  Word fetch_and(Cell& c, Word v) const {
+    return self().fetch_rmw(c, core::AnyRmw(core::FetchAnd(v)));
+  }
+  template <typename Cell>
+  Word fetch_xor(Cell& c, Word v) const {
+    return self().fetch_rmw(c, core::AnyRmw(core::FetchXor(v)));
+  }
+  template <typename Cell>
+  Word exchange(Cell& c, Word v) const {
+    return self().fetch_rmw(c, core::AnyRmw(core::LssOp::swap(v)));
+  }
+
+ private:
+  const Self& self() const noexcept { return static_cast<const Self&>(*this); }
+};
+
+/// Hardware fetch-and-θ backend: each cell is one std::atomic<Word>.
+/// fetch_rmw runs the native RMW instruction where one exists for the
+/// family (fetch_add/or/and/xor, exchange for a constant load-store-swap
+/// mapping) and a CAS loop applying m.apply(old) otherwise (the §2
+/// semantics when the memory has no combining support — correct, but a
+/// hot cell serializes). The Policy paces the CAS retries (SpinYieldWait =
+/// bounded exponential backoff; FutexWait makes oversubscribed retry
+/// storms sleep instead of burning the winner's quantum).
 template <typename Instrument = analysis::DefaultInstrument,
           WaitPolicy Policy = SpinYieldWait>
-class BasicAtomicBackend {
+class BasicAtomicBackend
+    : public MappingOps<BasicAtomicBackend<Instrument, Policy>> {
  public:
   struct Cell {
     Cell(const BasicAtomicBackend&, Word initial) : word(initial) {}
@@ -196,55 +240,12 @@ class BasicAtomicBackend {
     alignas(kCacheLine) std::atomic<Word> word;
   };
 
-  Word fetch_add(Cell& c, Word v) const {
-    Instrument::release(&c);
-    Instrument::contended_rmw(&c.word, KRS_SITE);
-    Word prior = c.word.fetch_add(v, std::memory_order_acq_rel);
-    Instrument::acquire(&c);
-    return prior;
-  }
-  Word fetch_or(Cell& c, Word v) const {
-    Instrument::release(&c);
-    Instrument::contended_rmw(&c.word, KRS_SITE);
-    Word prior = c.word.fetch_or(v, std::memory_order_acq_rel);
-    Instrument::acquire(&c);
-    return prior;
-  }
-  Word fetch_and(Cell& c, Word v) const {
-    Instrument::release(&c);
-    Instrument::contended_rmw(&c.word, KRS_SITE);
-    Word prior = c.word.fetch_and(v, std::memory_order_acq_rel);
-    Instrument::acquire(&c);
-    return prior;
-  }
-  Word fetch_xor(Cell& c, Word v) const {
-    Instrument::release(&c);
-    Instrument::contended_rmw(&c.word, KRS_SITE);
-    Word prior = c.word.fetch_xor(v, std::memory_order_acq_rel);
-    Instrument::acquire(&c);
-    return prior;
-  }
-  Word exchange(Cell& c, Word v) const {
-    Instrument::release(&c);
-    Instrument::contended_rmw(&c.word, KRS_SITE);
-    Word prior = c.word.exchange(v, std::memory_order_acq_rel);
-    Instrument::acquire(&c);
-    return prior;
-  }
-
-  /// The general path: hardware has no "fetch-and-f" for an arbitrary
-  /// mapping, so retry CAS until the old value we applied f to is the old
-  /// value we replaced — the standard emulation, with the typed paths
-  /// above available when the family is known statically. Retries are
-  /// paced with a fresh wait-policy episode per call
-  /// (detail::paced_cas_rmw): a bare loop here is the §1 hot-spot storm
-  /// in miniature.
   Word fetch_rmw(Cell& c, const core::AnyRmw& m) const {
     Instrument::release(&c);
     Instrument::contended_rmw(&c.word, KRS_SITE);
-    const Word old = detail::paced_cas_rmw<std::atomic<Word>, Policy>(c.word, m);
+    const Word prior = apply(c.word, m);
     Instrument::acquire(&c);
-    return old;
+    return prior;
   }
 
   bool compare_exchange(Cell& c, Word& expected, Word desired) const {
@@ -268,6 +269,32 @@ class BasicAtomicBackend {
     Instrument::release(&c);
     Instrument::shared_store(&c.word, KRS_SITE);
     c.word.store(v, std::memory_order_release);
+  }
+
+ private:
+  /// Hardware has no "fetch-and-f" for an arbitrary mapping, so a family
+  /// without an instruction retries CAS until the old value f was applied
+  /// to is the old value replaced, paced with a fresh wait-policy episode
+  /// per call (detail::paced_cas_rmw): a bare loop here is the §1 hot-spot
+  /// storm in miniature.
+  static Word apply(std::atomic<Word>& w, const core::AnyRmw& m) {
+    constexpr auto order = std::memory_order_acq_rel;
+    if (m.holds<core::FetchAdd>()) {
+      return w.fetch_add(m.get<core::FetchAdd>().operand(), order);
+    }
+    if (m.holds<core::FetchOr>()) {
+      return w.fetch_or(m.get<core::FetchOr>().operand(), order);
+    }
+    if (m.holds<core::FetchAnd>()) {
+      return w.fetch_and(m.get<core::FetchAnd>().operand(), order);
+    }
+    if (m.holds<core::FetchXor>()) {
+      return w.fetch_xor(m.get<core::FetchXor>().operand(), order);
+    }
+    if (m.holds<core::LssOp>() && m.get<core::LssOp>().is_constant()) {
+      return w.exchange(m.get<core::LssOp>().value(), order);
+    }
+    return detail::paced_cas_rmw<std::atomic<Word>, Policy>(w, m);
   }
 };
 

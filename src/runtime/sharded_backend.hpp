@@ -138,19 +138,19 @@ struct ShardedCellStats {
   }
 };
 
-template <RmwBackend Inner, typename Instrument = analysis::DefaultInstrument>
-class BasicShardedBackend {
+template <RmwBackend Inner>
+class ShardedBackend : public MappingOps<ShardedBackend<Inner>> {
  public:
   static constexpr unsigned kDefaultShards = 8;
 
   /// `inner`: the per-shard substrate (copied; SimBackend copies share one
   /// machine by design). `shards` ≥ 1; 1 degrades to exactly the inner
   /// backend plus one indirection.
-  explicit BasicShardedBackend(Inner inner, unsigned shards = kDefaultShards)
+  explicit ShardedBackend(Inner inner, unsigned shards = kDefaultShards)
       : inner_(std::move(inner)), shards_(shards < 1 ? 1 : shards) {}
 
   struct Cell {
-    Cell(const BasicShardedBackend& b, Word initial)
+    Cell(const ShardedBackend& b, Word initial)
         : home(b.shard_of()) {
       // Construct the S inner cells in place (inner cells are pinned —
       // deque never relocates); the initial value lands in the HOME shard
@@ -177,18 +177,6 @@ class BasicShardedBackend {
     std::deque<Slot> slots;  ///< S cache-line-isolated shards
     unsigned home;           ///< shard holding the initial value
   };
-
-  Word fetch_add(Cell& c, Word v) const {
-    return inner_.fetch_add(routed(c), v);
-  }
-  Word fetch_or(Cell& c, Word v) const { return inner_.fetch_or(routed(c), v); }
-  Word fetch_and(Cell& c, Word v) const {
-    return inner_.fetch_and(routed(c), v);
-  }
-  Word fetch_xor(Cell& c, Word v) const {
-    return inner_.fetch_xor(routed(c), v);
-  }
-  Word exchange(Cell& c, Word v) const { return inner_.exchange(routed(c), v); }
 
   Word fetch_rmw(Cell& c, const core::AnyRmw& m) const {
     return inner_.fetch_rmw(routed(c), m);
@@ -266,16 +254,12 @@ class BasicShardedBackend {
   Aggregation agg_ = Aggregation::sum();
 };
 
-template <RmwBackend Inner>
-using ShardedBackend = BasicShardedBackend<Inner>;
-
 static_assert(RmwBackend<ShardedBackend<AtomicBackend>>);
 // The shard's op counter lives in the atomic cell's tail padding: one line
 // per shard, counter included.
 static_assert(sizeof(ShardedBackend<AtomicBackend>::Cell::Slot) ==
               kCacheLine);
 static_assert(
-    RmwBackend<BasicShardedBackend<BasicAtomicBackend<analysis::NoInstrument>,
-                                   analysis::NoInstrument>>);
+    RmwBackend<ShardedBackend<BasicAtomicBackend<analysis::NoInstrument>>>);
 
 }  // namespace krs::runtime

@@ -13,22 +13,13 @@
 // per-stage stalls) instead of wall-clock on whatever host CI happens to
 // own.
 //
-// Operation mapping:
-//
-//   fetch_add/or/and/xor → core::FetchTheta<…> packet    (§5.2)
-//   exchange             → core::LssOp::swap packet       (§5.1)
-//   store                → core::LssOp::store packet      (combines)
-//   load                 → core::LssOp::load packet       (identity mapping)
-//   fetch_rmw(m)         → m verbatim                     (any core::AnyRmw;
-//                                                          cross-family pairs
-//                                                          decline in the
-//                                                          switches — §7)
-//   compare_exchange     → serialized at the memory module (not a tractable
-//                          mapping — the update branches on the old value),
-//                          applied to the owning module's serial state
-//                          under the driver lock, like CombiningBackend's
-//                          update_at_root; charged one uncontended network
-//                          round trip of simulated cycles
+// Operation mapping: fetch_rmw(m) injects m verbatim as one packet
+// (cross-family pairs decline in the switches — §7); store and load are
+// core::LssOp store and load packets, each a round trip. compare_exchange
+// is not a tractable mapping — the update branches on the old value — so
+// it is serialized at the owning memory module under the driver lock,
+// like the combiners' update(), and charged one uncontended network round
+// trip of simulated cycles.
 //
 // Concurrency model. The machine itself is a single-clock object, so the
 // backend multiplexes real threads onto simulated processors through
@@ -61,7 +52,6 @@
 
 #include "analysis/instrument.hpp"
 #include "core/any_rmw.hpp"
-#include "core/fetch_theta.hpp"
 #include "core/load_store_swap.hpp"
 #include "core/types.hpp"
 #include "mem/module.hpp"
@@ -134,7 +124,8 @@ struct SimBackendStats {
 
 template <typename Instrument = analysis::DefaultInstrument,
           WaitPolicy Policy = SpinYieldWait>
-class BasicSimBackend {
+class BasicSimBackend
+    : public MappingOps<BasicSimBackend<Instrument, Policy>> {
   struct State;
 
  public:
@@ -158,22 +149,13 @@ class BasicSimBackend {
     std::shared_ptr<State> anchor_;  ///< the machine must outlive its cells
   };
 
-  Word fetch_add(Cell& c, Word v) const {
-    return mutate(c, core::AnyRmw(core::FetchAdd(v)));
+  Word fetch_rmw(Cell& c, const core::AnyRmw& m) const {
+    Instrument::release(&c);
+    Instrument::contended_rmw(&c, KRS_SITE);
+    const Word prior = s_->inject(c.addr, m);
+    Instrument::acquire(&c);
+    return prior;
   }
-  Word fetch_or(Cell& c, Word v) const {
-    return mutate(c, core::AnyRmw(core::FetchOr(v)));
-  }
-  Word fetch_and(Cell& c, Word v) const {
-    return mutate(c, core::AnyRmw(core::FetchAnd(v)));
-  }
-  Word fetch_xor(Cell& c, Word v) const {
-    return mutate(c, core::AnyRmw(core::FetchXor(v)));
-  }
-  Word exchange(Cell& c, Word v) const {
-    return mutate(c, core::AnyRmw(core::LssOp::swap(v)));
-  }
-  Word fetch_rmw(Cell& c, const core::AnyRmw& m) const { return mutate(c, m); }
 
   /// Not a tractable mapping (the update branches on the old value), so it
   /// cannot travel as a packet. Serialized at the owning memory module
@@ -181,8 +163,8 @@ class BasicSimBackend {
   /// exactly the state every already-serviced request produced and no
   /// not-yet-serviced request has touched, so reading it and poking the
   /// conditional store is a valid linearization point against all
-  /// combined traffic — the same contract as CombiningBackend's
-  /// update_at_root. Charged one uncontended round trip of cycles.
+  /// combined traffic — the same contract as the combining backends'
+  /// update(). Charged one uncontended round trip of cycles.
   bool compare_exchange(Cell& c, Word& expected, Word desired) const {
     Instrument::release(&c);
     Instrument::contended_rmw(&c, KRS_SITE);
@@ -584,14 +566,6 @@ class BasicSimBackend {
       return v;
     }
   };
-
-  Word mutate(Cell& c, const core::AnyRmw& m) const {
-    Instrument::release(&c);
-    Instrument::contended_rmw(&c, KRS_SITE);
-    const Word prior = s_->inject(c.addr, m);
-    Instrument::acquire(&c);
-    return prior;
-  }
 
   /// Sequential addresses interleave across modules (module = addr mod n),
   /// so distinct cells land on distinct banks — hot-spot traffic is per

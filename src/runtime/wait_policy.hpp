@@ -494,27 +494,15 @@ class EpisodeWait {
 
   /// One blind round against the observed word `w`.
   void observe_and_pause(std::uint64_t w) noexcept {
-    rearm(w);
-    pol_.pause();
-  }
-
-  /// One addressable round: park on `word` while it reads `v`; `w` is the
-  /// full observed state that defines the episode.
-  void observe_and_wait(std::uint64_t w, const std::atomic<std::uint32_t>& word,
-                        std::uint32_t v) noexcept {
-    rearm(w);
-    pol_.wait_while_equal(word, v);
-  }
-
- private:
-  void rearm(std::uint64_t w) noexcept {
     if (!seen_ || w != last_) {
       if (seen_) pol_.reset();  // state moved: new episode, fresh schedule
       last_ = w;
       seen_ = true;
     }
+    pol_.pause();
   }
 
+ private:
   Policy& pol_;
   std::uint64_t last_ = 0;
   bool seen_ = false;

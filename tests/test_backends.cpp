@@ -9,7 +9,8 @@
 //  * cross-backend equivalence: the same workload through AtomicBackend,
 //    CombiningBackend, FlatCombiningBackend, and SimBackend (cells in the
 //    simulated Omega machine) yields identical priors, ticket-set
-//    invariants and monotone load() snapshots at 2/4/8 threads;
+//    invariants and monotone load() snapshots at 2/4/8 threads; the
+//    scripted single-thread sequence also runs on LockBackend<McsLock>;
 //  * the combining tree behind CombiningBackend: odd and width-2 trees
 //    (shared leaves and shared slots), mixed-addend sum conservation, and
 //    a non-plus family (fetch-and-max) through every phase of the
@@ -49,6 +50,7 @@
 #include "runtime/flat_combining.hpp"
 #include "runtime/full_empty_cell.hpp"
 #include "runtime/group_lock.hpp"
+#include "runtime/local_spin_locks.hpp"
 #include "runtime/parallel_queue.hpp"
 #include "runtime/rmw_backend.hpp"
 #include "runtime/sharded_backend.hpp"
@@ -172,20 +174,23 @@ std::vector<Word> scripted_run(B& b) {
 }
 
 TEST(Backends, ScriptedSequenceIdenticalAcrossBackends) {
-  // The 4-way matrix: hardware atomics, software combining tree, flat
-  // combiner, and the simulated Omega machine must be observationally
-  // identical.
+  // The 5-way matrix: hardware atomics, software combining tree, flat
+  // combiner, the simulated Omega machine and the MCS-locked word must be
+  // observationally identical.
   AtomicBackend ab;
   CombiningBackend cb(4);
   FlatCombiningBackend fb(4);
   SimBackend sb(SimBackendConfig{.log2_procs = 2});
+  LockBackend<McsLock> lb;
   const auto a = scripted_run(ab);
   const auto c = scripted_run(cb);
   const auto f = scripted_run(fb);
   const auto s = scripted_run(sb);
+  const auto l = scripted_run(lb);
   EXPECT_EQ(a, c);
   EXPECT_EQ(a, f);
   EXPECT_EQ(a, s);
+  EXPECT_EQ(a, l);
   const std::vector<Word> expect{10, 15, 0xFF, 0x0F, 0xF0, 3, 7, 40, 99, 7};
   EXPECT_EQ(a, expect);
   // The sim run really went through the network: 10 of the 12 scripted
@@ -500,7 +505,7 @@ TEST(CombiningTree, SingleThreadSequence) {
   EXPECT_EQ(b.fetch_add(c, 7), 105u);
   EXPECT_EQ(b.fetch_add(c, 1), 112u);
   EXPECT_EQ(b.load(c), 113u);
-  EXPECT_EQ(c.tree.width(), 4u);
+  EXPECT_EQ(c.combiner.width(), 4u);
 }
 
 TEST(CombiningTree, ConcurrentIncrementsGiveDistinctTickets) {

@@ -314,7 +314,7 @@ TEST(ProfilerPlumbing, CombiningBackendCompareExchangeHitsTheRootWord) {
     krs::runtime::Word expected = 0;
     EXPECT_TRUE(backend.compare_exchange(cell, expected, 9));
   }
-  EXPECT_EQ(p.line_of(cell.tree.root_address()).rmws, 1u);
+  EXPECT_EQ(p.line_of(cell.combiner.root_address()).rmws, 1u);
 }
 
 }  // namespace

@@ -381,7 +381,7 @@ TEST(FlatCombinerConcurrent, SerializedUpdatesLinearizeWithBatches) {
     });
     std::jthread bumper([&] {
       for (unsigned i = 0; i < kPer; ++i) {
-        (void)fc.update_at_combiner([](Word v) { return v + 10; });
+        (void)fc.update([](Word v) { return v + 10; });
       }
     });
   }
@@ -393,7 +393,7 @@ TEST(FlatCombinerConcurrent, SerializedUpdatesLinearizeWithBatches) {
 
 TEST(FlatCombinerConcurrent, CompareExchangeLinearizesWithDirectAndBatchedOps) {
   // The lost-update guard. Every write of the value word must be an
-  // atomic RMW: a plain store (a locked update_at_combiner, or a batch
+  // atomic RMW: a plain store (a locked update(), or a batch
   // written back with a store) can overwrite a concurrent direct CAS and
   // drop its increment. Each thread alternates a fetch_add(1) with a
   // load-then-compare_exchange(e, e + 1) retry loop; odd threads also

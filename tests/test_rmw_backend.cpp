@@ -13,6 +13,10 @@
 //    ever-higher combining-tree slots (all aliasing mod width). Ordinals
 //    are now pooled: sequential spawn/join churn must reuse ONE ordinal,
 //    and concurrent threads must still get distinct ones.
+//
+// Also pinned: AtomicBackend::fetch_rmw runs the native instruction for
+// every family that has one, so a generic fetch_rmw(FetchAdd) never
+// enters the paced CAS loop — directly and under ShardedBackend.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -25,12 +29,14 @@
 #include "core/any_rmw.hpp"
 #include "core/fetch_theta.hpp"
 #include "runtime/rmw_backend.hpp"
+#include "runtime/sharded_backend.hpp"
 
 namespace {
 
 using namespace krs::runtime;
 using krs::core::AnyRmw;
 using krs::core::FetchAdd;
+using krs::core::FetchOr;
 
 // --- the pacing contract of the CAS emulation --------------------------------
 
@@ -120,6 +126,56 @@ TEST(AtomicBackendContention, FetchRmwTicketsAt4And8Threads) {
     EXPECT_EQ(all.size(), static_cast<std::size_t>(nt) * kPer);
     EXPECT_EQ(*all.rbegin(), static_cast<Word>(nt) * kPer - 1);
     EXPECT_EQ(b.load(cell), static_cast<Word>(nt) * kPer);
+  }
+}
+
+// --- native dispatch of fetch_rmw ---------------------------------------------
+
+// kThreads threads each issue kPer (FetchAdd(1), FetchOr(0)) pairs through
+// the generic fetch_rmw; returns each thread's wait-work delta.
+template <typename B>
+std::vector<WaitStats> hammer_native_families(const B& b,
+                                              typename B::Cell& cell,
+                                              unsigned threads, unsigned per) {
+  std::vector<WaitStats> waited(threads);
+  std::vector<std::jthread> ts;
+  for (unsigned t = 0; t < threads; ++t) {
+    ts.emplace_back([&, t] {
+      const WaitStats before = thread_wait_stats();
+      for (unsigned i = 0; i < per; ++i) {
+        (void)b.fetch_rmw(cell, AnyRmw(FetchAdd(1)));
+        (void)b.fetch_rmw(cell, AnyRmw(FetchOr(0)));
+      }
+      waited[t] = thread_wait_stats() - before;
+    });
+  }
+  ts.clear();  // join
+  return waited;
+}
+
+TEST(AtomicBackendNative, FetchRmwOfNativeFamiliesNeverPaces) {
+  // A family with a hardware instruction never reaches the CAS emulation,
+  // so no thread pays a single backoff round however hot the word is.
+  constexpr unsigned kThreads = 4;
+  constexpr unsigned kPer = 200'000;
+  constexpr Word kTotal = Word{kThreads} * kPer;
+  {
+    AtomicBackend b;
+    AtomicBackend::Cell cell(b, 0);
+    for (const WaitStats& w : hammer_native_families(b, cell, kThreads, kPer)) {
+      EXPECT_EQ(w.spins, 0u);
+      EXPECT_EQ(w.yields, 0u);
+    }
+    EXPECT_EQ(b.load(cell), kTotal);
+  }
+  {
+    ShardedBackend<AtomicBackend> b{AtomicBackend{}, 1};
+    ShardedBackend<AtomicBackend>::Cell cell(b, 0);
+    for (const WaitStats& w : hammer_native_families(b, cell, kThreads, kPer)) {
+      EXPECT_EQ(w.spins, 0u);
+      EXPECT_EQ(w.yields, 0u);
+    }
+    EXPECT_EQ(b.load(cell), kTotal);
   }
 }
 

@@ -28,7 +28,7 @@
 #include <thread>
 #include <vector>
 
-#include "runtime/flat_combining.hpp"
+#include "runtime/combining_backend.hpp"
 #include "runtime/local_spin_locks.hpp"
 #include "runtime/tree_barrier.hpp"
 #include "runtime/wait_policy.hpp"

@@ -147,14 +147,14 @@ RunResult run_combining(const Options& opt) {
     ScopedProfiler scope(profiler);
     const std::uint64_t waves = opt.ops / opt.threads;
     for (std::uint64_t w = 0; w < waves; ++w) {
-      counter.tree.run_wave(wave, [](std::size_t i) {
+      counter.combiner.run_wave(wave, [](std::size_t i) {
         set_profile_tid(static_cast<std::uint32_t>(i));
       });
     }
     set_profile_tid(krs::analysis::kProfileTidAuto);
   }
   RunResult r{"combining", profiler.report(),
-              profiler.line_of(counter.tree.root_address()), {}};
+              profiler.line_of(counter.combiner.root_address()), {}};
   return r;
 }
 
