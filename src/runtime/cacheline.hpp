@@ -3,6 +3,21 @@
 // barrier nodes, the two ticket-lock words) must not share a cache line,
 // or the coherence traffic the paper's combining is meant to eliminate
 // reappears as false sharing between logically independent slots.
+//
+// The layout rule on a hot path is ONE WRITER PER HOT LINE:
+//  * a line the fast path writes (a hot word's CAS, a per-slot counter)
+//    holds only words that the same writer owns, so no second thread's
+//    write can take it away between two of that writer's operations;
+//  * a line every operation reads (vector headers, widths) is never
+//    written on a hot path, so it stays shared in every cache;
+//  * telemetry and scratch go on lines of their own, next to nothing that
+//    another thread spins on or CASes. The one exception is a counter the
+//    same thread bumps right after its own RMW on the hot word (the MCS
+//    and CLH `contended_` counters beside `tail_`): that thread still holds
+//    the line, so the bump costs no extra miss, and on a line of its own
+//    it would cost one.
+// In the cache-coherent cost model each line that breaks the rule is one
+// extra remote memory reference per operation.
 #pragma once
 
 #include <cstddef>

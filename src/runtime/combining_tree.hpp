@@ -148,7 +148,10 @@ class MappingCombiningTree {
   /// need not care). Thread slots are 0..width()-1, the ROUNDED range;
   /// slots 2i and 2i+1 share a leaf.
   explicit MappingCombiningTree(unsigned width, V initial = V{})
-      : width_(rounded_width(width)), root_(initial), nodes_(width_) {
+      : width_(rounded_width(width)),
+        nodes_(width_),
+        direct_applies_(width_),
+        root_(initial) {
     nodes_[kRootIndex].status.store(kRootWord, std::memory_order_relaxed);
   }
 
@@ -172,8 +175,7 @@ class MappingCombiningTree {
     if (root_.compare_exchange_strong(cur, f.apply(cur),
                                       std::memory_order_acq_rel,
                                       std::memory_order_relaxed)) {
-      nodes_[leaf_of(slot)].direct_applies.fetch_add(
-          1, std::memory_order_relaxed);
+      direct_applies_[slot].n.fetch_add(1, std::memory_order_relaxed);
       Instrument::release(this);
       return cur;
     }
@@ -212,18 +214,20 @@ class MappingCombiningTree {
   /// (tools/krs_profile) map "the hot line" back to this tree.
   [[nodiscard]] const void* root_address() const noexcept { return &root_; }
 
-  /// Aggregate fold/decline/root counters across all nodes. Counters are
-  /// relaxed, so a concurrent snapshot is approximate; quiesce first for
-  /// exact accounting (then ops == root_applies + folds holds exactly:
-  /// every operation either folded into a partner below the root or was
-  /// applied at the root — by the direct CAS, after a climb, or, for a
-  /// declined second, by distribute()'s own root application).
+  /// Aggregate fold/decline/root counters across all nodes and slots.
+  /// Counters are relaxed, so a concurrent snapshot is approximate;
+  /// quiesce first for exact accounting (then ops == root_applies + folds
+  /// holds exactly: every operation either folded into a partner below the
+  /// root or was applied at the root — by the direct CAS, after a climb,
+  /// or, for a declined second, by distribute()'s own root application).
   [[nodiscard]] CombiningTreeStats stats() const {
     CombiningTreeStats s;
     for (const Node& nd : nodes_) {
       s.folds += nd.folds.load(std::memory_order_relaxed);
       s.declined_folds += nd.declined_folds.load(std::memory_order_relaxed);
-      s.direct_applies += nd.direct_applies.load(std::memory_order_relaxed);
+    }
+    for (const SlotCounter& c : direct_applies_) {
+      s.direct_applies += c.n.load(std::memory_order_relaxed);
     }
     s.root_applies =
         root_applies_.load(std::memory_order_relaxed) + s.direct_applies;
@@ -400,24 +404,30 @@ class MappingCombiningTree {
 
   struct alignas(kCacheLine) Node {
     std::atomic<std::uint64_t> status{kIdle};
-    // Mapping/reply slots on their own line: the handshake spins on
-    // `status` above, the encoded mappings move below. `first_map` and
-    // `declined` are written by the first in its combine phase and read
-    // back by the same thread in distribute — ownership is handed by the
-    // status word, never contended.
-    alignas(kCacheLine) M first_map{};
-    M second_map{};
+    // Besides `status`, the status line carries only words the node's
+    // current first writes, each immediately before its own store to
+    // `status`: so the handshake moves one line, and the waiting second
+    // reads its reply from the line it spins on. `declined` is set in the
+    // combine phase and read back by the same thread in distribute;
+    // `result` is the second's reply. Telemetry (relaxed; read by stats()
+    // snapshots): try_compose outcomes at this node, atomics because
+    // successive occupancies are different threads and snapshots race by
+    // design.
     V result{};
     bool declined = false;
-    // Telemetry (relaxed; read by stats() snapshots): try_compose
-    // outcomes at this node, incremented only by the first in its combine
-    // phase, which owns the node then; and, on a leaf, the direct root
-    // CASes of the slots it serves, kept here so the direct path's count
-    // stays off the root's line. Atomics because successive occupancies
-    // are different threads and snapshots race by design.
     std::atomic<std::uint64_t> folds{0};
     std::atomic<std::uint64_t> declined_folds{0};
-    std::atomic<std::uint64_t> direct_applies{0};
+    // Mapping slots on their own lines: the first writes `first_map`, the
+    // second deposits `second_map`; the status word hands ownership over.
+    alignas(kCacheLine) M first_map{};
+    M second_map{};
+  };
+
+  /// One slot's direct root CASes, on a line no other slot writes: the
+  /// direct path's only write besides the root word stays uncontended
+  /// (threads aliasing onto one slot share it, hence the atomic).
+  struct alignas(kCacheLine) SlotCounter {
+    std::atomic<std::uint64_t> n{0};
   };
 
   /// Phases 1–4 for an operation whose direct CAS lost. Out of line, and
@@ -630,13 +640,16 @@ class MappingCombiningTree {
     }
   }
 
+  // Read by every operation, written by none after construction.
   unsigned width_;
-  alignas(kCacheLine) std::atomic<V> root_;
-  // Tree-path root applications (direct ones are counted at the leaves),
-  // on their own line: a counter beside root_ would turn every apply into
-  // a second write to the hot line.
-  alignas(kCacheLine) std::atomic<std::uint64_t> root_applies_{0};
   std::vector<Node> nodes_;  // heap layout, nodes_[1..width-1]
+  std::vector<SlotCounter> direct_applies_;  // per slot
+  // The root word alone on its line: every operation's CAS lands here.
+  alignas(kCacheLine) std::atomic<V> root_;
+  // Tree-path root applications (direct ones are counted per slot), on
+  // their own line: a counter beside root_ would turn every apply into a
+  // second write to the hot line.
+  alignas(kCacheLine) std::atomic<std::uint64_t> root_applies_{0};
 };
 
 }  // namespace krs::runtime

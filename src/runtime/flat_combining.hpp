@@ -121,8 +121,8 @@ class FlatCombiner {
                         unsigned max_passes = kDefaultMaxPasses)
       : nslots_(slots < 2 ? 2 : slots),
         max_passes_(max_passes < 1 ? 1 : max_passes),
-        value_(initial),
-        slots_(nslots_) {
+        slots_(nslots_),
+        value_(initial) {
     served_.reserve(nslots_);
   }
 
@@ -476,15 +476,23 @@ class FlatCombiner {
     }
   }
 
+  // Five lines, one role each (cacheline.hpp's one-writer-per-hot-line
+  // rule). First, the line every operation reads and none writes after
+  // construction.
   unsigned nslots_;
   unsigned max_passes_;
+  std::vector<Slot> slots_;
   // Waiters retry try_lock on lock_'s line, so the combiner's scratch
   // stays off it: beside lock_, krs-bench hot_flat p99 rose about 20% on
   // a 4-CPU host.
   alignas(kCacheLine) std::atomic<std::uint32_t> lock_{0};
+  // The value word alone on the line every direct CAS writes. Every
+  // publish and scan reads the slots_ header and every pass rewrites
+  // served_, so beside value_ either one pulls the line away from the
+  // CASers.
   alignas(kCacheLine) std::atomic<core::Word> value_;
-  std::vector<Slot> slots_;
-  std::vector<unsigned> served_;  ///< serve_pass scratch; combiner lock only
+  /// serve_pass scratch, on a line only the lock-holding combiner touches.
+  alignas(kCacheLine) std::vector<unsigned> served_;
 
   // Telemetry (relaxed; snapshots race with operations by design), on its
   // own line: a counter beside value_ would turn every published op into a

@@ -58,53 +58,7 @@
 #include "verify/race_explorer.hpp"
 #include "workload/path_scenarios.hpp"
 
-namespace krs::runtime {
-
-// Test-only peer: drives the private four-phase protocol single-threaded
-// so fold/decline telemetry is deterministic (under real concurrency the
-// First→combine window is too narrow to hit reliably on a 1-CPU host).
-struct CombiningTreeTestPeer {
-  template <typename Tree>
-  static bool precombine(Tree& t, unsigned n) {
-    return t.precombine(n);
-  }
-  template <typename Tree, typename M>
-  static M combine(Tree& t, unsigned n, M c) {
-    return t.combine(n, std::move(c));
-  }
-  template <typename Tree, typename M>
-  static typename Tree::value_type apply_at_root(Tree& t, const M& c) {
-    return t.apply_at_root(c);
-  }
-  /// The non-waiting first half of deposit_and_await: plant the second's
-  /// mapping and flip the node to SecondReady.
-  template <typename Tree, typename M>
-  static void deposit_second(Tree& t, unsigned n, M c) {
-    auto& nd = t.nodes_[n];
-    const std::uint64_t w = nd.status.load(std::memory_order_relaxed);
-    ASSERT_EQ(Tree::tag_of(w), Tree::kSecondPending);
-    nd.second_map = std::move(c);
-    nd.status.store(Tree::retag(w, Tree::kSecondReady),
-                    std::memory_order_release);
-  }
-  template <typename Tree>
-  static void distribute(Tree& t, unsigned n,
-                         const typename Tree::value_type& prior) {
-    t.distribute(n, prior);
-  }
-  /// The second's reply pickup (the tail of deposit_and_await).
-  template <typename Tree>
-  static typename Tree::value_type take_result(Tree& t, unsigned n) {
-    auto& nd = t.nodes_[n];
-    const std::uint64_t w = nd.status.load(std::memory_order_acquire);
-    EXPECT_EQ(Tree::tag_of(w), Tree::kResult);
-    const auto r = nd.result;
-    nd.status.store(Tree::idle_next_gen(w), std::memory_order_release);
-    return r;
-  }
-};
-
-}  // namespace krs::runtime
+#include "test_peers.hpp"
 
 namespace {
 

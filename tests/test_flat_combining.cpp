@@ -16,6 +16,8 @@
 //    stats accounting;
 //  * the lost-update guard: compare_exchange interleaved with direct,
 //    all-fetch_add and CAS-loop batches must never drop an increment;
+//  * exact per-slot counts when eight threads alias two slots of a tree
+//    and of a flat combiner;
 //  * instrumented HB edges through FlatCombiningBackend (the same
 //    temporally-separated-ops experiment the other backends pass);
 //  * race_explorer models of the publication handshake (claim → publish
@@ -45,54 +47,7 @@
 #include "runtime/flat_combining.hpp"
 #include "verify/race_explorer.hpp"
 
-namespace krs::runtime {
-
-// Test-only peer: drives the private publication protocol piecewise so
-// the handoff branch (pass cap hit with work still pending) is reachable
-// deterministically — under free-running threads that window depends on a
-// publication landing mid-scan.
-struct FlatCombinerTestPeer {
-  template <typename FC>
-  static void publish(FC& fc, unsigned slot, krs::core::AnyRmw op) {
-    auto& s = fc.slots_[slot];
-    std::uint32_t expect = FC::kIdle;
-    ASSERT_TRUE(s.seq.compare_exchange_strong(expect, FC::kClaimed,
-                                              std::memory_order_acquire,
-                                              std::memory_order_relaxed));
-    s.op = std::move(op);
-    s.seq.store(FC::kPending, std::memory_order_release);
-  }
-  template <typename FC>
-  static bool lock(FC& fc) {
-    return fc.try_lock();
-  }
-  template <typename FC>
-  static void unlock(FC& fc) {
-    fc.unlock();
-  }
-  /// One combiner tenure (lock must be held).
-  template <typename FC>
-  static void combine(FC& fc) {
-    fc.combine(nullptr);
-  }
-  /// The owner's reply pickup.
-  template <typename FC>
-  static krs::core::Word take(FC& fc, unsigned slot) {
-    auto& s = fc.slots_[slot];
-    EXPECT_EQ(s.seq.load(std::memory_order_acquire),
-              static_cast<std::uint32_t>(FC::kDone));
-    const krs::core::Word r = s.result;
-    s.seq.store(FC::kIdle, std::memory_order_release);
-    return r;
-  }
-  template <typename FC>
-  static bool pending(const FC& fc, unsigned slot) {
-    return fc.slots_[slot].seq.load(std::memory_order_acquire) ==
-           static_cast<std::uint32_t>(FC::kPending);
-  }
-};
-
-}  // namespace krs::runtime
+#include "test_peers.hpp"
 
 namespace {
 
@@ -426,6 +381,40 @@ TEST(FlatCombinerConcurrent, CompareExchangeLinearizesWithDirectAndBatchedOps) {
                           static_cast<std::uint64_t>(nt / 2) * kPer);
     EXPECT_GE(st.serialized_updates, static_cast<std::uint64_t>(nt) * kPer);
   }
+}
+
+// --- per-slot counters shared by aliased threads -----------------------------
+
+TEST(SlotAliasing, EightThreadsOnTwoSlotsCountExactly) {
+  // Eight threads on two slots: four threads share each slot's direct
+  // counter, in a width-2 tree and in a 2-slot flat combiner. The
+  // counters are atomic, so once the threads join every count is exact.
+  // Both ops totals include the summed per-slot direct counts, so a lost
+  // or doubled direct count breaks the two ops identities below.
+  constexpr unsigned kThreads = 8;
+  constexpr std::uint64_t kN = 20000;
+  constexpr std::uint64_t kTotal = kThreads * kN;
+  MappingCombiningTree<AnyRmw> tree(2);
+  FlatCombiner<> fc(2);
+  {
+    std::vector<std::jthread> ts;
+    for (unsigned t = 0; t < kThreads; ++t) {
+      ts.emplace_back([&, t] {
+        for (std::uint64_t i = 0; i < kN; ++i) {
+          tree.fetch_rmw(t % 2, AnyRmw(FetchAdd(1)));
+          fc.fetch_rmw(t % 2, AnyRmw(FetchAdd(1)));
+        }
+      });
+    }
+  }
+  EXPECT_EQ(tree.read(), kTotal);
+  const CombiningTreeStats ts = tree.stats();
+  EXPECT_EQ(ts.folds + ts.root_applies, kTotal);
+  EXPECT_LE(ts.direct_applies, kTotal);
+  EXPECT_EQ(fc.read(), kTotal);
+  const FlatCombinerStats fs = fc.stats();
+  EXPECT_EQ(fs.ops, kTotal);
+  EXPECT_LE(fs.direct_applies + fs.combined, fs.ops);
 }
 
 // --- instrumented HB edges through the backend seam --------------------------

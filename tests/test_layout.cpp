@@ -1,0 +1,118 @@
+// The software combiners' cache-line layout, pinned deterministically
+// (runtime/cacheline.hpp's one-writer-per-hot-line rule). Most operations
+// are one CAS on the hot word, so any other word on that word's line, or
+// on a line the direct path writes, costs each of them one more remote
+// memory reference:
+//
+//  * the tree's root word shares its line with no other member, each
+//    slot's direct-apply counter owns a line, the read-only headers stay
+//    off the root-apply counter's line, and a node's status line carries
+//    exactly the words its first writes before storing `status`;
+//  * the flat combiner's value word shares its line with no other member,
+//    and lock_, value_, the slots_ header, served_ and the telemetry sit
+//    on five distinct lines.
+#include <gtest/gtest.h>
+
+#include <cstddef>
+#include <string>
+#include <vector>
+
+#include "core/any_rmw.hpp"
+#include "runtime/cacheline.hpp"
+#include "runtime/combining_tree.hpp"
+#include "runtime/flat_combining.hpp"
+
+#include "test_peers.hpp"
+
+namespace {
+
+using namespace krs::runtime;
+
+/// The members of `ms` other than `name` whose lines overlap `name`'s.
+std::vector<std::string> line_mates(const std::vector<Member>& ms,
+                                    const std::string& name) {
+  const Member* me = nullptr;
+  for (const Member& m : ms) {
+    if (name == m.name) me = &m;
+  }
+  EXPECT_NE(me, nullptr) << name;
+  std::vector<std::string> mates;
+  if (me == nullptr) return mates;
+  for (const Member& m : ms) {
+    if (&m != me && m.lines.overlaps(me->lines)) mates.emplace_back(m.name);
+  }
+  return mates;
+}
+
+// The tree every CombiningBackend cell holds.
+using Tree = MappingCombiningTree<krs::core::AnyRmw>;
+using TreePeer = CombiningTreeTestPeer;
+
+static_assert(TreePeer::node_size<Tree>() == 6 * kCacheLine,
+              "a node is its status line plus the two mapping slots");
+
+TEST(CombiningTreeLayout, DirectPathLinesHaveOneWriter) {
+  for (const unsigned width : {2u, 16u}) {
+    SCOPED_TRACE(width);
+    const Tree tree(width);
+    const std::vector<Member> ms = TreePeer::members(tree);
+
+    // The root word: every direct CAS lands on its line, alone.
+    EXPECT_TRUE(line_mates(ms, "root_").empty());
+    // The root-apply counter: written by every climber's root apply, so
+    // the headers every operation reads stay off its line.
+    EXPECT_TRUE(line_mates(ms, "root_applies_").empty());
+
+    // One line per slot's direct counter: no other slot, no node and no
+    // member of the tree shares it.
+    for (unsigned s = 0; s < tree.width(); ++s) {
+      const LineSpan c = TreePeer::direct_counter(tree, s);
+      EXPECT_EQ(c.first, c.last) << "slot " << s;
+      for (unsigned o = 0; o < tree.width(); ++o) {
+        if (o != s) {
+          EXPECT_FALSE(c.overlaps(TreePeer::direct_counter(tree, o)))
+              << "slots " << s << " and " << o;
+        }
+      }
+      for (unsigned n = 1; n < tree.width(); ++n) {
+        EXPECT_FALSE(c.overlaps(TreePeer::node_first_words(tree, n)[0]))
+            << "slot " << s << " on node " << n << "'s status line";
+      }
+      for (const Member& m : ms) {
+        EXPECT_FALSE(c.overlaps(m.lines)) << "slot " << s << " on " << m.name;
+      }
+    }
+
+    // A node's status line holds the reply, the decline flag and the fold
+    // counters: all written by the node's first just before its own
+    // status store, so a handshake moves one line.
+    for (unsigned n = 1; n < tree.width(); ++n) {
+      const std::vector<LineSpan> w = TreePeer::node_first_words(tree, n);
+      for (std::size_t i = 1; i < w.size(); ++i) {
+        EXPECT_EQ(w[i].first, w[0].first) << "node " << n << " word " << i;
+        EXPECT_EQ(w[i].last, w[0].first) << "node " << n << " word " << i;
+      }
+    }
+  }
+}
+
+using Fc = FlatCombiner<>;
+using FlatPeer = FlatCombinerTestPeer;
+
+TEST(FlatCombinerLayout, ValueWordLineHoldsOnlyTheValue) {
+  for (const unsigned slots : {2u, 16u}) {
+    SCOPED_TRACE(slots);
+    const Fc fc(slots);
+    const std::vector<Member> ms = FlatPeer::members(fc);
+    ASSERT_EQ(ms.size(), 5u);
+
+    // Five members, five distinct lines: the value word every direct CAS
+    // writes, the lock waiters retry, the header every operation reads,
+    // the combiner's per-pass scratch, and the telemetry.
+    for (const Member& m : ms) {
+      EXPECT_TRUE(line_mates(ms, m.name).empty()) << m.name;
+    }
+  }
+}
+
+}  // namespace

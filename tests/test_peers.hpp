@@ -1,0 +1,172 @@
+// Test-only peers of the two software combiners, shared by the test
+// files that drive their private protocol piecewise or check their
+// layout. Each is a friend of its class (combining_tree.hpp,
+// flat_combining.hpp).
+#pragma once
+
+#include <gtest/gtest.h>
+
+#include <atomic>
+#include <cstddef>
+#include <cstdint>
+#include <utility>
+#include <vector>
+
+#include "core/any_rmw.hpp"
+#include "core/types.hpp"
+#include "runtime/cacheline.hpp"
+
+namespace krs::runtime {
+
+/// The cache lines [first, last] one object spans (address / kCacheLine).
+struct LineSpan {
+  std::uintptr_t first;
+  std::uintptr_t last;
+
+  [[nodiscard]] bool overlaps(const LineSpan& o) const {
+    return first <= o.last && o.first <= last;
+  }
+};
+
+template <typename T>
+LineSpan lines_of(const T& x) {
+  const auto a = reinterpret_cast<std::uintptr_t>(&x);
+  return {a / kCacheLine, (a + sizeof(T) - 1) / kCacheLine};
+}
+
+/// One data member of a combiner and the lines it occupies.
+struct Member {
+  const char* name;
+  LineSpan lines;
+};
+
+// Test-only peer: drives the private four-phase protocol single-threaded
+// so fold/decline telemetry is deterministic (under real concurrency the
+// First→combine window is too narrow to hit reliably on a 1-CPU host),
+// and exposes the lines its members occupy.
+struct CombiningTreeTestPeer {
+  template <typename Tree>
+  static bool precombine(Tree& t, unsigned n) {
+    return t.precombine(n);
+  }
+  template <typename Tree, typename M>
+  static M combine(Tree& t, unsigned n, M c) {
+    return t.combine(n, std::move(c));
+  }
+  template <typename Tree, typename M>
+  static typename Tree::value_type apply_at_root(Tree& t, const M& c) {
+    return t.apply_at_root(c);
+  }
+  /// The non-waiting first half of deposit_and_await: plant the second's
+  /// mapping and flip the node to SecondReady.
+  template <typename Tree, typename M>
+  static void deposit_second(Tree& t, unsigned n, M c) {
+    auto& nd = t.nodes_[n];
+    const std::uint64_t w = nd.status.load(std::memory_order_relaxed);
+    ASSERT_EQ(Tree::tag_of(w), Tree::kSecondPending);
+    nd.second_map = std::move(c);
+    nd.status.store(Tree::retag(w, Tree::kSecondReady),
+                    std::memory_order_release);
+  }
+  template <typename Tree>
+  static void distribute(Tree& t, unsigned n,
+                         const typename Tree::value_type& prior) {
+    t.distribute(n, prior);
+  }
+  /// The second's reply pickup (the tail of deposit_and_await).
+  template <typename Tree>
+  static typename Tree::value_type take_result(Tree& t, unsigned n) {
+    auto& nd = t.nodes_[n];
+    const std::uint64_t w = nd.status.load(std::memory_order_acquire);
+    EXPECT_EQ(Tree::tag_of(w), Tree::kResult);
+    const auto r = nd.result;
+    nd.status.store(Tree::idle_next_gen(w), std::memory_order_release);
+    return r;
+  }
+
+  /// The lines of the members the one-writer-per-hot-line rule places.
+  template <typename Tree>
+  static std::vector<Member> members(const Tree& t) {
+    return {{"width_", lines_of(t.width_)},
+            {"nodes_", lines_of(t.nodes_)},
+            {"direct_applies_", lines_of(t.direct_applies_)},
+            {"root_", lines_of(t.root_)},
+            {"root_applies_", lines_of(t.root_applies_)}};
+  }
+  template <typename Tree>
+  static LineSpan direct_counter(const Tree& t, unsigned slot) {
+    return lines_of(t.direct_applies_[slot]);
+  }
+  /// One node's lines: [0] its status line, then every word its first
+  /// writes before storing `status`.
+  template <typename Tree>
+  static std::vector<LineSpan> node_first_words(const Tree& t, unsigned n) {
+    const auto& nd = t.nodes_[n];
+    return {lines_of(nd.status), lines_of(nd.result), lines_of(nd.declined),
+            lines_of(nd.folds), lines_of(nd.declined_folds)};
+  }
+  template <typename Tree>
+  static constexpr std::size_t node_size() {
+    return sizeof(typename Tree::Node);
+  }
+};
+
+// Test-only peer: drives the private publication protocol piecewise so
+// the handoff branch (pass cap hit with work still pending) is reachable
+// deterministically — under free-running threads that window depends on a
+// publication landing mid-scan. Also exposes the lines its members occupy.
+struct FlatCombinerTestPeer {
+  template <typename FC>
+  static void publish(FC& fc, unsigned slot, krs::core::AnyRmw op) {
+    auto& s = fc.slots_[slot];
+    std::uint32_t expect = FC::kIdle;
+    ASSERT_TRUE(s.seq.compare_exchange_strong(expect, FC::kClaimed,
+                                              std::memory_order_acquire,
+                                              std::memory_order_relaxed));
+    s.op = std::move(op);
+    s.seq.store(FC::kPending, std::memory_order_release);
+  }
+  template <typename FC>
+  static bool lock(FC& fc) {
+    return fc.try_lock();
+  }
+  template <typename FC>
+  static void unlock(FC& fc) {
+    fc.unlock();
+  }
+  /// One combiner tenure (lock must be held).
+  template <typename FC>
+  static void combine(FC& fc) {
+    fc.combine(nullptr);
+  }
+  /// The owner's reply pickup.
+  template <typename FC>
+  static krs::core::Word take(FC& fc, unsigned slot) {
+    auto& s = fc.slots_[slot];
+    EXPECT_EQ(s.seq.load(std::memory_order_acquire),
+              static_cast<std::uint32_t>(FC::kDone));
+    const krs::core::Word r = s.result;
+    s.seq.store(FC::kIdle, std::memory_order_release);
+    return r;
+  }
+  template <typename FC>
+  static bool pending(const FC& fc, unsigned slot) {
+    return fc.slots_[slot].seq.load(std::memory_order_acquire) ==
+           static_cast<std::uint32_t>(FC::kPending);
+  }
+
+  /// The lines of the members the one-writer-per-hot-line rule places;
+  /// "telemetry" spans every counter from ops_ to serialized_updates_.
+  template <typename FC>
+  static std::vector<Member> members(const FC& fc) {
+    const LineSpan first = lines_of(fc.ops_);
+    const LineSpan last = lines_of(fc.serialized_updates_);
+    return {{"slots_", lines_of(fc.slots_)},
+            {"lock_", lines_of(fc.lock_)},
+            {"value_", lines_of(fc.value_)},
+            {"served_", lines_of(fc.served_)},
+            {"telemetry", {first.first, last.last}}};
+  }
+};
+
+}  // namespace krs::runtime
