@@ -5,7 +5,8 @@
 // The shared object is a two-field record that writers keep consistent
 // (checksum == f(payload)); any reader observing a torn pair proves a
 // mutual-exclusion bug. The demo reports throughput per structure and
-// verifies zero violations.
+// exits non-zero if any structure shows a violation or completes no reads
+// or no writes.
 //
 // Build & run:   ./examples/readers_writers [seconds-per-structure]
 #include <atomic>
@@ -80,12 +81,16 @@ Result race(double seconds, ReadLock read_section, WriteLock write_section) {
   return {reads.load(), writes.load(), violations.load()};
 }
 
-void report(const char* name, const Result& r, double secs) {
+/// Prints one structure's line; false if it broke exclusion or starved a
+/// side.
+bool report(const char* name, const Result& r, double secs) {
+  const bool ok = r.violations == 0 && r.reads > 0 && r.writes > 0;
   std::printf("%-18s %10.0f reads/s %9.0f writes/s  violations: %llu %s\n",
               name, static_cast<double>(r.reads) / secs,
               static_cast<double>(r.writes) / secs,
               static_cast<unsigned long long>(r.violations),
-              r.violations == 0 ? "(ok)" : "(BUG!)");
+              ok ? "(ok)" : r.violations != 0 ? "(BUG!)" : "(starved)");
+  return ok;
 }
 
 }  // namespace
@@ -96,6 +101,7 @@ int main(int argc, char** argv) {
               "structure\n\n",
               secs);
 
+  bool ok = true;
   {
     FaaRwLock lock;
     const auto r = race(
@@ -110,7 +116,7 @@ int main(int argc, char** argv) {
           body();
           lock.write_unlock();
         });
-    report("faa rw-lock", r, secs);
+    ok = report("faa rw-lock", r, secs) && ok;
   }
   {
     GroupLock lock;  // group 0 = readers, group 1 = writer
@@ -126,7 +132,7 @@ int main(int argc, char** argv) {
           body();
           lock.leave();
         });
-    report("GLR group lock", r, secs);
+    ok = report("GLR group lock", r, secs) && ok;
   }
   {
     std::shared_mutex lock;
@@ -140,10 +146,10 @@ int main(int argc, char** argv) {
           std::unique_lock lk(lock);
           body();
         });
-    report("std::shared_mutex", r, secs);
+    ok = report("std::shared_mutex", r, secs) && ok;
   }
   std::printf("\n(the fetch-and-add structures have no serial lock-handoff "
               "path — the property the paper's combinable RMW operations "
               "were designed to exploit at machine scale)\n");
-  return 0;
+  return ok ? 0 : 1;
 }

@@ -17,10 +17,14 @@
 // default policy compiles to nothing.
 #pragma once
 
+#include <array>
 #include <atomic>
+#include <cstddef>
 #include <cstdint>
+#include <utility>
 
 #include "analysis/instrument.hpp"
+#include "runtime/cacheline.hpp"
 #include "runtime/rmw_backend.hpp"
 #include "runtime/wait_policy.hpp"
 #include "util/assert.hpp"
@@ -88,34 +92,57 @@ using FaaBarrier = BasicFaaBarrier<>;
 /// Gottlieb–Lubachevsky–Rudolph: readers announce with fetch-and-add and
 /// retreat if a writer holds the lock; a writer takes a flag with
 /// test-and-set (fetch-and-or) and waits for readers to drain.
+///
+/// The reader count is a distributed indicator: kReaderSlots backend cells,
+/// each on its own line, and a reader counts itself on slot
+/// thread_ordinal() % kReaderSlots. Without a combining memory one shared
+/// count is a hot spot every read section writes twice; striped, readers
+/// on different slots never touch a common line, and only a writer reads
+/// every slot. Each slot still counts exactly the readers announced on it
+/// and never goes negative, because a reader announces, retreats and
+/// leaves on the same slot. Hence the one precondition the single count
+/// did not have: read_unlock must run on the thread that called read_lock.
+///
+/// Ordering: on each slot the handshake is a store→load pair per side —
+/// the reader's RMW on its slot then its load of the writer flag, the
+/// writer's RMW on the flag then its load of the slot. Exclusion needs
+/// each side's RMW to perform before its load (M1 of §3.2, or M2 with a
+/// fence between them), exactly as it did with one count;
+/// tests/test_interleave.cpp pins that requirement as a litmus pair.
 template <RmwBackend Backend = AtomicBackend,
           typename Instrument = analysis::DefaultInstrument,
           WaitPolicy Policy = SpinYieldWait>
 class BasicRwLock {
  public:
+  /// Reader slots per lock: readers on distinct slots share no line.
+  static constexpr unsigned kReaderSlots = 8;
+
   explicit BasicRwLock(Backend backend = Backend{})
       : backend_(std::move(backend)),
-        readers_(backend_, 0),
+        slots_(make_slots(backend_,
+                          std::make_index_sequence<kReaderSlots>{})),
         writer_(backend_, 0) {}
 
   void read_lock() {
+    typename Backend::Cell& slot = my_slot();
     Policy pol;
     for (;;) {
-      backend_.fetch_add(readers_, 1);
+      backend_.fetch_add(slot, 1);
       if (backend_.load(writer_) == 0) {
         Instrument::acquire(this);
         return;
       }
       // A writer is active or arriving: retreat and retry.
-      backend_.fetch_add(readers_, Word{0} - 1);
+      backend_.fetch_add(slot, Word{0} - 1);
       while (backend_.load(writer_) != 0) pol.pause();
       pol.reset();  // writer drained: a fresh wait episode on retry
     }
   }
 
+  /// Must run on the thread that called read_lock (it leaves that slot).
   void read_unlock() {
     Instrument::release(this);
-    backend_.fetch_add(readers_, Word{0} - 1);
+    backend_.fetch_add(my_slot(), Word{0} - 1);
   }
 
   void write_lock() {
@@ -123,8 +150,10 @@ class BasicRwLock {
     // test-and-set(X) ≡ fetch-and-OR(X, 1) (§5.2).
     while ((backend_.fetch_or(writer_, 1) & 1) != 0) pol.pause();
     pol.reset();  // flag taken: draining readers is a new episode
-    // Wait for in-flight readers to drain or retreat.
-    while (backend_.load(readers_) != 0) pol.pause();
+    // Wait for in-flight readers to drain or retreat, slot by slot.
+    for (ReaderSlot& s : slots_) {
+      while (backend_.load(s.count) != 0) pol.pause();
+    }
     Instrument::acquire(this);
   }
 
@@ -134,9 +163,26 @@ class BasicRwLock {
   }
 
  private:
+  friend struct RwLockTestPeer;
+
+  struct alignas(kCacheLine) ReaderSlot {
+    explicit ReaderSlot(const Backend& b) : count(b, 0) {}
+    typename Backend::Cell count;
+  };
+
+  template <std::size_t... I>
+  static std::array<ReaderSlot, kReaderSlots> make_slots(
+      const Backend& b, std::index_sequence<I...>) {
+    return {{((void)I, ReaderSlot(b))...}};
+  }
+
+  typename Backend::Cell& my_slot() noexcept {
+    return slots_[thread_ordinal() % kReaderSlots].count;
+  }
+
   Backend backend_;
-  typename Backend::Cell readers_;
-  typename Backend::Cell writer_;
+  std::array<ReaderSlot, kReaderSlots> slots_;
+  typename Backend::Cell writer_;  // on a fresh line: slots are line-sized
 };
 
 template <typename Instrument = analysis::DefaultInstrument>

@@ -1,7 +1,13 @@
 // §3.2 and §5.1 litmus programs, explored exhaustively under the three
 // memory models: the Collier example separating M1 from M2, the effect of
-// RP3 fences, and the incorrectness of early load satisfaction.
+// RP3 fences, the readers–writers lock's per-slot handshake, and the
+// incorrectness of early load satisfaction.
 #include <gtest/gtest.h>
+
+#include <set>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "verify/interleave.hpp"
 
@@ -60,6 +66,62 @@ TEST(Collier, FencesRestoreSequentialConsistency) {
   EXPECT_TRUE(reachable(fenced, {{"P0.a", 0}, {"P0.b", 0}}));
   EXPECT_TRUE(reachable(fenced, {{"P0.a", 0}, {"P0.b", 1}}));
   EXPECT_TRUE(reachable(fenced, {{"P0.a", 1}, {"P0.b", 1}}));
+}
+
+// --- the readers–writers handshake on striped reader slots (§3.2) ----------
+//   reader i (P0, P1): slot_i ← 1; r_i ← flag
+//   writer (P2):       flag ← 1; w_0 ← slot_0; w_1 ← slot_1
+// Each slot is a store→load handshake with the writer: exclusion fails if
+// reader i sees the flag clear (r_i = 0) while the writer sees slot i
+// empty (w_i = 0).
+LitmusProgram rwlock_handshake(bool with_fences) {
+  LitmusProgram p;
+  for (const char* i : {"0", "1"}) {
+    const std::string slot = std::string("slot") + i;
+    std::vector<Instr> reader{IStoreConst{slot, 1}};
+    if (with_fences) reader.push_back(IFence{});
+    reader.push_back(ILoad{"flag", std::string("r") + i});
+    p.procs.push_back(std::move(reader));
+  }
+  std::vector<Instr> writer{IStoreConst{"flag", 1}};
+  if (with_fences) writer.push_back(IFence{});
+  writer.push_back(ILoad{"slot0", "w0"});
+  writer.push_back(ILoad{"slot1", "w1"});
+  p.procs.push_back(std::move(writer));
+  p.initial = {{"flag", 0}, {"slot0", 0}, {"slot1", 0}};
+  return p;
+}
+
+/// Reader i inside (flag seen clear) while the writer saw its slot empty.
+bool both_inside(const std::set<Outcome>& out, const char* i) {
+  return reachable(out, {{std::string("P") + i + ".r" + i, 0},
+                         {std::string("P2.w") + i, 0}});
+}
+
+TEST(RwLockHandshake, ExcludesUnderM1AndFencedM2) {
+  for (const auto& [model, fenced] :
+       {std::pair{MemModel::kSequentialConsistency, false},
+        std::pair{MemModel::kSequentialConsistency, true},
+        std::pair{MemModel::kPerLocationFifo, true}}) {
+    SCOPED_TRACE(
+        std::string(model == MemModel::kPerLocationFifo ? "M2" : "M1") +
+        (fenced ? " fenced" : " unfenced"));
+    const auto out = explore(rwlock_handshake(fenced), model);
+    EXPECT_FALSE(both_inside(out, "0"));
+    EXPECT_FALSE(both_inside(out, "1"));
+    // Sanity: each side can still win the race.
+    EXPECT_TRUE(reachable(out, {{"P0.r0", 0}, {"P1.r1", 0}}));
+    EXPECT_TRUE(reachable(out, {{"P2.w0", 0}, {"P2.w1", 0}}));
+  }
+}
+
+TEST(RwLockHandshake, UnfencedM2AdmitsReaderAndWriterInside) {
+  // The control: under M2 a reader's flag load may perform before its
+  // slot store, and the writer's slot loads before its flag store.
+  const auto out =
+      explore(rwlock_handshake(false), MemModel::kPerLocationFifo);
+  EXPECT_TRUE(both_inside(out, "0"));
+  EXPECT_TRUE(both_inside(out, "1"));
 }
 
 // --- the §5.1 early-load counterexample -------------------------------------

@@ -10,7 +10,9 @@
 //    exactly the words its first writes before storing `status`;
 //  * the flat combiner's value word shares its line with no other member,
 //    and lock_, value_, the slots_ header, served_ and the telemetry sit
-//    on five distinct lines.
+//    on five distinct lines;
+//  * each reader slot of the readers–writers lock owns its lines, and the
+//    writer flag every reader loads shares a line with no slot.
 #include <gtest/gtest.h>
 
 #include <cstddef>
@@ -19,8 +21,11 @@
 
 #include "core/any_rmw.hpp"
 #include "runtime/cacheline.hpp"
+#include "runtime/combining_backend.hpp"
 #include "runtime/combining_tree.hpp"
+#include "runtime/coordination.hpp"
 #include "runtime/flat_combining.hpp"
+#include "runtime/sim_backend.hpp"
 
 #include "test_peers.hpp"
 
@@ -112,6 +117,55 @@ TEST(FlatCombinerLayout, ValueWordLineHoldsOnlyTheValue) {
     for (const Member& m : ms) {
       EXPECT_TRUE(line_mates(ms, m.name).empty()) << m.name;
     }
+  }
+}
+
+// Readers on distinct slots must share no line, or the striped count
+// bounces a line between them as the single count did; the writer flag
+// (loaded by every reader, written only by writers) sits on a line no
+// reader's fetch_add touches.
+template <typename Lock>
+void reader_slots_have_one_writer_per_line(const Lock& lock,
+                                           bool cell_is_one_line) {
+  using Peer = RwLockTestPeer;
+  const std::vector<Member> ms = Peer::members(lock);
+  for (unsigned s = 0; s < Lock::kReaderSlots; ++s) {
+    const LineSpan c = Peer::slot(lock, s);
+    if (cell_is_one_line) {
+      EXPECT_EQ(c.first, c.last) << "slot " << s;
+    }
+    for (unsigned o = 0; o < Lock::kReaderSlots; ++o) {
+      if (o != s) {
+        EXPECT_FALSE(c.overlaps(Peer::slot(lock, o)))
+            << "slots " << s << " and " << o;
+      }
+    }
+    for (const Member& m : ms) {
+      EXPECT_FALSE(c.overlaps(m.lines)) << "slot " << s << " on " << m.name;
+    }
+  }
+}
+
+TEST(RwLockLayout, ReaderSlotsHaveOneWriterPerLine) {
+  static_assert(FaaRwLock::kReaderSlots >= 2);
+  {
+    SCOPED_TRACE("atomic");
+    const FaaRwLock lock;
+    reader_slots_have_one_writer_per_line(lock, true);
+  }
+  {
+    // A combining cell spans several lines; the slots still share none.
+    SCOPED_TRACE("combining");
+    const BasicRwLock<CombiningBackend> lock(CombiningBackend{4});
+    reader_slots_have_one_writer_per_line(lock, false);
+  }
+  {
+    // A sim cell is smaller than a line: only the slot's own alignment
+    // keeps two slots apart.
+    SCOPED_TRACE("sim");
+    const BasicRwLock<SimBackend> lock(
+        SimBackend{SimBackendConfig{.log2_procs = 2}});
+    reader_slots_have_one_writer_per_line(lock, true);
   }
 }
 

@@ -1,7 +1,7 @@
-// Test-only peers of the two software combiners, shared by the test
-// files that drive their private protocol piecewise or check their
-// layout. Each is a friend of its class (combining_tree.hpp,
-// flat_combining.hpp).
+// Test-only peers of the two software combiners and the readers–writers
+// lock, shared by the test files that drive their private protocol
+// piecewise or check their layout. Each is a friend of its class
+// (combining_tree.hpp, flat_combining.hpp, coordination.hpp).
 #pragma once
 
 #include <gtest/gtest.h>
@@ -166,6 +166,31 @@ struct FlatCombinerTestPeer {
             {"value_", lines_of(fc.value_)},
             {"served_", lines_of(fc.served_)},
             {"telemetry", {first.first, last.last}}};
+  }
+};
+
+// Test-only peer: the reader slots of a BasicRwLock — which one the
+// calling thread counts itself on, and the lines each occupies.
+struct RwLockTestPeer {
+  /// The index of the slot the calling thread's read sections use.
+  template <typename Lock>
+  static unsigned this_thread_slot(Lock& l) {
+    const auto* mine = &l.my_slot();
+    for (unsigned i = 0; i < Lock::kReaderSlots; ++i) {
+      if (&l.slots_[i].count == mine) return i;
+    }
+    ADD_FAILURE() << "my_slot() is not one of the reader slots";
+    return 0;
+  }
+  template <typename Lock>
+  static LineSpan slot(const Lock& l, unsigned i) {
+    return lines_of(l.slots_[i].count);
+  }
+  /// The lines of the members other than the slots.
+  template <typename Lock>
+  static std::vector<Member> members(const Lock& l) {
+    return {{"backend_", lines_of(l.backend_)},
+            {"writer_", lines_of(l.writer_)}};
   }
 };
 

@@ -9,6 +9,7 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <memory>
 #include <numeric>
 #include <set>
 #include <thread>
@@ -22,6 +23,8 @@
 #include "runtime/ticket_lock.hpp"
 #include "runtime/tree_barrier.hpp"
 #include "runtime/wait_policy.hpp"
+
+#include "test_peers.hpp"
 
 namespace {
 
@@ -371,6 +374,144 @@ TEST(FaaRwLock, ReadersSeeConsistentSnapshots) {
     }
   }
   EXPECT_FALSE(torn.load());
+}
+
+// Readers hold read locks on every slot, one slot shared by two, and a
+// writer must stay out until the last of them leaves. Readers are spawned
+// until both hold: kReaderSlots + 1 of them when ordinals are dense, as
+// they are when this test runs alone. They leave in slot order, so the
+// writer's scan passes each drained slot while another still holds it out.
+void writer_waits_for_every_slot(bool ascending) {
+  constexpr unsigned kSlots = FaaRwLock::kReaderSlots;
+  FaaRwLock lock;
+  struct Reader {
+    unsigned slot = 0;
+    std::atomic<bool> holding{false};
+    std::atomic<bool> release{false};
+    std::atomic<bool> left{false};
+    std::jthread thread;  // last: joined before the flags it reads go
+  };
+  std::vector<std::unique_ptr<Reader>> readers;
+  // Let every reader go before any joins, however the test ends.
+  struct ReleaseAll {
+    std::vector<std::unique_ptr<Reader>>& rs;
+    ~ReleaseAll() {
+      for (auto& r : rs) r->release.store(true, std::memory_order_release);
+    }
+  } release_all{readers};
+  std::vector<unsigned> per_slot(kSlots, 0);
+  const auto covered = [&] {
+    return std::count(per_slot.begin(), per_slot.end(), 0u) == 0 &&
+           *std::max_element(per_slot.begin(), per_slot.end()) >= 2;
+  };
+  while (!covered()) {
+    ASSERT_LT(readers.size(), 4 * kSlots) << "ordinals miss a slot";
+    auto r = std::make_unique<Reader>();
+    Reader& me = *r;
+    me.thread = std::jthread([&lock, &me] {
+      lock.read_lock();
+      me.slot = RwLockTestPeer::this_thread_slot(lock);
+      me.holding.store(true, std::memory_order_release);
+      while (!me.release.load(std::memory_order_acquire)) {
+        std::this_thread::yield();
+      }
+      lock.read_unlock();
+      me.left.store(true, std::memory_order_release);
+    });
+    while (!me.holding.load(std::memory_order_acquire)) {
+      std::this_thread::yield();
+    }
+    ++per_slot[me.slot];
+    readers.push_back(std::move(r));
+  }
+
+  std::atomic<bool> entered{false};
+  std::jthread writer([&] {
+    lock.write_lock();
+    entered.store(true, std::memory_order_release);
+    lock.write_unlock();
+  });
+  std::stable_sort(readers.begin(), readers.end(),
+                   [ascending](const auto& x, const auto& y) {
+                     return ascending ? x->slot < y->slot : x->slot > y->slot;
+                   });
+  for (std::size_t i = 0; i < readers.size(); ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    EXPECT_FALSE(entered.load(std::memory_order_acquire))
+        << "writer entered with " << readers.size() - i << " readers in";
+    readers[i]->release.store(true, std::memory_order_release);
+    while (!readers[i]->left.load(std::memory_order_acquire)) {
+      std::this_thread::yield();
+    }
+  }
+  writer.join();
+  EXPECT_TRUE(entered.load());
+}
+
+TEST(FaaRwLock, WriterWaitsForEveryReaderSlot) {
+  // Both release orders: a writer that skips any one slot enters early in
+  // one of them.
+  for (const bool ascending : {true, false}) {
+    SCOPED_TRACE(ascending ? "ascending" : "descending");
+    writer_waits_for_every_slot(ascending);
+  }
+}
+
+/// Busy work that keeps this thread on its core (a yield would hand the
+/// core to whoever the scheduler likes, shrinking the overlap tested).
+void spin_for(int n) {
+  static thread_local std::atomic<int> sink{0};
+  for (int k = 0; k < n; ++k) sink.fetch_add(1, std::memory_order_relaxed);
+}
+
+TEST(FaaRwLock, ReadersSharingSlotsSeeConsistentPairs) {
+  // Twice as many readers as slots, so every slot carries several readers'
+  // announces and retreats at once, against two writers keeping a == b.
+  // Writers start once every reader is looping, and pause between write
+  // sections so readers get back in; a writer that skipped a slot would
+  // land inside some reader's window between its two loads.
+  constexpr unsigned kReaders = 2 * FaaRwLock::kReaderSlots;
+  FaaRwLock lock;
+  volatile long a = 0, b = 0;
+  std::atomic<unsigned> readers_in{0};
+  std::atomic<unsigned> writers_done{0};
+  std::atomic<bool> torn{false};
+  {
+    std::vector<std::jthread> ts;
+    for (unsigned r = 0; r < kReaders; ++r) {
+      ts.emplace_back([&] {
+        bool counted = false;
+        while (writers_done.load() < 2) {
+          lock.read_lock();
+          const long ra = a;
+          spin_for(64);
+          if (ra != b) torn = true;
+          lock.read_unlock();
+          if (!counted) {
+            counted = true;
+            readers_in.fetch_add(1);
+          }
+        }
+      });
+    }
+    for (int w = 0; w < 2; ++w) {
+      ts.emplace_back([&] {
+        while (readers_in.load() < kReaders) std::this_thread::yield();
+        for (int i = 1; i <= 2000; ++i) {
+          lock.write_lock();
+          a = a + 1;
+          b = b + 1;
+          lock.write_unlock();
+          spin_for(256);
+        }
+        writers_done.fetch_add(1);
+      });
+    }
+  }
+  EXPECT_FALSE(torn.load());
+  const long fa = a, fb = b;
+  EXPECT_EQ(fa, 4000);
+  EXPECT_EQ(fb, 4000);
 }
 
 // --- semaphore ---------------------------------------------------------------
