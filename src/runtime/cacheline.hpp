@@ -15,9 +15,14 @@
 //    same thread bumps right after its own RMW on the hot word (the MCS
 //    and CLH `contended_` counters beside `tail_`): that thread still holds
 //    the line, so the bump costs no extra miss, and on a line of its own
-//    it would cost one.
+//    it would cost one;
+//  * telemetry on a word with a single writer is a plain load and store,
+//    not a locked RMW; a locked RMW is used only where writers can alias
+//    (SlotCounter in thread_ordinal.hpp: the slot's owner stores, threads
+//    aliasing onto the slot fetch_add a second word on the same line).
 // In the cache-coherent cost model each line that breaks the rule is one
-// extra remote memory reference per operation.
+// extra remote memory reference per operation, and each needless locked
+// RMW on a direct path is a second serializing instruction after its CAS.
 #pragma once
 
 #include <cstddef>

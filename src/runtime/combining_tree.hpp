@@ -86,6 +86,7 @@
 #include "analysis/instrument.hpp"
 #include "core/rmw.hpp"
 #include "runtime/cacheline.hpp"
+#include "runtime/thread_ordinal.hpp"
 #include "runtime/wait_policy.hpp"
 #include "util/assert.hpp"
 #include "util/bits.hpp"
@@ -164,10 +165,14 @@ class MappingCombiningTree {
   /// width; a slot may be shared by threads, but concurrency above two
   /// threads per leaf degrades to local waiting at that leaf.
   ///
+  /// The direct path is a load, one CAS and, when the CAS lands, one
+  /// plain store to the slot owner's counter (SlotCounter): `f` is taken
+  /// by reference, and only a climb, after the CAS lost, copies it.
+  ///
   /// Out of line: inlined into a caller's loop, the mapping temporaries
   /// widen the caller's frame, and its deepest call (the first one, which
   /// binds library symbols lazily) can then touch one more stack page.
-  [[gnu::noinline]] V fetch_rmw(unsigned slot, M f) {
+  [[gnu::noinline]] V fetch_rmw(unsigned slot, const M& f) {
     KRS_EXPECTS(slot < width_);
     Instrument::acquire(this);
     Instrument::contended_rmw(&root_, KRS_SITE);
@@ -175,11 +180,11 @@ class MappingCombiningTree {
     if (root_.compare_exchange_strong(cur, f.apply(cur),
                                       std::memory_order_acq_rel,
                                       std::memory_order_relaxed)) {
-      direct_applies_[slot].n.fetch_add(1, std::memory_order_relaxed);
+      direct_applies_[slot].n.add_one(slot);
       Instrument::release(this);
       return cur;
     }
-    const V prior = climb(slot, std::move(f));
+    const V prior = climb(slot, f);
     Instrument::release(this);
     return prior;
   }
@@ -226,8 +231,8 @@ class MappingCombiningTree {
       s.folds += nd.folds.load(std::memory_order_relaxed);
       s.declined_folds += nd.declined_folds.load(std::memory_order_relaxed);
     }
-    for (const SlotCounter& c : direct_applies_) {
-      s.direct_applies += c.n.load(std::memory_order_relaxed);
+    for (const DirectCounter& c : direct_applies_) {
+      s.direct_applies += c.n.total();
     }
     s.root_applies =
         root_applies_.load(std::memory_order_relaxed) + s.direct_applies;
@@ -423,16 +428,19 @@ class MappingCombiningTree {
     M second_map{};
   };
 
-  /// One slot's direct root CASes, on a line no other slot writes: the
-  /// direct path's only write besides the root word stays uncontended
-  /// (threads aliasing onto one slot share it, hence the atomic).
-  struct alignas(kCacheLine) SlotCounter {
-    std::atomic<std::uint64_t> n{0};
+  /// One slot's direct root CASes, both words on a line no other slot
+  /// writes: the direct path's only write besides the root word stays
+  /// uncontended. The slot's owner counts with a plain store; threads
+  /// aliasing onto the slot share the fetch_add word (SlotCounter).
+  struct alignas(kCacheLine) DirectCounter {
+    SlotCounter n;
   };
 
-  /// Phases 1–4 for an operation whose direct CAS lost. Out of line, and
-  /// `f` by reference, so the direct path keeps a small frame.
-  [[gnu::noinline]] V climb(unsigned slot, M&& f) {
+  /// Phases 1–4 for an operation whose direct CAS lost. Out of line, so
+  /// the direct path keeps a small frame. The climb's one copy of `f` is
+  /// the mapping it carries up: each combine() moves it in and out, and a
+  /// second's deposit moves it into the node.
+  [[gnu::noinline]] V climb(unsigned slot, const M& f) {
     const unsigned my_leaf = leaf_of(slot);  // heap index
 
     // Phase 1: precombine — climb while we are the first to arrive.
@@ -443,15 +451,17 @@ class MappingCombiningTree {
     // Phase 2: combine — gather mappings deposited by second arrivals on
     // the path my_leaf, my_leaf/2, ... below `stop`.
     unsigned depth = 0;
-    M combined = std::move(f);
+    M combined = f;
     for (node = my_leaf; node != stop; node /= 2, ++depth) {
       combined = combine(node, std::move(combined));
     }
 
     // Phase 3: operate — at the root, apply; at a SecondPending node,
-    // deposit and spin for the distributed result.
-    const V prior = stop == kRootIndex ? apply_at_root(combined)
-                                       : deposit_and_await(stop, combined);
+    // deposit (the carried mapping moves into the node) and spin for the
+    // distributed result.
+    const V prior = stop == kRootIndex
+                        ? apply_at_root(combined)
+                        : deposit_and_await(stop, std::move(combined));
 
     // Phase 4: distribute results back down our path (i levels above the
     // leaf is my_leaf >> i).
@@ -643,7 +653,7 @@ class MappingCombiningTree {
   // Read by every operation, written by none after construction.
   unsigned width_;
   std::vector<Node> nodes_;  // heap layout, nodes_[1..width-1]
-  std::vector<SlotCounter> direct_applies_;  // per slot
+  std::vector<DirectCounter> direct_applies_;  // per slot
   // The root word alone on its line: every operation's CAS lands here.
   alignas(kCacheLine) std::atomic<V> root_;
   // Tree-path root applications (direct ones are counted per slot), on

@@ -64,6 +64,7 @@
 #include "core/fetch_theta.hpp"
 #include "core/types.hpp"
 #include "runtime/cacheline.hpp"
+#include "runtime/thread_ordinal.hpp"
 #include "runtime/wait_policy.hpp"
 #include "util/assert.hpp"
 
@@ -135,6 +136,9 @@ class FlatCombiner {
   /// this thread elects itself and serves the whole publication list, its
   /// own op included.
   ///
+  /// The direct path is a load, one CAS and, when the CAS lands, one
+  /// plain store to the slot owner's counter (SlotCounter).
+  ///
   /// Out of line, like the tree's fetch_rmw: inlined into a caller's loop
   /// the mapping temporaries widen the caller's frame.
   [[gnu::noinline]] core::Word fetch_rmw(unsigned slot,
@@ -146,7 +150,7 @@ class FlatCombiner {
     if (value_.compare_exchange_strong(cur, f.apply(cur),
                                        std::memory_order_acq_rel,
                                        std::memory_order_relaxed)) {
-      slots_[idx].direct.fetch_add(1, std::memory_order_relaxed);
+      slots_[idx].direct.add_one(idx);
       Instrument::release(this);
       return cur;
     }
@@ -202,7 +206,7 @@ class FlatCombiner {
   [[nodiscard]] FlatCombinerStats stats() const {
     FlatCombinerStats st;
     for (const Slot& s : slots_) {
-      st.direct_applies += s.direct.load(std::memory_order_relaxed);
+      st.direct_applies += s.direct.total();
     }
     st.ops = ops_.load(std::memory_order_relaxed) + st.direct_applies;
     st.combined = combined_.load(std::memory_order_relaxed);
@@ -290,11 +294,13 @@ class FlatCombiner {
     core::AnyRmw op{};
     core::Word result = 0;
     // Direct CASes landed by this slot's threads, in the tail padding, so
-    // the direct path's count stays off the value word's line.
-    std::atomic<std::uint64_t> direct{0};
+    // the direct path's count stays off the value word's line: the slot's
+    // owner counts with a plain store, aliased threads with a fetch_add
+    // on the second word (SlotCounter).
+    SlotCounter direct;
   };
   static_assert(sizeof(Slot) == 3 * kCacheLine,
-                "the direct counter must fit the slot's tail padding");
+                "both direct counter words must fit the slot's tail padding");
 
   /// The collision path: publish into slot `idx`, then wait for a peer
   /// combiner's reply or elect this thread to serve the list. Out of line,

@@ -61,18 +61,14 @@
 // edges (e.g. a barrier's phase transition).
 #pragma once
 
-#include <algorithm>
 #include <atomic>
 #include <concepts>
-#include <cstdint>
-#include <functional>
-#include <mutex>
-#include <vector>
 
 #include "analysis/instrument.hpp"
 #include "core/any_rmw.hpp"
 #include "core/types.hpp"
 #include "runtime/cacheline.hpp"
+#include "runtime/thread_ordinal.hpp"
 #include "runtime/wait_policy.hpp"
 
 namespace krs::runtime {
@@ -80,54 +76,6 @@ namespace krs::runtime {
 using Word = core::Word;
 
 namespace detail {
-
-/// Process-wide pool of dense thread ordinals. An exiting thread returns
-/// its ordinal (via the thread-local guard below) and the smallest free
-/// ordinal is handed out next, so a churny process keeps its live threads
-/// dense in 0..peak-1 instead of leaking slots monotonically — otherwise
-/// every ordinal-mod-width mapping (combining_backend.hpp slot(), the sim
-/// backend's processor map) degenerates to a few aliased slots over time.
-/// Mutex-guarded: acquire/release run once per thread lifetime, never on
-/// an operation path.
-class OrdinalPool {
- public:
-  static OrdinalPool& instance() {
-    static OrdinalPool pool;
-    return pool;
-  }
-
-  unsigned acquire() {
-    std::lock_guard<std::mutex> lk(mu_);
-    if (free_.empty()) return next_++;
-    std::pop_heap(free_.begin(), free_.end(), std::greater<>{});
-    const unsigned o = free_.back();
-    free_.pop_back();
-    return o;
-  }
-
-  void release(unsigned o) {
-    std::lock_guard<std::mutex> lk(mu_);
-    free_.push_back(o);
-    std::push_heap(free_.begin(), free_.end(), std::greater<>{});
-  }
-
- private:
-  std::mutex mu_;
-  std::vector<unsigned> free_;  // min-heap: smallest ordinal leaves first
-  unsigned next_ = 0;
-};
-
-/// RAII tenancy of one ordinal for the current thread's lifetime. The pool
-/// singleton is constructed before the first guard, so it outlives every
-/// guard's destructor (reverse destruction order), on the main thread and
-/// worker threads alike.
-struct OrdinalGuard {
-  const unsigned ordinal = OrdinalPool::instance().acquire();
-  OrdinalGuard() = default;
-  OrdinalGuard(const OrdinalGuard&) = delete;
-  OrdinalGuard& operator=(const OrdinalGuard&) = delete;
-  ~OrdinalGuard() { OrdinalPool::instance().release(ordinal); }
-};
 
 /// The general fetch_rmw emulation: retry CAS until the old value we
 /// applied f to is the old value we replaced. Every failed CAS pays one
@@ -152,18 +100,6 @@ Word paced_cas_rmw(AtomicLike& word, const core::AnyRmw& m,
 }
 
 }  // namespace detail
-
-/// Small dense per-thread ordinal, process-wide. Backends that need a
-/// per-thread slot (the combining tree's leaf position, the sim backend's
-/// simulated processor) derive it from this; callers never pass slot
-/// indices through the backend interface. Ordinals are reclaimed when the
-/// owning thread exits, so they stay bounded by the peak number of LIVE
-/// threads — sequential spawn/join churn reuses the same few slots rather
-/// than counting up forever.
-inline unsigned thread_ordinal() noexcept {
-  thread_local const detail::OrdinalGuard guard;
-  return guard.ordinal;
-}
 
 template <typename B>
 concept RmwBackend =

@@ -22,7 +22,7 @@
 //    drive of the four-phase protocol through CombiningTreeTestPeer pins
 //    the fold/decline counters and the declined second's root-served
 //    reply, value by value; a lone caller always lands the direct root
-//    CAS;
+//    CAS, and its direct apply makes no copy of the mapping;
 //  * compare_exchange racing direct and combined fetch_adds on one cell:
 //    no increment may be lost;
 //  * deterministic race_explorer models of the node handshake, of the
@@ -35,6 +35,7 @@
 #include <atomic>
 #include <cstdint>
 #include <map>
+#include <optional>
 #include <set>
 #include <thread>
 #include <vector>
@@ -389,6 +390,57 @@ TEST(CombineTelemetry, LoneCallerAlwaysLandsTheDirectCas) {
   EXPECT_EQ(st.declined_folds, 0u);
   EXPECT_DOUBLE_EQ(st.served_at_root_fraction(), 1.0);
   EXPECT_DOUBLE_EQ(st.direct_rate(), 1.0);
+}
+
+// A fetch-and-add mapping that counts its own copies and moves, to pin
+// what the tree does with the caller's mapping.
+struct CountingAdd {
+  using value_type = std::uint64_t;
+  static inline int copies = 0;
+  static inline int moves = 0;
+
+  std::uint64_t k = 0;
+
+  CountingAdd() = default;
+  explicit CountingAdd(std::uint64_t add) : k(add) {}
+  CountingAdd(const CountingAdd& o) : k(o.k) { ++copies; }
+  CountingAdd(CountingAdd&& o) noexcept : k(o.k) { ++moves; }
+  CountingAdd& operator=(const CountingAdd& o) {
+    k = o.k;
+    ++copies;
+    return *this;
+  }
+  CountingAdd& operator=(CountingAdd&& o) noexcept {
+    k = o.k;
+    ++moves;
+    return *this;
+  }
+
+  [[nodiscard]] value_type apply(value_type x) const { return x + k; }
+  friend std::optional<CountingAdd> try_compose(const CountingAdd& f,
+                                                const CountingAdd& g) {
+    return CountingAdd(f.k + g.k);
+  }
+};
+static_assert(krs::core::CombinableMapping<CountingAdd>);
+
+TEST(CombineTelemetry, DirectPathMakesNoCopyOfTheMapping) {
+  // The caller's mapping is an lvalue, as it is behind the backend seam:
+  // a by-value fetch_rmw would copy it once per call. A lone caller's
+  // CAS always lands, so no operation climbs, and the tree never needs a
+  // copy of its own.
+  constexpr std::uint64_t kN = 100;
+  MappingCombiningTree<CountingAdd> tree(4, 0);
+  const CountingAdd add3(3);
+  CountingAdd::copies = 0;
+  CountingAdd::moves = 0;
+  for (std::uint64_t i = 0; i < kN; ++i) {
+    ASSERT_EQ(tree.fetch_rmw(static_cast<unsigned>(i % 4), add3), 3 * i);
+  }
+  EXPECT_EQ(CountingAdd::copies, 0);
+  EXPECT_EQ(CountingAdd::moves, 0);
+  EXPECT_EQ(tree.read(), 3 * kN);
+  EXPECT_EQ(tree.stats().direct_applies, kN);
 }
 
 // --- cross-backend equivalence ----------------------------------------------

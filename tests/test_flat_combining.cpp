@@ -17,7 +17,8 @@
 //  * the lost-update guard: compare_exchange interleaved with direct,
 //    all-fetch_add and CAS-loop batches must never drop an increment;
 //  * exact per-slot counts when eight threads alias two slots of a tree
-//    and of a flat combiner;
+//    and of a flat combiner, and when slot owners, aliased ordinals and
+//    spawn/join churn that reuses ordinals all count on both backends;
 //  * instrumented HB edges through FlatCombiningBackend (the same
 //    temporally-separated-ops experiment the other backends pass);
 //  * race_explorer models of the publication handshake (claim → publish
@@ -34,6 +35,8 @@
 #include <atomic>
 #include <cstdint>
 #include <functional>
+#include <latch>
+#include <mutex>
 #include <set>
 #include <thread>
 #include <vector>
@@ -45,6 +48,7 @@
 #include "runtime/combining_backend.hpp"
 #include "runtime/combining_tree.hpp"
 #include "runtime/flat_combining.hpp"
+#include "runtime/thread_ordinal.hpp"
 #include "verify/race_explorer.hpp"
 
 #include "test_peers.hpp"
@@ -415,6 +419,74 @@ TEST(SlotAliasing, EightThreadsOnTwoSlotsCountExactly) {
   const FlatCombinerStats fs = fc.stats();
   EXPECT_EQ(fs.ops, kTotal);
   EXPECT_LE(fs.direct_applies + fs.combined, fs.ops);
+}
+
+TEST(SlotAliasing, OwnersAliasesAndReusedOrdinalsCountExactly) {
+  // Both backends at width 2, where a thread picks slot ordinal % 2: the
+  // threads with ordinals 0 and 1 own their slots and count direct
+  // applies with a plain store, every other thread aliases onto a slot
+  // and counts with a fetch_add, both at once. Each round spawns fresh
+  // threads beside the main thread; all of a round's threads take their
+  // ordinals before any starts counting, so six ordinals are live at
+  // once, and exiting hands them back for the next round's owners and
+  // aliases to reuse. A lost or doubled count on either word breaks the
+  // ops totals below.
+  constexpr unsigned kWidth = 2;
+  constexpr unsigned kSpawned = 5;  // beside the main thread
+  constexpr unsigned kRounds = 4;
+  constexpr std::uint64_t kN = 10000;
+  constexpr std::uint64_t kTotal = kRounds * (kSpawned + 1) * kN;
+  CombiningBackend tb(kWidth);
+  CombiningBackend::Cell tree(tb, 0);
+  FlatCombiningBackend fb(kWidth);
+  FlatCombiningBackend::Cell flat(fb, 0);
+  std::mutex mu;
+  std::set<unsigned> ordinals;
+  const auto work = [&](std::latch& all_live) {
+    {
+      const std::lock_guard<std::mutex> lk(mu);
+      ordinals.insert(thread_ordinal());
+    }
+    all_live.arrive_and_wait();
+    for (std::uint64_t i = 0; i < kN; ++i) {
+      tb.fetch_add(tree, 1);
+      fb.fetch_add(flat, 1);
+    }
+  };
+  for (unsigned r = 0; r < kRounds; ++r) {
+    std::latch all_live(kSpawned + 1);
+    std::vector<std::jthread> ts;
+    for (unsigned t = 0; t < kSpawned; ++t) {
+      ts.emplace_back(work, std::ref(all_live));
+    }
+    work(all_live);
+  }
+  // The premise: each slot's owner ran, and so did an alias of each.
+  for (unsigned s = 0; s < kWidth; ++s) {
+    ASSERT_TRUE(ordinals.contains(s)) << "slot " << s << " had no owner";
+    ASSERT_TRUE(std::any_of(ordinals.begin(), ordinals.end(), [&](unsigned o) {
+      return o >= kWidth && o % kWidth == s;
+    })) << "slot " << s << " had no alias";
+  }
+
+  EXPECT_EQ(tb.load(tree), kTotal);
+  const CombiningTreeStats ts = tb.cell_stats(tree);
+  EXPECT_EQ(ts.folds + ts.root_applies, kTotal);
+  EXPECT_EQ(fb.load(flat), kTotal);
+  const FlatCombinerStats fs = fb.cell_stats(flat);
+  EXPECT_EQ(fs.ops, kTotal);
+  EXPECT_LE(fs.direct_applies + fs.combined, fs.ops);
+  // Both words of every slot took counts, so both paths were exercised.
+  for (unsigned s = 0; s < kWidth; ++s) {
+    const auto [town, tshared] =
+        CombiningTreeTestPeer::direct_counts(tree.combiner, s);
+    EXPECT_GT(town, 0u) << "tree slot " << s;
+    EXPECT_GT(tshared, 0u) << "tree slot " << s;
+    const auto [fown, fshared] =
+        FlatCombinerTestPeer::direct_counts(flat.combiner, s);
+    EXPECT_GT(fown, 0u) << "flat slot " << s;
+    EXPECT_GT(fshared, 0u) << "flat slot " << s;
+  }
 }
 
 // --- instrumented HB edges through the backend seam --------------------------

@@ -5,9 +5,10 @@
 // memory reference:
 //
 //  * the tree's root word shares its line with no other member, each
-//    slot's direct-apply counter owns a line, the read-only headers stay
-//    off the root-apply counter's line, and a node's status line carries
-//    exactly the words its first writes before storing `status`;
+//    slot's direct-apply counter (both words) owns a line, the read-only
+//    headers stay off the root-apply counter's line, and a node's status
+//    line carries exactly the words its first writes before storing
+//    `status`;
 //  * the flat combiner's value word shares its line with no other member,
 //    and lock_, value_, the slots_ header, served_ and the telemetry sit
 //    on five distinct lines;
@@ -69,10 +70,15 @@ TEST(CombiningTreeLayout, DirectPathLinesHaveOneWriter) {
     EXPECT_TRUE(line_mates(ms, "root_applies_").empty());
 
     // One line per slot's direct counter: no other slot, no node and no
-    // member of the tree shares it.
+    // member of the tree shares it, and both its words (the owner's and
+    // the aliases') sit on it.
     for (unsigned s = 0; s < tree.width(); ++s) {
       const LineSpan c = TreePeer::direct_counter(tree, s);
       EXPECT_EQ(c.first, c.last) << "slot " << s;
+      for (const LineSpan& w : TreePeer::direct_counter_words(tree, s)) {
+        EXPECT_EQ(w.first, c.first) << "slot " << s;
+        EXPECT_EQ(w.last, c.first) << "slot " << s;
+      }
       for (unsigned o = 0; o < tree.width(); ++o) {
         if (o != s) {
           EXPECT_FALSE(c.overlaps(TreePeer::direct_counter(tree, o)))

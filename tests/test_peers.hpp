@@ -97,6 +97,20 @@ struct CombiningTreeTestPeer {
   static LineSpan direct_counter(const Tree& t, unsigned slot) {
     return lines_of(t.direct_applies_[slot]);
   }
+  /// One slot's two counter words: the owner's, then the aliases'.
+  template <typename Tree>
+  static std::vector<LineSpan> direct_counter_words(const Tree& t,
+                                                    unsigned slot) {
+    const auto& c = t.direct_applies_[slot].n;
+    return {lines_of(c.own), lines_of(c.shared)};
+  }
+  /// One slot's direct-apply counts: {the owner's word, the aliases'}.
+  template <typename Tree>
+  static std::pair<std::uint64_t, std::uint64_t> direct_counts(
+      const Tree& t, unsigned slot) {
+    const auto& c = t.direct_applies_[slot].n;
+    return {c.own.load(), c.shared.load()};
+  }
   /// One node's lines: [0] its status line, then every word its first
   /// writes before storing `status`.
   template <typename Tree>
@@ -153,6 +167,14 @@ struct FlatCombinerTestPeer {
   static bool pending(const FC& fc, unsigned slot) {
     return fc.slots_[slot].seq.load(std::memory_order_acquire) ==
            static_cast<std::uint32_t>(FC::kPending);
+  }
+
+  /// One slot's direct-apply counts: {the owner's word, the aliases'}.
+  template <typename FC>
+  static std::pair<std::uint64_t, std::uint64_t> direct_counts(
+      const FC& fc, unsigned slot) {
+    const auto& c = fc.slots_[slot].direct;
+    return {c.own.load(), c.shared.load()};
   }
 
   /// The lines of the members the one-writer-per-hot-line rule places;
