@@ -19,7 +19,11 @@
 //  * telemetry on a word with a single writer is a plain load and store,
 //    not a locked RMW; a locked RMW is used only where writers can alias
 //    (SlotCounter in thread_ordinal.hpp: the slot's owner stores, threads
-//    aliasing onto the slot fetch_add a second word on the same line).
+//    aliasing onto the slot fetch_add a second word on the same line);
+//  * a count every waiting op would add to a shared line is kept instead
+//    by the thread that serves the op under a lock: the flat combiner's
+//    serving pass counts `ops` and `combined` with plain stores, so its
+//    publishers write no telemetry line at all.
 // In the cache-coherent cost model each line that breaks the rule is one
 // extra remote memory reference per operation, and each needless locked
 // RMW on a direct path is a second serializing instruction after its CAS.

@@ -15,6 +15,10 @@
 //  * every thread owns a cache-line-padded PUBLICATION SLOT; to publish it
 //    writes its encoded core::AnyRmw mapping into the slot and
 //    release-publishes it — one line transfer, no CAS;
+//  * a published op first WAITS in its slot for kElectAfterRounds rounds
+//    of the wait policy (the election window), where a running combiner
+//    can serve it — the analogue of a collided request waiting in a §4
+//    switch queue, and it keeps the op off the value word;
 //  * ONE thread at a time is the COMBINER, elected by a try-lock on a
 //    single word (never spun on while held — losers go back to watching
 //    their own slot);
@@ -78,7 +82,9 @@ namespace krs::runtime {
 /// combiner elections; `passes` publication-list scans; `handoffs` lock
 /// releases forced by the pass cap while work was still pending (the
 /// anti-starvation path); `serialized_updates` the update() escape-hatch
-/// calls.
+/// calls. Every published op is counted in `ops` (and, if a peer served
+/// it, in `combined`) by the lock holder's pass that served it, never by
+/// its publisher, so the publish path writes no shared counter.
 struct FlatCombinerStats {
   std::uint64_t ops = 0;
   std::uint64_t direct_applies = 0;
@@ -110,6 +116,19 @@ class FlatCombiner {
 
   static constexpr unsigned kDefaultMaxPasses = 8;
 
+  /// Wait rounds a published op spends in its own slot before its first
+  /// try_lock: 1+2+…+32 pauses under both shipped policies, about 1.6 µs
+  /// on a 4-CPU x86-64 host. Electing at once sent the loser of a direct
+  /// CAS back to the value word within a microsecond to collide again.
+  /// On that host krs-bench hot_flat ran 15M ops/s at 0 rounds, 19M at
+  /// 5, 23M at 6 and 30M at 7, where p99 was 40% above electing at once
+  /// (docs/PERFORMANCE.md §6, "The collision storm").
+  static constexpr unsigned kElectAfterRounds = 6;
+  static_assert((1u << (kElectAfterRounds - 1)) <= SpinYieldWait::kSpinCap &&
+                    kElectAfterRounds < FutexWait::kSpinRounds,
+                "the election window must stay inside both policies' spin "
+                "grace, so a window round never yields or parks");
+
   /// `slots`: publication-record count, ≥ 2 — any value, no power-of-two
   /// constraint (there is no heap layout here). Threads may alias onto one
   /// slot (ordinal mod slots, like the tree); the claim CAS serializes
@@ -132,9 +151,9 @@ class FlatCombiner {
 
   /// Atomically value ← f(value), returning the prior value. One CAS on
   /// the value word first; only if it loses does the op publish into
-  /// `slot` (mod slots()), where either a running combiner serves it or
-  /// this thread elects itself and serves the whole publication list, its
-  /// own op included.
+  /// `slot` (mod slots()), where either a running combiner serves it or,
+  /// after the election window, this thread elects itself and serves the
+  /// whole publication list, its own op included.
   ///
   /// The direct path is a load, one CAS and, when the CAS lands, one
   /// plain store to the slot owner's counter (SlotCounter).
@@ -201,8 +220,10 @@ class FlatCombiner {
     return &slots_[slot].seq;
   }
 
-  /// Relaxed snapshot; quiesce for exact accounting (then
-  /// ops == direct_applies + combined + self-served holds exactly).
+  /// Relaxed snapshot; quiesce for exact accounting. Then ops ==
+  /// direct_applies + the published ops holds exactly, and when every
+  /// tenure came from fetch_rmw (each serves its own op once, never as
+  /// combined) the published ops == combined + takeovers.
   [[nodiscard]] FlatCombinerStats stats() const {
     FlatCombinerStats st;
     for (const Slot& s : slots_) {
@@ -270,7 +291,6 @@ class FlatCombiner {
       KRS_ASSERT(s.seq.load(std::memory_order_acquire) == kDone);
       priors[i] = s.result;
       s.seq.store(kIdle, std::memory_order_release);
-      ops_.fetch_add(1, std::memory_order_relaxed);
     }
     Instrument::release(this);
     return priors;
@@ -302,23 +322,23 @@ class FlatCombiner {
   static_assert(sizeof(Slot) == 3 * kCacheLine,
                 "both direct counter words must fit the slot's tail padding");
 
-  /// The collision path: publish into slot `idx`, then wait for a peer
-  /// combiner's reply or elect this thread to serve the list. Out of line,
-  /// so the direct path keeps a small frame.
+  /// The collision path: publish into slot `idx`, wait out the election
+  /// window for a peer combiner's reply, then elect this thread to serve
+  /// the list. Counts nothing: the pass that serves the op does. Out of
+  /// line, so the direct path keeps a small frame.
   [[gnu::noinline]] core::Word publish(unsigned idx, const core::AnyRmw& f) {
     Slot& s = claim(idx);
     s.op = f;
     Instrument::shared_store(&s.seq, KRS_SITE);
     s.seq.store(kPending, std::memory_order_release);
 
-    bool self_served = false;
     Policy pol;
-    for (;;) {
+    for (unsigned round = 0;; ++round) {
       if (s.seq.load(std::memory_order_acquire) == kDone) break;
-      if (try_lock()) {
+      if (round >= kElectAfterRounds && try_lock()) {
         // A peer's pass may have served this op between the kDone check
-        // and winning the lock — that op was combined, not self-served,
-        // so skip the tenure and keep combined_fraction() honest.
+        // and winning the lock; that pass counted it as combined, so
+        // release the lock without a tenure.
         if (s.seq.load(std::memory_order_acquire) == kDone) {
           unlock();
           break;
@@ -326,7 +346,6 @@ class FlatCombiner {
         combine(&s);
         unlock();
         if constexpr (Policy::kParks) wake_pending();
-        self_served = true;
         break;
       }
       // Local wait on our own slot word: a combiner flipping it to kDone
@@ -338,8 +357,6 @@ class FlatCombiner {
     const core::Word prior = s.result;
     s.seq.store(kIdle, std::memory_order_release);
     if constexpr (Policy::kParks) Policy::notify_all(s.seq);
-    ops_.fetch_add(1, std::memory_order_relaxed);
-    if (!self_served) combined_.fetch_add(1, std::memory_order_relaxed);
     return prior;
   }
 
@@ -390,8 +407,8 @@ class FlatCombiner {
   /// Increment for counters mutated ONLY while the combiner lock is held:
   /// writers are mutually excluded, so a relaxed load+store (no RMW, no
   /// lock prefix) counts exactly; stats() snapshots race benignly.
-  static void bump(std::atomic<std::uint64_t>& counter) {
-    counter.store(counter.load(std::memory_order_relaxed) + 1,
+  static void bump(std::atomic<std::uint64_t>& counter, std::uint64_t by = 1) {
+    counter.store(counter.load(std::memory_order_relaxed) + by,
                   std::memory_order_relaxed);
   }
 
@@ -409,16 +426,23 @@ class FlatCombiner {
   /// distributing down — so a read() after a completed fetch_rmw can
   /// never miss that op (the rw-lock's reader-increment-then-writer-check
   /// handshake depends on exactly this).
-  unsigned serve_pass() {
+  ///
+  /// The pass also counts what it served, with plain stores (bump): every
+  /// served op in `ops`, and every one but `own` in `combined`. A null
+  /// `own` (run_wave: one caller publishes the whole wave) counts no op
+  /// as combined.
+  unsigned serve_pass(const Slot* own) {
     Instrument::contended_rmw(&value_, KRS_SITE);
     served_.clear();
     bool all_adds = true;
+    bool own_served = false;
     core::Word sum = 0;
     for (unsigned i = 0; i < nslots_; ++i) {
       Slot& s = slots_[i];
       Instrument::shared_load(&s.seq, KRS_SITE);
       if (s.seq.load(std::memory_order_acquire) != kPending) continue;
       served_.push_back(i);
+      own_served = own_served || &s == own;
       const core::AnyRmw& op = s.op;
       if (all_adds && op.holds<core::FetchAdd>()) {
         sum += op.get<core::FetchAdd>().operand();
@@ -442,6 +466,8 @@ class FlatCombiner {
         s.seq.store(kDone, std::memory_order_release);
         if constexpr (Policy::kParks) Policy::notify_all(s.seq);
       }
+      bump(ops_, served_.size());
+      if (own != nullptr) bump(combined_, served_.size() - own_served);
     }
     bump(passes_);
     return static_cast<unsigned>(served_.size());
@@ -466,7 +492,7 @@ class FlatCombiner {
     bump(takeovers_);
     unsigned passes = 0;
     for (;;) {
-      const unsigned served = serve_pass();
+      const unsigned served = serve_pass(own);
       ++passes;
       if (passes >= max_passes_ || served == 0) break;
     }
@@ -502,7 +528,8 @@ class FlatCombiner {
 
   // Telemetry (relaxed; snapshots race with operations by design), on its
   // own line: a counter beside value_ would turn every published op into a
-  // second write to the hot line.
+  // second write to the hot line. All but serialized_updates_ are written
+  // only by the lock holder, so publishers never write this line.
   alignas(kCacheLine) std::atomic<std::uint64_t> ops_{0};  ///< published
   std::atomic<std::uint64_t> combined_{0};
   std::atomic<std::uint64_t> takeovers_{0};

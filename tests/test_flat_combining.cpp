@@ -11,6 +11,13 @@
 //    Instrument hook publishes into an already-scanned slot mid-pass, so
 //    the pass cap fires with work still pending and the handoff counter
 //    must tick;
+//  * the election window: a collided op waits exactly kElectAfterRounds
+//    rounds of its wait policy before it elects itself (scripted, and
+//    under SpinYieldWait and FutexWait), and a combiner arriving in that
+//    window serves it with no takeover of its own;
+//  * the counters the serving pass keeps: an op a peer served before its
+//    own election counts as combined, and under threads every op is a
+//    direct apply or a served one, exactly;
 //  * concurrent hotspot-counter invariants (distinct tickets, per-thread
 //    monotonicity, exact final sum) at 2/4/8 threads, plus quiesced
 //    stats accounting;
@@ -49,6 +56,7 @@
 #include "runtime/combining_tree.hpp"
 #include "runtime/flat_combining.hpp"
 #include "runtime/thread_ordinal.hpp"
+#include "runtime/wait_policy.hpp"
 #include "verify/race_explorer.hpp"
 
 #include "test_peers.hpp"
@@ -203,6 +211,161 @@ TEST(FlatCombinerHandoff, PassCapWithPendingWorkCountsAHandoff) {
   EXPECT_EQ(st.takeovers, 2u);
   EXPECT_EQ(st.handoffs, 1u);
   EXPECT_EQ(st.direct_applies, 0u);
+}
+
+// --- the election window -----------------------------------------------------
+
+// A WaitPolicy that pauses for nothing and runs a test callback on each
+// wait round, numbered from 0 across the test: the only way to act at a
+// chosen round of a single-threaded publisher's election window.
+struct ScriptedWait {
+  static constexpr bool kParks = false;
+  static inline unsigned waits = 0;
+  static inline std::function<void(unsigned)> on_wait;
+  void pause() {
+    const unsigned w = waits++;
+    if (on_wait) on_wait(w);
+  }
+  void wait_while_equal(const std::atomic<std::uint32_t>&, std::uint32_t) {
+    pause();
+  }
+  void reset() {}
+  static void notify_one(std::atomic<std::uint32_t>&) {}
+  static void notify_all(std::atomic<std::uint32_t>&) {}
+};
+static_assert(WaitPolicy<ScriptedWait>);
+
+using SFc = FlatCombiner<NoInstrument, ScriptedWait>;
+
+TEST(FlatCombinerElection, LonePublisherWaitsTheWindowThenServesItself) {
+  // Nobody serves a lone publisher, so it waits out the whole window in
+  // its slot and then wins the lock at its first try.
+  SFc fc(2, 10);
+  ScriptedWait::waits = 0;
+  EXPECT_EQ(Peer::collide(fc, 0, AnyRmw(FetchAdd(3))), 10u);
+  EXPECT_EQ(ScriptedWait::waits, SFc::kElectAfterRounds);
+  EXPECT_EQ(fc.read(), 13u);
+  const FlatCombinerStats st = fc.stats();
+  EXPECT_EQ(st.ops, 1u);
+  EXPECT_EQ(st.takeovers, 1u);
+  EXPECT_EQ(st.combined, 0u);  // self-served
+  EXPECT_EQ(st.direct_applies, 0u);
+}
+
+TEST(FlatCombinerElection, OpPublishedUnderAPeersLockIsServedInItsWindow) {
+  // The op publishes while a peer holds the lock, as a tenure whose last
+  // pass scanned slot 0 before the publication landed. That tenure ends
+  // at the first wait without serving it. A second thread's CAS then
+  // loses: it publishes, elects itself and serves both slots, all inside
+  // the op's window, so the op never takes the lock.
+  SFc fc(2, 0);
+  ScriptedWait::waits = 0;
+  ASSERT_TRUE(Peer::lock(fc));
+  ScriptedWait::on_wait = [&](unsigned w) {
+    if (w == 0) Peer::unlock(fc);
+    if (w == SFc::kElectAfterRounds - 1) {
+      Peer::publish(fc, 1, AnyRmw(FetchAdd(5)));
+      ASSERT_TRUE(Peer::lock(fc));
+      Peer::combine(fc, 1);
+      Peer::unlock(fc);
+    }
+  };
+  EXPECT_EQ(Peer::collide(fc, 0, AnyRmw(FetchAdd(3))), 0u);
+  ScriptedWait::on_wait = nullptr;
+  EXPECT_EQ(ScriptedWait::waits, SFc::kElectAfterRounds);
+  EXPECT_EQ(Peer::take(fc, 1), 3u);
+  EXPECT_EQ(fc.read(), 8u);
+  const FlatCombinerStats st = fc.stats();
+  EXPECT_EQ(st.ops, 2u);
+  EXPECT_EQ(st.takeovers, 1u);  // the second thread's, none of the op's
+  EXPECT_EQ(st.combined, 1u);   // the op, served by that tenure
+}
+
+// Under a shipped policy a lone publisher's window is its first
+// kElectAfterRounds rounds: 1+2+…+2^(k-1) pauses, no yield, no park.
+template <typename Policy>
+void lone_publisher_spins_the_window() {
+  using PFc = FlatCombiner<NoInstrument, Policy>;
+  PFc fc(2, 10);
+  const WaitStats before = thread_wait_stats();
+  EXPECT_EQ(Peer::collide(fc, 0, AnyRmw(FetchAdd(3))), 10u);
+  const WaitStats d = thread_wait_stats() - before;
+  EXPECT_EQ(d.spins, (1u << PFc::kElectAfterRounds) - 1);
+  EXPECT_EQ(d.yields, 0u);
+  EXPECT_EQ(d.parks, 0u);
+  EXPECT_EQ(fc.stats().takeovers, 1u);
+}
+
+TEST(FlatCombinerElection, WindowIsSpinGraceUnderBothShippedPolicies) {
+  lone_publisher_spins_the_window<SpinYieldWait>();
+  lone_publisher_spins_the_window<FutexWait>();
+}
+
+// --- the counters the serving pass keeps --------------------------------------
+
+TEST(FlatCombinerTelemetry, OpServedBeforeItsOwnElectionCountsAsCombined) {
+  // Op A's CAS lost and it published; its kDone check still sees it
+  // pending. Before A's try_lock, B collides, elects itself and its pass
+  // serves both slots. A then wins the lock, finds its reply and releases
+  // the lock without a tenure: A was combined, B self-served.
+  Fc fc(2, 0);
+  Peer::publish(fc, 0, AnyRmw(FetchAdd(3)));
+  ASSERT_TRUE(Peer::pending(fc, 0));
+  Peer::publish(fc, 1, AnyRmw(FetchAdd(5)));
+  ASSERT_TRUE(Peer::lock(fc));
+  Peer::combine(fc, 1);
+  Peer::unlock(fc);
+  ASSERT_TRUE(Peer::lock(fc));
+  EXPECT_FALSE(Peer::pending(fc, 0));
+  Peer::unlock(fc);
+  EXPECT_EQ(Peer::take(fc, 0), 0u);
+  EXPECT_EQ(Peer::take(fc, 1), 3u);
+  const FlatCombinerStats st = fc.stats();
+  EXPECT_EQ(st.ops, 2u);
+  EXPECT_EQ(st.combined, 1u);
+  EXPECT_EQ(st.takeovers, 1u);
+  EXPECT_EQ(st.ops, st.direct_applies + st.combined + st.takeovers);
+}
+
+TEST(FlatCombinerTelemetry, ThreadedOpsEqualDirectAppliesPlusServed) {
+  // One slot per thread, so a slot's direct counter moves only for its
+  // thread's ops: an op that left it unchanged was published and served.
+  // Every tenure comes from a publisher and serves its own op once, so
+  // the served ops are exactly the combined ones plus the takeovers.
+  // Rounds repeat until some op has collided (a few ms each; a host that
+  // runs the threads one at a time may never collide), at most kRounds.
+  constexpr unsigned kThreads = 4;
+  constexpr std::uint64_t kN = 50000;
+  constexpr unsigned kRounds = 40;
+  FlatCombiner<> fc(kThreads);
+  std::atomic<std::uint64_t> served{0};
+  std::uint64_t total = 0;
+  for (unsigned r = 0; r < kRounds && fc.stats().takeovers == 0; ++r) {
+    std::latch start(kThreads);
+    std::vector<std::jthread> ts;
+    for (unsigned t = 0; t < kThreads; ++t) {
+      ts.emplace_back([&, t] {
+        const auto direct = [&] {
+          const auto [own, shared] = Peer::direct_counts(fc, t);
+          return own + shared;
+        };
+        start.arrive_and_wait();
+        std::uint64_t mine = 0;
+        for (std::uint64_t i = 0; i < kN; ++i) {
+          const std::uint64_t before = direct();
+          fc.fetch_rmw(t, AnyRmw(FetchAdd(1)));
+          if (direct() == before) ++mine;
+        }
+        served.fetch_add(mine, std::memory_order_relaxed);
+      });
+    }
+    total += kThreads * kN;
+  }
+  EXPECT_EQ(fc.read(), total);
+  const FlatCombinerStats st = fc.stats();
+  EXPECT_EQ(st.ops, total);
+  EXPECT_EQ(st.ops, st.direct_applies + served.load());
+  EXPECT_EQ(served.load(), st.combined + st.takeovers);
 }
 
 // --- reply ordering: the value word is batched before replies publish --------

@@ -153,6 +153,18 @@ struct FlatCombinerTestPeer {
   static void combine(FC& fc) {
     fc.combine(nullptr);
   }
+  /// The tenure of a publisher that elected itself for its op in `own`.
+  template <typename FC>
+  static void combine(FC& fc, unsigned own) {
+    fc.combine(&fc.slots_[own]);
+  }
+  /// An op whose direct CAS lost: the whole collision path (publish, the
+  /// election window, then a reply or a tenure), returning the prior.
+  template <typename FC>
+  static krs::core::Word collide(FC& fc, unsigned slot,
+                                 const krs::core::AnyRmw& op) {
+    return fc.publish(slot, op);
+  }
   /// The owner's reply pickup.
   template <typename FC>
   static krs::core::Word take(FC& fc, unsigned slot) {
