@@ -50,7 +50,14 @@
 //   0. direct — v = root; CAS root v→f(v). Success: return v, done.
 //   1. precombine — climb from the leaf while CAS Idle→First succeeds;
 //      CAS First→SecondPending stops the climb (we are the second there);
-//      the root always stops the climb.
+//      the root always stops the climb. An op whose climb stopped at the
+//      root (the top first of its path) then waits out the collision
+//      window, kCollisionWindowRounds wait rounds, still holding its
+//      First claims: a climber that reaches the path meanwhile engages as
+//      a second and is folded in phase 2, and the waiting op stays off
+//      the root word it just collided on (the §4 switch queue, where a
+//      collided request waits to meet a later one). A second goes on to
+//      deposit at once.
 //   2. combine — re-walk the path: CAS First→FirstLocked passes through
 //      (no partner), SecondReady folds the deposited mapping in with
 //      compose(first, second) — or records a decline.
@@ -70,7 +77,7 @@
 // detector while overlapping ones stay unordered.
 //
 // See docs/PERFORMANCE.md for the encoding walkthrough, the direct path's
-// measurements and the backoff strategy.
+// and the collision window's measurements, and the backoff strategy.
 #pragma once
 
 #include <algorithm>
@@ -144,6 +151,19 @@ class MappingCombiningTree {
                 "the root cell is a std::atomic<V>");
 
  public:
+  /// Wait rounds the top first of a claimed path spends between its climb
+  /// and its combine phase (the collision window): 1+2+…+16 pauses under
+  /// both shipped policies. On a 4-CPU x86-64 host krs-bench hot_tree ran
+  /// 22M ops/s without the window, 26M at 5 rounds and 30M at 6, where
+  /// p99 was 17–23% above no window (docs/PERFORMANCE.md §1, "The
+  /// collision window").
+  static constexpr unsigned kCollisionWindowRounds = 5;
+  static_assert((1u << (kCollisionWindowRounds - 1)) <=
+                        SpinYieldWait::kSpinCap &&
+                    kCollisionWindowRounds < FutexWait::kSpinRounds,
+                "the collision window must stay inside both policies' spin "
+                "grace, so a window round never yields or parks");
+
   /// `width`: requested slot capacity, rounded up internally to a power of
   /// two ≥ 2 (the heap layout needs it; callers sized to odd core counts
   /// need not care). Thread slots are 0..width()-1, the ROUNDED range;
@@ -160,8 +180,9 @@ class MappingCombiningTree {
   MappingCombiningTree& operator=(const MappingCombiningTree&) = delete;
 
   /// Atomically value ← f(value), returning the prior value. One CAS on
-  /// the root word first; only if it loses does the operation climb and
-  /// combine with concurrent callers on the way up. `slot` must be <
+  /// the root word first; only if it loses does the operation climb,
+  /// wait out the collision window if it reached the root, and combine
+  /// with concurrent callers on the way up. `slot` must be <
   /// width; a slot may be shared by threads, but concurrency above two
   /// threads per leaf degrades to local waiting at that leaf.
   ///
@@ -436,10 +457,13 @@ class MappingCombiningTree {
     SlotCounter n;
   };
 
-  /// Phases 1–4 for an operation whose direct CAS lost. Out of line, so
-  /// the direct path keeps a small frame. The climb's one copy of `f` is
-  /// the mapping it carries up: each combine() moves it in and out, and a
-  /// second's deposit moves it into the node.
+  /// Phases 1–4 for an operation whose direct CAS lost, with the
+  /// collision window between precombine and combine for the top first
+  /// of a claimed path. The protocol already tolerates any delay there (a
+  /// preempted first causes one), so the window changes which ops fold,
+  /// never a reply's correctness. Out of line, so the direct path keeps a small frame. The
+  /// climb's one copy of `f` is the mapping it carries up: each combine()
+  /// moves it in and out, and a second's deposit moves it into the node.
   [[gnu::noinline]] V climb(unsigned slot, const M& f) {
     const unsigned my_leaf = leaf_of(slot);  // heap index
 
@@ -447,6 +471,13 @@ class MappingCombiningTree {
     unsigned node = my_leaf;
     while (precombine(node)) node /= 2;
     const unsigned stop = node;
+
+    // The collision window (protocol step 1 above). A leaf that is the
+    // root (width 2) has no path to claim, so it has no window.
+    if (stop == kRootIndex && my_leaf != kRootIndex) {
+      Policy pol;
+      for (unsigned r = 0; r < kCollisionWindowRounds; ++r) pol.pause();
+    }
 
     // Phase 2: combine — gather mappings deposited by second arrivals on
     // the path my_leaf, my_leaf/2, ... below `stop`.

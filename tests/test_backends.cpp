@@ -23,6 +23,11 @@
 //    the fold/decline counters and the declined second's root-served
 //    reply, value by value; a lone caller always lands the direct root
 //    CAS, and its direct apply makes no copy of the mapping;
+//  * the collision window, driven through CombiningTreeTestPeer::climb
+//    with a scripted wait policy: a lone climber waits exactly the window
+//    before its root apply, a partner depositing in it is folded, a climb
+//    stopped below the root deposits before any wait, a width-2 climb has
+//    no window, and under both shipped policies the window is pure spin;
 //  * compare_exchange racing direct and combined fetch_adds on one cell:
 //    no increment may be lost;
 //  * deterministic race_explorer models of the node handshake, of the
@@ -441,6 +446,112 @@ TEST(CombineTelemetry, DirectPathMakesNoCopyOfTheMapping) {
   EXPECT_EQ(CountingAdd::moves, 0);
   EXPECT_EQ(tree.read(), 3 * kN);
   EXPECT_EQ(tree.stats().direct_applies, kN);
+}
+
+// --- the collision window, driven deterministically ---------------------------
+
+// Width-8 trees (leaves 4..7; slots 0 and 1 share leaf 4, whose path is
+// 4, 2, root) climbed through the peer, as an op whose direct CAS lost.
+using STree = MappingCombiningTree<AnyRmw, NoInstrument, ScriptedWait>;
+constexpr unsigned kWindow = STree::kCollisionWindowRounds;
+
+TEST(CombiningTreeWindow, LoneClimberWaitsTheWindowThenAppliesAtTheRoot) {
+  // Nobody reaches its path, so the climber waits out the whole window
+  // holding leaf 4 and node 2, and the root word is untouched until then.
+  STree tree(8, 100);
+  ScriptedWait::waits = 0;
+  ScriptedWait::on_wait = [&](unsigned) { EXPECT_EQ(tree.read(), 100u); };
+  EXPECT_EQ(Peer::climb(tree, 0, AnyRmw(FetchAdd(5))), 100u);
+  ScriptedWait::on_wait = nullptr;
+  EXPECT_EQ(ScriptedWait::waits, kWindow);
+  EXPECT_EQ(tree.read(), 105u);
+  const CombiningTreeStats st = tree.stats();
+  EXPECT_EQ(st.root_applies, 1u);
+  EXPECT_EQ(st.direct_applies, 0u);
+  EXPECT_EQ(st.folds, 0u);
+  // The path was released: a second climb claims it afresh.
+  EXPECT_EQ(Peer::climb(tree, 1, AnyRmw(FetchAdd(1))), 105u);
+  EXPECT_EQ(ScriptedWait::waits, 2 * kWindow);
+}
+
+TEST(CombiningTreeWindow, PartnerDepositingInTheWindowIsFolded) {
+  // In the window's last round, the slot-1 partner reaches leaf 4, finds
+  // the climber's First claim, engages as its second and deposits. The
+  // climber then folds it on its way up: one root application carries
+  // both, and the replies are ⟨prior, f(prior)⟩.
+  STree tree(8, 100);
+  ScriptedWait::waits = 0;
+  ScriptedWait::on_wait = [&](unsigned w) {
+    if (w != kWindow - 1) return;
+    EXPECT_FALSE(Peer::precombine(tree, 4));  // second at the shared leaf
+    Peer::deposit_second(tree, 4, AnyRmw(FetchAdd(7)));
+  };
+  EXPECT_EQ(Peer::climb(tree, 0, AnyRmw(FetchAdd(5))), 100u);
+  ScriptedWait::on_wait = nullptr;
+  EXPECT_EQ(ScriptedWait::waits, kWindow);
+  EXPECT_EQ(Peer::take_result(tree, 4), 105u);  // prior + the first's 5
+  EXPECT_EQ(tree.read(), 112u);
+  const CombiningTreeStats st = tree.stats();
+  EXPECT_EQ(st.folds, 1u);
+  EXPECT_EQ(st.root_applies, 1u);
+  EXPECT_EQ(st.ops, 2u);
+}
+
+TEST(CombiningTreeWindow, ClimbStoppedBelowTheRootDepositsAtOnce) {
+  // A scripted first holds leaf 4 and node 2. The climber reaches leaf 4
+  // as the second, so it has no window: its mapping is in the node before
+  // its first wait round, where the first then combines and distributes.
+  STree tree(8, 100);
+  ASSERT_TRUE(Peer::precombine(tree, 4));
+  ASSERT_TRUE(Peer::precombine(tree, 2));
+  ASSERT_FALSE(Peer::precombine(tree, 1));
+  ScriptedWait::waits = 0;
+  unsigned deposited_at = ~0u;
+  ScriptedWait::on_wait = [&](unsigned w) {
+    if (deposited_at != ~0u || !Peer::second_ready(tree, 4)) return;
+    deposited_at = w;
+    AnyRmw combined = Peer::combine(tree, 4, AnyRmw(FetchAdd(5)));
+    combined = Peer::combine(tree, 2, std::move(combined));
+    const Word prior = Peer::apply_at_root(tree, combined);
+    Peer::distribute(tree, 2, prior);
+    Peer::distribute(tree, 4, prior);
+  };
+  EXPECT_EQ(Peer::climb(tree, 1, AnyRmw(FetchAdd(7))), 105u);
+  ScriptedWait::on_wait = nullptr;
+  EXPECT_EQ(deposited_at, 0u);
+  EXPECT_EQ(ScriptedWait::waits, 1u);  // the one round awaiting the reply
+  EXPECT_EQ(tree.read(), 112u);
+  EXPECT_EQ(tree.stats().folds, 1u);
+}
+
+TEST(CombiningTreeWindow, ClimberWithNoPathHasNoWindow) {
+  // Width 2: both slots' leaf is the root, so a climb claims nothing that
+  // a partner could find, and the op applies at once.
+  STree tree(2, 10);
+  ScriptedWait::waits = 0;
+  EXPECT_EQ(Peer::climb(tree, 0, AnyRmw(FetchAdd(3))), 10u);
+  EXPECT_EQ(ScriptedWait::waits, 0u);
+  EXPECT_EQ(tree.read(), 13u);
+}
+
+// Under a shipped policy the window is its first kCollisionWindowRounds
+// rounds: 1+2+…+2^(R-1) pauses, no yield, no park.
+template <typename Policy>
+void lone_climber_spins_the_window() {
+  using PTree = MappingCombiningTree<AnyRmw, NoInstrument, Policy>;
+  PTree tree(8, 10);
+  const WaitStats before = thread_wait_stats();
+  EXPECT_EQ(Peer::climb(tree, 0, AnyRmw(FetchAdd(3))), 10u);
+  const WaitStats d = thread_wait_stats() - before;
+  EXPECT_EQ(d.spins, (1u << PTree::kCollisionWindowRounds) - 1);
+  EXPECT_EQ(d.yields, 0u);
+  EXPECT_EQ(d.parks, 0u);
+  EXPECT_EQ(tree.stats().root_applies, 1u);
+}
+
+TEST(CombiningTreeWindow, WindowIsSpinGraceUnderBothShippedPolicies) {
+  lone_climber_spins_the_window<SpinYieldWait>();
+  lone_climber_spins_the_window<FutexWait>();
 }
 
 // --- cross-backend equivalence ----------------------------------------------

@@ -215,26 +215,6 @@ TEST(FlatCombinerHandoff, PassCapWithPendingWorkCountsAHandoff) {
 
 // --- the election window -----------------------------------------------------
 
-// A WaitPolicy that pauses for nothing and runs a test callback on each
-// wait round, numbered from 0 across the test: the only way to act at a
-// chosen round of a single-threaded publisher's election window.
-struct ScriptedWait {
-  static constexpr bool kParks = false;
-  static inline unsigned waits = 0;
-  static inline std::function<void(unsigned)> on_wait;
-  void pause() {
-    const unsigned w = waits++;
-    if (on_wait) on_wait(w);
-  }
-  void wait_while_equal(const std::atomic<std::uint32_t>&, std::uint32_t) {
-    pause();
-  }
-  void reset() {}
-  static void notify_one(std::atomic<std::uint32_t>&) {}
-  static void notify_all(std::atomic<std::uint32_t>&) {}
-};
-static_assert(WaitPolicy<ScriptedWait>);
-
 using SFc = FlatCombiner<NoInstrument, ScriptedWait>;
 
 TEST(FlatCombinerElection, LonePublisherWaitsTheWindowThenServesItself) {

@@ -1,7 +1,8 @@
 // Test-only peers of the two software combiners and the readers–writers
 // lock, shared by the test files that drive their private protocol
 // piecewise or check their layout. Each is a friend of its class
-// (combining_tree.hpp, flat_combining.hpp, coordination.hpp).
+// (combining_tree.hpp, flat_combining.hpp, coordination.hpp). Also the
+// scripted wait policy both combiners' window tests drive them with.
 #pragma once
 
 #include <gtest/gtest.h>
@@ -9,12 +10,14 @@
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <utility>
 #include <vector>
 
 #include "core/any_rmw.hpp"
 #include "core/types.hpp"
 #include "runtime/cacheline.hpp"
+#include "runtime/wait_policy.hpp"
 
 namespace krs::runtime {
 
@@ -40,11 +43,38 @@ struct Member {
   LineSpan lines;
 };
 
+/// A WaitPolicy that pauses for nothing and runs a test callback on each
+/// wait round, numbered from 0 across the test: the only way to act at a
+/// chosen round of a single-threaded combiner's wait (the flat combiner's
+/// election window, the tree's collision window).
+struct ScriptedWait {
+  static constexpr bool kParks = false;
+  static inline unsigned waits = 0;
+  static inline std::function<void(unsigned)> on_wait;
+  void pause() {
+    const unsigned w = waits++;
+    if (on_wait) on_wait(w);
+  }
+  void wait_while_equal(const std::atomic<std::uint32_t>&, std::uint32_t) {
+    pause();
+  }
+  void reset() {}
+  static void notify_one(std::atomic<std::uint32_t>&) {}
+  static void notify_all(std::atomic<std::uint32_t>&) {}
+};
+static_assert(WaitPolicy<ScriptedWait>);
+
 // Test-only peer: drives the private four-phase protocol single-threaded
 // so fold/decline telemetry is deterministic (under real concurrency the
 // First→combine window is too narrow to hit reliably on a 1-CPU host),
 // and exposes the lines its members occupy.
 struct CombiningTreeTestPeer {
+  /// An op whose direct CAS lost: phases 1–4 (with the collision window),
+  /// returning the prior.
+  template <typename Tree, typename M>
+  static typename Tree::value_type climb(Tree& t, unsigned slot, const M& f) {
+    return t.climb(slot, f);
+  }
   template <typename Tree>
   static bool precombine(Tree& t, unsigned n) {
     return t.precombine(n);
@@ -67,6 +97,12 @@ struct CombiningTreeTestPeer {
     nd.second_map = std::move(c);
     nd.status.store(Tree::retag(w, Tree::kSecondReady),
                     std::memory_order_release);
+  }
+  /// Has a second deposited its mapping at node `n`?
+  template <typename Tree>
+  static bool second_ready(const Tree& t, unsigned n) {
+    return Tree::tag_of(t.nodes_[n].status.load(std::memory_order_acquire)) ==
+           Tree::kSecondReady;
   }
   template <typename Tree>
   static void distribute(Tree& t, unsigned n,

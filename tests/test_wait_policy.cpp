@@ -8,8 +8,8 @@
 //    on one thread, with no timing dependence;
 //  * real-thread stress — BasicParkingLock under SpinWait and FutexWait,
 //    oversubscribed max(8, 4 × cores) ways on one counter (actual futex
-//    syscalls on Linux), the flat combiner under SpinYieldWait and
-//    FutexWait just as oversubscribed, MCS/CLH distinct
+//    syscalls on Linux), the flat combiner and the combining tree under
+//    SpinYieldWait and FutexWait just as oversubscribed, MCS/CLH distinct
 //    critical-section tickets at 2/4/8 threads, and deterministic FIFO
 //    handoff via the contended_acquires() stagger (spawn thread i+1 only
 //    after thread i has provably enqueued behind a held lock);
@@ -385,35 +385,33 @@ TEST(ParkingLockTest, OversubscribedConservation) {
   oversubscribed_conservation<ParkingLock>();
 }
 
-// ---- the flat combiner, oversubscribed (spin-yield and parking) ---------
+// ---- the software combiners, oversubscribed (spin-yield and parking) ----
 
-// max(8, 4 × cores) workers on one flat-combining cell: a preempted
-// combiner or publisher must never strand a waiter, and with FutexWait
-// the parked owners of slots a pass-cap handoff left pending must be woken
-// (wake_pending) or ride out their park timeout. Every 7th op is a
-// load + compare_exchange retry loop, so CAS-loop updates race the direct
-// path and the batches. Every increment must land, and `ops` must count
-// exactly the fetch_adds (compare_exchange is not a counted op).
-template <typename Policy>
-void flat_oversubscribed_conservation() {
-  using Backend =
-      BasicFlatCombiningBackend<krs::analysis::DefaultInstrument, Policy>;
+// max(8, 4 × cores) workers on one cell of a combining backend. Every 7th
+// op is a load + compare_exchange retry loop, so CAS-loop updates race
+// the direct path and the combined ops. Every increment must land; then
+// `check(stats, fetch_adds, compare_exchange calls)` checks the
+// backend's own accounting.
+template <typename Backend, typename Check>
+void combiner_oversubscribed_conservation(Check check) {
   const unsigned nthreads =
       std::max(8u, 4 * std::thread::hardware_concurrency());
   constexpr int kPerThread = 20'000;
   Backend b;
   typename Backend::Cell c(b, 0);
   std::atomic<std::uint64_t> fetch_adds{0};
+  std::atomic<std::uint64_t> cas_calls{0};
 
   std::vector<std::thread> threads;
   threads.reserve(nthreads);
   for (unsigned w = 0; w < nthreads; ++w) {
     threads.emplace_back([&] {
       std::uint64_t adds = 0;
+      std::uint64_t cas = 0;
       for (int i = 0; i < kPerThread; ++i) {
         if (i % 7 == 6) {
           Word e = b.load(c);
-          while (!b.compare_exchange(c, e, e + 1)) {
+          for (++cas; !b.compare_exchange(c, e, e + 1); ++cas) {
           }
         } else {
           b.fetch_add(c, 1);
@@ -421,16 +419,49 @@ void flat_oversubscribed_conservation() {
         }
       }
       fetch_adds.fetch_add(adds, std::memory_order_relaxed);
+      cas_calls.fetch_add(cas, std::memory_order_relaxed);
     });
   }
   for (auto& t : threads) t.join();
   EXPECT_EQ(b.load(c), static_cast<Word>(nthreads) * kPerThread);
-  EXPECT_EQ(b.cell_stats(c).ops, fetch_adds.load());
+  check(b.cell_stats(c), fetch_adds.load(), cas_calls.load());
+}
+
+// A preempted combiner or publisher must never strand a waiter, and with
+// FutexWait the parked owners of slots a pass-cap handoff left pending
+// must be woken (wake_pending) or ride out their park timeout. `ops`
+// counts exactly the fetch_adds (compare_exchange is not a counted op).
+template <typename Policy>
+void flat_oversubscribed_conservation() {
+  combiner_oversubscribed_conservation<
+      BasicFlatCombiningBackend<krs::analysis::DefaultInstrument, Policy>>(
+      [](const FlatCombinerStats& st, std::uint64_t fetch_adds,
+         std::uint64_t) { EXPECT_EQ(st.ops, fetch_adds); });
 }
 
 TEST(FlatCombinerParking, OversubscribedConservation) {
   flat_oversubscribed_conservation<SpinYieldWait>();
   flat_oversubscribed_conservation<FutexWait>();
+}
+
+// A first waiting in its collision window holds the seconds that engaged
+// on its path, so a preempted first stalls them until it runs again — it
+// must never lose one. Every fetch_add is served exactly once, folded
+// below the root or applied there, and each compare_exchange is one
+// update(), one more root application.
+template <typename Policy>
+void tree_oversubscribed_conservation() {
+  combiner_oversubscribed_conservation<
+      BasicCombiningBackend<krs::analysis::DefaultInstrument, Policy>>(
+      [](const CombiningTreeStats& st, std::uint64_t fetch_adds,
+         std::uint64_t cas_calls) {
+        EXPECT_EQ(st.folds + st.root_applies, fetch_adds + cas_calls);
+      });
+}
+
+TEST(CombiningTreeParking, OversubscribedConservation) {
+  tree_oversubscribed_conservation<SpinYieldWait>();
+  tree_oversubscribed_conservation<FutexWait>();
 }
 
 // ---- the combining-tree barrier under each wait policy -----------------
