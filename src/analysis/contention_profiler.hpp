@@ -237,8 +237,6 @@ class ContentionProfiler {
     on_access(tid, addr, AccessKind::kStore, site);
   }
 
-  [[nodiscard]] const ProfilerConfig& config() const noexcept { return cfg_; }
-
   [[nodiscard]] std::uint64_t events() const {
     std::scoped_lock lk(m_);
     return seq_;

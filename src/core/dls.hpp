@@ -53,7 +53,12 @@ struct DlsCell {
 };
 
 inline std::string to_string(const DlsCell& c) {
-  return "(" + std::to_string(c.value) + ",s" + std::to_string(c.state) + ")";
+  std::string s = "(";
+  s += std::to_string(c.value);
+  s += ",s";
+  s += std::to_string(c.state);
+  s += ')';
+  return s;
 }
 
 // --- word packing -------------------------------------------------------------
@@ -235,8 +240,11 @@ class DlsOp {
     for (unsigned i = 0; i < NStates; ++i) {
       if (i) s += ";";
       const Entry& e = entries_[i];
-      s += "s" + std::to_string(i) + (e.store ? "->(" + std::to_string(e.value) + ",s" : "->(keep,s") +
-           std::to_string(e.next) + ")";
+      s += 's';
+      s += std::to_string(i);
+      s += e.store ? "->(" + std::to_string(e.value) + ",s" : "->(keep,s";
+      s += std::to_string(e.next);
+      s += ')';
     }
     return s + "}";
   }
@@ -429,10 +437,12 @@ class DlsWordOp {
     std::string s = "dlsw{";
     for (unsigned i = 0; i < nstates_; ++i) {
       if (i) s += ";";
-      s += "s" + std::to_string(i) +
-           (stores_in(i) ? "->(" + std::to_string(values_[i]) + ",s"
-                         : "->(keep,s") +
-           std::to_string(next_of(i)) + ")";
+      s += 's';
+      s += std::to_string(i);
+      s += stores_in(i) ? "->(" + std::to_string(values_[i]) + ",s"
+                        : "->(keep,s";
+      s += std::to_string(next_of(i));
+      s += ')';
     }
     return s + "}";
   }

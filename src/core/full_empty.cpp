@@ -24,7 +24,11 @@ const char* to_cstring(FEKind k) noexcept {
 
 std::string FEOp::to_string() const {
   std::string s = to_cstring(kind_);
-  if (carries_value()) s += "(" + std::to_string(value_) + ")";
+  if (carries_value()) {
+    s += '(';
+    s += std::to_string(value_);
+    s += ')';
+  }
   return s;
 }
 

@@ -37,7 +37,10 @@ struct FEWord {
 };
 
 inline std::string to_string(const FEWord& w) {
-  return "(" + std::to_string(w.value) + (w.full ? ",full)" : ",empty)");
+  std::string s = "(";
+  s += std::to_string(w.value);
+  s += w.full ? ",full)" : ",empty)";
+  return s;
 }
 
 enum class FEKind : std::uint8_t {

@@ -18,7 +18,11 @@ const char* to_cstring(LssKind k) noexcept {
 
 std::string LssOp::to_string() const {
   std::string s = to_cstring(kind_);
-  if (is_constant()) s += "(" + std::to_string(value_) + ")";
+  if (is_constant()) {
+    s += '(';
+    s += std::to_string(value_);
+    s += ')';
+  }
   return s;
 }
 

@@ -57,8 +57,16 @@ Rational Moebius::apply(const Rational& x) const noexcept {
 }
 
 std::string Moebius::to_string() const {
-  return "(" + std::to_string(a_) + "x+" + std::to_string(b_) + ")/(" +
-         std::to_string(c_) + "x+" + std::to_string(d_) + ")";
+  std::string s = "(";
+  s += std::to_string(a_);
+  s += "x+";
+  s += std::to_string(b_);
+  s += ")/(";
+  s += std::to_string(c_);
+  s += "x+";
+  s += std::to_string(d_);
+  s += ')';
+  return s;
 }
 
 std::optional<Moebius> try_compose(const Moebius& f,

@@ -39,7 +39,11 @@ struct ReqIdHash {
 };
 
 inline std::string to_string(const ReqId& id) {
-  return "P" + std::to_string(id.proc) + "#" + std::to_string(id.seq);
+  std::string s = "P";
+  s += std::to_string(id.proc);
+  s += '#';
+  s += std::to_string(id.seq);
+  return s;
 }
 
 }  // namespace krs::core

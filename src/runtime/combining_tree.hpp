@@ -112,6 +112,10 @@ struct CombiningTreeStats {
   std::uint64_t declined_folds = 0; ///< cross-family / overflow declines
   std::uint64_t root_applies = 0;   ///< operations served at the root
   std::uint64_t direct_applies = 0; ///< of root_applies: the direct CAS
+  /// update() calls (compare_exchange): serialized at the root, never
+  /// combined, and counted in neither `ops` nor `root_applies`, which
+  /// count fetch_rmw operations only — the flat combiner's meaning.
+  std::uint64_t serialized_updates = 0;
 
   /// Fraction of operations absorbed by a fold below the root (§4.2's
   /// win). 0 when nothing ran.
@@ -153,16 +157,13 @@ class MappingCombiningTree {
  public:
   /// Wait rounds the top first of a claimed path spends between its climb
   /// and its combine phase (the collision window): 1+2+…+16 pauses under
-  /// both shipped policies. On a 4-CPU x86-64 host krs-bench hot_tree ran
+  /// every shipped policy. On a 4-CPU x86-64 host krs-bench hot_tree ran
   /// 22M ops/s without the window, 26M at 5 rounds and 30M at 6, where
   /// p99 was 17–23% above no window (docs/PERFORMANCE.md §1, "The
   /// collision window").
   static constexpr unsigned kCollisionWindowRounds = 5;
-  static_assert((1u << (kCollisionWindowRounds - 1)) <=
-                        SpinYieldWait::kSpinCap &&
-                    kCollisionWindowRounds < FutexWait::kSpinRounds,
-                "the collision window must stay inside both policies' spin "
-                "grace, so a window round never yields or parks");
+  static_assert(inside_spin_grace(kCollisionWindowRounds),
+                "a collision window round must never yield or park");
 
   /// `width`: requested slot capacity, rounded up internally to a power of
   /// two ≥ 2 (the heap layout needs it; callers sized to odd core counts
@@ -221,6 +222,7 @@ class MappingCombiningTree {
     Instrument::acquire(this);
     Instrument::contended_rmw(&root_, KRS_SITE);
     const V prior = cas_root(std::forward<F>(f));
+    serialized_updates_.fetch_add(1, std::memory_order_relaxed);
     Instrument::release(this);
     return prior;
   }
@@ -243,9 +245,10 @@ class MappingCombiningTree {
   /// Aggregate fold/decline/root counters across all nodes and slots.
   /// Counters are relaxed, so a concurrent snapshot is approximate;
   /// quiesce first for exact accounting (then ops == root_applies + folds
-  /// holds exactly: every operation either folded into a partner below the
-  /// root or was applied at the root — by the direct CAS, after a climb,
-  /// or, for a declined second, by distribute()'s own root application).
+  /// holds exactly: every fetch_rmw operation either folded into a partner
+  /// below the root or was applied at the root — by the direct CAS, after
+  /// a climb, or, for a declined second, by distribute()'s own root
+  /// application).
   [[nodiscard]] CombiningTreeStats stats() const {
     CombiningTreeStats s;
     for (const Node& nd : nodes_) {
@@ -258,6 +261,8 @@ class MappingCombiningTree {
     s.root_applies =
         root_applies_.load(std::memory_order_relaxed) + s.direct_applies;
     s.ops = s.root_applies + s.folds;
+    s.serialized_updates =
+        serialized_updates_.load(std::memory_order_relaxed);
     return s;
   }
 
@@ -596,7 +601,9 @@ class MappingCombiningTree {
   /// Root case: apply the combined mapping to the root word.
   V apply_at_root(const M& c) {
     Instrument::contended_rmw(&root_, KRS_SITE);
-    return cas_root([&c](const V& v) { return c.apply(v); });
+    const V prior = cas_root([&c](const V& v) { return c.apply(v); });
+    root_applies_.fetch_add(1, std::memory_order_relaxed);
+    return prior;
   }
 
   /// root ← next(root) with a CAS loop; returns the prior value. Every
@@ -609,7 +616,6 @@ class MappingCombiningTree {
                                         std::memory_order_acq_rel,
                                         std::memory_order_relaxed)) {
     }
-    root_applies_.fetch_add(1, std::memory_order_relaxed);
     return prior;
   }
 
@@ -687,10 +693,11 @@ class MappingCombiningTree {
   std::vector<DirectCounter> direct_applies_;  // per slot
   // The root word alone on its line: every operation's CAS lands here.
   alignas(kCacheLine) std::atomic<V> root_;
-  // Tree-path root applications (direct ones are counted per slot), on
-  // their own line: a counter beside root_ would turn every apply into a
-  // second write to the hot line.
+  // Tree-path root applications (direct ones are counted per slot) and
+  // update() calls, on their own line: a counter beside root_ would turn
+  // every apply into a second write to the hot line.
   alignas(kCacheLine) std::atomic<std::uint64_t> root_applies_{0};
+  std::atomic<std::uint64_t> serialized_updates_{0};
 };
 
 }  // namespace krs::runtime

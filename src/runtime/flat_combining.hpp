@@ -117,17 +117,15 @@ class FlatCombiner {
   static constexpr unsigned kDefaultMaxPasses = 8;
 
   /// Wait rounds a published op spends in its own slot before its first
-  /// try_lock: 1+2+…+32 pauses under both shipped policies, about 1.6 µs
+  /// try_lock: 1+2+…+32 pauses under every shipped policy, about 1.6 µs
   /// on a 4-CPU x86-64 host. Electing at once sent the loser of a direct
   /// CAS back to the value word within a microsecond to collide again.
   /// On that host krs-bench hot_flat ran 15M ops/s at 0 rounds, 19M at
   /// 5, 23M at 6 and 30M at 7, where p99 was 40% above electing at once
   /// (docs/PERFORMANCE.md §6, "The collision storm").
   static constexpr unsigned kElectAfterRounds = 6;
-  static_assert((1u << (kElectAfterRounds - 1)) <= SpinYieldWait::kSpinCap &&
-                    kElectAfterRounds < FutexWait::kSpinRounds,
-                "the election window must stay inside both policies' spin "
-                "grace, so a window round never yields or parks");
+  static_assert(inside_spin_grace(kElectAfterRounds),
+                "an election window round must never yield or park");
 
   /// `slots`: publication-record count, ≥ 2 — any value, no power-of-two
   /// constraint (there is no heap layout here). Threads may alias onto one
@@ -207,7 +205,6 @@ class FlatCombiner {
   }
 
   [[nodiscard]] unsigned slots() const noexcept { return nslots_; }
-  [[nodiscard]] unsigned max_passes() const noexcept { return max_passes_; }
 
   /// Address of the value word — what the Instrument policy's
   /// contended_rmw hook reports for combiner traffic, so a profiler caller

@@ -222,9 +222,6 @@ class ShardedBackend : public MappingOps<ShardedBackend<Inner>> {
   }
 
   void set_aggregation(Aggregation agg) noexcept { agg_ = agg; }
-  [[nodiscard]] const Aggregation& aggregation() const noexcept {
-    return agg_;
-  }
 
   [[nodiscard]] ShardedCellStats cell_stats(const Cell& c) const {
     ShardedCellStats out;

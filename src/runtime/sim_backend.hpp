@@ -365,9 +365,6 @@ class BasicSimBackend
   [[nodiscard]] std::uint32_t processors() const noexcept {
     return s_->nprocs;
   }
-  [[nodiscard]] const SimBackendConfig& config() const noexcept {
-    return s_->cfg;
-  }
 
  private:
   // Mailbox hand-off states. Empty → Claimed → Posted are poster-side;

@@ -3,21 +3,23 @@
 //
 // The paper's cost model waits by local spinning on a private word (§3: a
 // failed conditional RMW is a negative acknowledgment; the caller retries).
-// On a real machine that model splits three ways, which is exactly the
-// policy axis:
+// On a real machine every policy runs that model first: one schedule,
+// PacedWait, opens each wait episode with the same spin grace (round r
+// spins 2^r pause instructions, 1+2+…+64 over kSpinRounds = 7 rounds).
+// The policies differ only in what each later round does, which is
+// exactly the policy axis:
 //
-//  * SpinWait — pure local spinning with bounded exponential pacing, never
-//    yielding the core. The paper's model verbatim; right when waiters ≤
-//    cores and latency is everything.
-//  * SpinYieldWait — today's default: bounded exponential backoff (spin
-//    1, 2, 4, … pause instructions to a cap, then std::this_thread::yield
-//    each round). The yield matters once the partner we wait for may need
-//    our core (mild oversubscription).
-//  * FutexWait — spin-then-park: a short spin grace, a few yields, then
-//    the thread PARKS in the kernel (Linux futex(2); a striped
-//    mutex+condvar parking lot elsewhere) until the waited word changes or
-//    a bounded timeout fires. Right when waiters ≫ cores: parked waiters
-//    stop burning the very cycles the lock holder needs.
+//  * SpinWait — spins kSpinCap pauses, never yielding the core. The
+//    paper's model verbatim; right when waiters ≤ cores and latency is
+//    everything.
+//  * SpinYieldWait — today's default: yields (std::this_thread::yield).
+//    The yield matters once the partner we wait for may need our core
+//    (mild oversubscription).
+//  * FutexWait — yields kYieldRounds rounds, then PARKS in the kernel
+//    (Linux futex(2); a striped mutex+condvar parking lot elsewhere) until
+//    the waited word changes or a bounded, escalating timeout fires.
+//    Right when waiters ≫ cores: parked waiters stop burning the very
+//    cycles the lock holder needs.
 //
 // Interface (concept `WaitPolicy`): a policy object paces ONE wait episode.
 // `pause()` is a blind round (no addressable word — FutexWait degrades to a
@@ -98,31 +100,15 @@ struct WaitStats {
 
 namespace detail {
 
+/// Wait work of exited threads, added once per thread exit and read only
+/// by wait_stats_snapshot().
 struct GlobalWaitStats {
-  std::atomic<std::uint64_t> spins{0};
-  std::atomic<std::uint64_t> yields{0};
-  std::atomic<std::uint64_t> parks{0};
-  std::atomic<std::uint64_t> wakes{0};
+  std::mutex mu;
+  WaitStats exited;  // guarded by mu
 
   static GlobalWaitStats& instance() {
     static GlobalWaitStats g;
     return g;
-  }
-
-  void drain(const WaitStats& s) noexcept {
-    if (s.spins) spins.fetch_add(s.spins, std::memory_order_relaxed);
-    if (s.yields) yields.fetch_add(s.yields, std::memory_order_relaxed);
-    if (s.parks) parks.fetch_add(s.parks, std::memory_order_relaxed);
-    if (s.wakes) wakes.fetch_add(s.wakes, std::memory_order_relaxed);
-  }
-
-  [[nodiscard]] WaitStats snapshot() const noexcept {
-    WaitStats s;
-    s.spins = spins.load(std::memory_order_relaxed);
-    s.yields = yields.load(std::memory_order_relaxed);
-    s.parks = parks.load(std::memory_order_relaxed);
-    s.wakes = wakes.load(std::memory_order_relaxed);
-    return s;
   }
 };
 
@@ -133,7 +119,11 @@ struct TlsWaitStats {
   TlsWaitStats() = default;
   TlsWaitStats(const TlsWaitStats&) = delete;
   TlsWaitStats& operator=(const TlsWaitStats&) = delete;
-  ~TlsWaitStats() { GlobalWaitStats::instance().drain(stats); }
+  ~TlsWaitStats() {
+    GlobalWaitStats& g = GlobalWaitStats::instance();
+    const std::lock_guard<std::mutex> lk(g.mu);
+    g.exited += stats;
+  }
 };
 
 inline TlsWaitStats& wait_tls() noexcept {
@@ -154,9 +144,10 @@ inline TlsWaitStats& wait_tls() noexcept {
 /// calling thread's own. Exact once all other worker threads have been
 /// joined (their destructors drained); approximate while they run.
 [[nodiscard]] inline WaitStats wait_stats_snapshot() noexcept {
-  WaitStats s = detail::GlobalWaitStats::instance().snapshot();
-  s += detail::wait_tls().stats;
-  return s;
+  WaitStats s = detail::wait_tls().stats;
+  detail::GlobalWaitStats& g = detail::GlobalWaitStats::instance();
+  const std::lock_guard<std::mutex> lk(g.mu);
+  return s += g.exited;
 }
 
 // ---- parking substrate ------------------------------------------------------
@@ -281,132 +272,49 @@ inline void do_wake(const std::atomic<std::uint32_t>* w, bool all) noexcept {
 
 // ---- policies ---------------------------------------------------------------
 
-/// Pure local spinning, exponentially paced to a cap, never yielding the
-/// core — the paper's private-word wait model verbatim. Cheapest latency
-/// when waiters ≤ cores; pathological when the partner needs this core.
-class SpinWait {
- public:
-  static constexpr bool kParks = false;
-  static constexpr std::uint32_t kSpinCap = 64;
-
-  SpinWait() = default;
-  SpinWait(const SpinWait&) = delete;
-  SpinWait& operator=(const SpinWait&) = delete;
-  ~SpinWait() { flush(); }
-
-  void pause() noexcept {
-    const std::uint32_t n = spins_;
-    for (std::uint32_t i = 0; i < n; ++i) cpu_relax();
-    local_.spins += n;
-    if (spins_ < kSpinCap) spins_ *= 2;
-  }
-
-  void wait_while_equal(const std::atomic<std::uint32_t>&,
-                        std::uint32_t) noexcept {
-    pause();  // the caller's predicate loop re-reads the word
-  }
-
-  void reset() noexcept {
-    flush();
-    spins_ = 1;
-  }
-
-  static void notify_one(std::atomic<std::uint32_t>&) noexcept {}
-  static void notify_all(std::atomic<std::uint32_t>&) noexcept {}
-
- private:
-  void flush() noexcept {
-    detail::wait_tls().stats += local_;
-    local_ = {};
-  }
-
-  std::uint32_t spins_ = 1;
-  WaitStats local_{};
+/// What a paced wait does on each round once its spin grace is spent.
+enum class AfterGrace {
+  kSpin,   ///< spin kSpinCap pauses (SpinWait)
+  kYield,  ///< yield the core (SpinYieldWait)
+  kPark,   ///< yield kYieldRounds rounds, then park (FutexWait)
 };
 
-/// The default: bounded exponential backoff — spin 1, 2, 4, … pause
-/// instructions up to the cap, then yield every further round. The yield
-/// matters on oversubscribed hosts (more waiters than cores): the partner
-/// we are waiting for may need our core to make progress at all.
-class SpinYieldWait {
+/// The one wait schedule: a spin grace of kSpinRounds rounds, where round
+/// r spins 2^r pauses (1+2+…+64), then `After` on every later round. Park
+/// rounds carry an escalating bounded timeout: livelock insurance for
+/// protocols whose wakers publish after their scan (the flat combiner's
+/// handoff), at worst costing one timeout of latency, never a hang.
+template <AfterGrace After>
+class PacedWait {
  public:
-  static constexpr bool kParks = false;
-  static constexpr std::uint32_t kSpinCap = SpinWait::kSpinCap;
-
-  SpinYieldWait() = default;
-  SpinYieldWait(const SpinYieldWait&) = delete;
-  SpinYieldWait& operator=(const SpinYieldWait&) = delete;
-  ~SpinYieldWait() { flush(); }
-
-  void pause() noexcept {
-    if (spins_ <= kSpinCap) {
-      for (std::uint32_t i = 0; i < spins_; ++i) cpu_relax();
-      local_.spins += spins_;
-      spins_ *= 2;  // saturates one doubling past the cap: yields from here
-    } else {
-      std::this_thread::yield();
-      ++local_.yields;
-    }
-  }
-
-  void wait_while_equal(const std::atomic<std::uint32_t>&,
-                        std::uint32_t) noexcept {
-    pause();
-  }
-
-  void reset() noexcept {
-    flush();
-    spins_ = 1;
-  }
-
-  static void notify_one(std::atomic<std::uint32_t>&) noexcept {}
-  static void notify_all(std::atomic<std::uint32_t>&) noexcept {}
-
- private:
-  void flush() noexcept {
-    detail::wait_tls().stats += local_;
-    local_ = {};
-  }
-
-  std::uint32_t spins_ = 1;
-  WaitStats local_{};
-};
-
-/// Spin-then-park: a short exponential spin grace, a few yields, then the
-/// thread parks in the kernel. Addressable waits park on the waited word
-/// itself (futex(2): the kernel atomically re-checks the expected value,
-/// so a wake issued between our user-space check and the sleep is never
-/// lost); blind waits degrade to a bounded timed sleep. Every park carries
-/// an escalating bounded timeout — livelock insurance for protocols whose
-/// wakers publish after their scan (the flat combiner's handoff), at worst
-/// costing one timeout of latency, never a hang.
-class FutexWait {
- public:
-  static constexpr bool kParks = true;
-  static constexpr std::uint32_t kSpinRounds = 7;   // 1+2+…+64 pause grace
-  static constexpr std::uint32_t kYieldRounds = 4;  // then a few yields
+  static constexpr bool kParks = After == AfterGrace::kPark;
+  static constexpr std::uint32_t kSpinRounds = 7;
+  static constexpr std::uint32_t kSpinCap = 1u << (kSpinRounds - 1);
+  static constexpr std::uint32_t kYieldRounds = 4;
   static constexpr std::chrono::nanoseconds kMinParkTimeout{100'000};
   static constexpr std::chrono::nanoseconds kMaxParkTimeout{5'000'000};
 
-  FutexWait() = default;
-  FutexWait(const FutexWait&) = delete;
-  FutexWait& operator=(const FutexWait&) = delete;
-  ~FutexWait() { flush(); }
+  PacedWait() = default;
+  PacedWait(const PacedWait&) = delete;
+  PacedWait& operator=(const PacedWait&) = delete;
+  ~PacedWait() { flush(); }
 
-  /// Blind round: no word to park on, so the park phase is a bounded timed
+  /// Blind round: no word to park on, so a park round is a bounded timed
   /// sleep — progress never depends on a waker the caller can't name.
   void pause() noexcept {
-    if (grace_round()) return;
+    if (!park_due()) return;
     std::this_thread::sleep_for(next_timeout());
     ++local_.parks;
   }
 
-  /// Addressable round: park on `w` while it holds `v`, bounded. The
-  /// caller re-checks its predicate and loops; a spurious or timed-out
-  /// return costs one loop iteration, nothing else.
+  /// Addressable round: a park round parks on `w` while it holds `v`,
+  /// bounded (futex(2): the kernel atomically re-checks the expected
+  /// value, so a wake issued between our user-space check and the sleep
+  /// is never lost). The caller re-checks its predicate and loops; a
+  /// spurious or timed-out return costs one loop iteration, nothing else.
   void wait_while_equal(const std::atomic<std::uint32_t>& w,
                         std::uint32_t v) noexcept {
-    if (grace_round()) return;
+    if (!park_due()) return;
     detail::do_park(&w, v, next_timeout());
     ++local_.parks;
   }
@@ -418,30 +326,42 @@ class FutexWait {
   }
 
   static void notify_one(std::atomic<std::uint32_t>& w) noexcept {
-    detail::do_wake(&w, false);
-    ++detail::wait_tls().stats.wakes;
+    notify(w, false);
   }
   static void notify_all(std::atomic<std::uint32_t>& w) noexcept {
-    detail::do_wake(&w, true);
-    ++detail::wait_tls().stats.wakes;
+    notify(w, true);
   }
 
  private:
-  bool grace_round() noexcept {
+  static void notify(std::atomic<std::uint32_t>& w, bool all) noexcept {
+    if constexpr (kParks) {
+      detail::do_wake(&w, all);
+      ++detail::wait_tls().stats.wakes;
+    }
+  }
+
+  /// Runs this round's spins or yield, or returns true when the round is
+  /// a park. `round_` saturates at the first park round.
+  bool park_due() noexcept {
     if (round_ < kSpinRounds) {
-      const std::uint32_t n = 1u << round_;
-      for (std::uint32_t i = 0; i < n; ++i) cpu_relax();
-      local_.spins += n;
+      spin(1u << round_);
       ++round_;
-      return true;
+      return false;
     }
-    if (round_ < kSpinRounds + kYieldRounds) {
-      std::this_thread::yield();
-      ++local_.yields;
-      ++round_;
-      return true;
+    if constexpr (After == AfterGrace::kSpin) {
+      spin(kSpinCap);
+      return false;
     }
+    if (kParks && round_ == kSpinRounds + kYieldRounds) return true;
+    std::this_thread::yield();
+    ++local_.yields;
+    if (round_ < kSpinRounds + kYieldRounds) ++round_;
     return false;
+  }
+
+  void spin(std::uint32_t n) noexcept {
+    for (std::uint32_t i = 0; i < n; ++i) cpu_relax();
+    local_.spins += n;
   }
 
   std::chrono::nanoseconds next_timeout() noexcept {
@@ -459,6 +379,27 @@ class FutexWait {
   std::chrono::nanoseconds timeout_ = kMinParkTimeout;
   WaitStats local_{};
 };
+
+/// Pure local spinning, never yielding the core — the paper's
+/// private-word wait model verbatim. Cheapest latency when waiters ≤
+/// cores; pathological when the partner needs this core.
+using SpinWait = PacedWait<AfterGrace::kSpin>;
+
+/// The default. The yield matters on oversubscribed hosts (more waiters
+/// than cores): the partner we are waiting for may need our core to make
+/// progress at all.
+using SpinYieldWait = PacedWait<AfterGrace::kYield>;
+
+/// Spin-then-park: parked waiters stop burning the very cycles the lock
+/// holder needs. Right when waiters ≫ cores.
+using FutexWait = PacedWait<AfterGrace::kPark>;
+
+/// True when a window of `rounds` wait rounds stays inside the spin grace
+/// every shipped policy opens with, so no window round yields or parks.
+/// Both combiners size their collision windows by it.
+constexpr bool inside_spin_grace(unsigned rounds) noexcept {
+  return rounds < SpinWait::kSpinRounds;
+}
 
 // ---- the concept ------------------------------------------------------------
 

@@ -26,7 +26,11 @@ struct State {
 };
 
 std::string local_key(std::size_t p, const std::string& name) {
-  return "P" + std::to_string(p) + "." + name;
+  std::string s = "P";
+  s += std::to_string(p);
+  s += '.';
+  s += name;
+  return s;
 }
 
 const std::string* shared_var(const Instr& ins) {

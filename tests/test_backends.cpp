@@ -397,6 +397,33 @@ TEST(CombineTelemetry, LoneCallerAlwaysLandsTheDirectCas) {
   EXPECT_DOUBLE_EQ(st.direct_rate(), 1.0);
 }
 
+TEST(CombineTelemetry, UpdatesCountedApartFromOpsOnBothCombiners) {
+  // update() (the compare_exchange path) combines with nothing, so both
+  // combiners count it in serialized_updates, and `ops` counts fetch_rmw
+  // operations only.
+  constexpr std::uint64_t kN = 30;
+  constexpr std::uint64_t kK = 7;
+  const auto run = [&](auto& combiner) {
+    for (std::uint64_t i = 0; i < kN + kK; ++i) {
+      if (i % 5 == 4) {
+        (void)combiner.update([](Word v) { return v + 100; });
+      } else {
+        (void)combiner.fetch_rmw(static_cast<unsigned>(i % 4),
+                                 AnyRmw(FetchAdd(1)));
+      }
+    }
+    EXPECT_EQ(combiner.read(), kN + 100 * kK);
+    const auto st = combiner.stats();
+    EXPECT_EQ(st.ops, kN);
+    EXPECT_EQ(st.serialized_updates, kK);
+  };
+  MappingCombiningTree<AnyRmw> tree(4, 0);
+  run(tree);
+  EXPECT_EQ(tree.stats().root_applies, kN);
+  FlatCombiner<> flat(4, 0);
+  run(flat);
+}
+
 // A fetch-and-add mapping that counts its own copies and moves, to pin
 // what the tree does with the caller's mapping.
 struct CountingAdd {

@@ -158,13 +158,21 @@ TEST(PathExpr, EnforcesTheTractabilityCap) {
   // 20 DISTINCT steps cannot minimize below 20 states — past the §5.6
   // cap of 16, the compiler refuses rather than truncating.
   std::string expr;
-  for (int i = 0; i < 20; ++i) expr += "s" + std::to_string(i) + " ";
+  for (int i = 0; i < 20; ++i) {
+    expr += 's';
+    expr += std::to_string(i);
+    expr += ' ';
+  }
   PathCompiler pc;
   EXPECT_FALSE(pc.compile(expr).has_value());
   EXPECT_NE(pc.error().find("16"), std::string::npos) << pc.error();
   // 12 distinct steps fit.
   std::string ok;
-  for (int i = 0; i < 12; ++i) ok += "s" + std::to_string(i) + " ";
+  for (int i = 0; i < 12; ++i) {
+    ok += 's';
+    ok += std::to_string(i);
+    ok += ' ';
+  }
   EXPECT_TRUE(pc.compile(ok).has_value()) << pc.error();
 }
 

@@ -111,7 +111,7 @@ TEST(AsyncTree, RobustToTimingSkew) {
   const auto slow_plus = [](const long& a, const long& b) {
     // Deterministic per-value jitter: spin proportional to the operand.
     volatile long sink = 0;
-    for (long i = 0; i < (a * 7 + b * 13) % 2000; ++i) sink += i;
+    for (long i = 0; i < (a * 7 + b * 13) % 2000; ++i) sink = sink + i;
     return a + b;
   };
   const auto r = async_prefix(vals, slow_plus, 0L);
