@@ -345,13 +345,33 @@ BENCHMARK(BM_SimQueue)
 // --- stochastic arrival scenarios (the workload dimension) ------------------
 //
 // The wave rows above cost the primitives under SIMULTANEOUS arrivals —
-// the §4.2 best case. These rows cost the same machine under the paper's
+// the §4.2 best case. These rows cost a larger machine under the paper's
 // stochastic arrival models instead, via SimBackend::run_traffic: each
 // simulated processor is fed by a src/workload generator (hot-spot
 // mixture, on/off bursty, closed-loop with think times), so cycles_per_op
 // gains a `scenario` dimension and the per-op latency distribution comes
 // out in machine cycles (latency_p50/p99_cycles). Deterministic like the
 // waves: fixed seeds, fixed poll order, engine-independent.
+//
+// The machine has n = 64 processors, and each row runs with the switches'
+// combining off and on (`combine` = 0/1). With one op in flight per
+// processor, an 8-processor machine never queues at the hot module, so
+// hot-spot and uniform traffic read the same cycles_per_op there even
+// without combining. At 64 the hot module queues: without combining the
+// hot-spot row costs about 3× the uniform one, and combining brings it
+// back to the uniform floor (§4.2's claim). The latency percentiles come
+// from util::LogHistogram, so they resolve only to power-of-two buckets.
+
+constexpr unsigned kScenarioLogProcs = 6;  // n = 64
+
+SimBackend make_scenario_backend(benchmark::State& state) {
+  krs::net::SwitchConfig sw;
+  sw.policy = state.range(0) != 0 ? krs::net::CombinePolicy::kUnlimited
+                                  : krs::net::CombinePolicy::kNone;
+  return SimBackend(SimBackendConfig{.log2_procs = kScenarioLogProcs,
+                                     .engine_workers = 1,
+                                     .switch_cfg = sw});
+}
 
 template <typename MakeSource>
 void sim_scenario_loop(benchmark::State& state, MakeSource make_source) {
@@ -363,7 +383,7 @@ void sim_scenario_loop(benchmark::State& state, MakeSource make_source) {
     // A fresh machine per iteration, so every iteration runs the same
     // traffic and every counter below is a function of the code alone,
     // not of the iteration count the timer picks.
-    SimBackend b = make_sim_backend(state);
+    SimBackend b = make_scenario_backend(state);
     std::vector<std::unique_ptr<SimBackend::Cell>> cells;  // cells don't move
     for (unsigned i = 0; i < 8; ++i) {
       cells.push_back(std::make_unique<SimBackend::Cell>(b, 0));
@@ -408,7 +428,7 @@ void BM_SimScenarioHotspot(benchmark::State& state) {
 }
 BENCHMARK(BM_SimScenarioHotspot)
     ->Name("BM_SimCoordination/scenario_hotspot")
-    ->ArgNames({"workers"})->Arg(1);
+    ->ArgNames({"combine"})->Arg(0)->Arg(1);
 
 void BM_SimScenarioUniform(benchmark::State& state) {
   // h = 0: uniform traffic across all eight cells, the contention floor.
@@ -422,7 +442,7 @@ void BM_SimScenarioUniform(benchmark::State& state) {
 }
 BENCHMARK(BM_SimScenarioUniform)
     ->Name("BM_SimCoordination/scenario_uniform")
-    ->ArgNames({"workers"})->Arg(1);
+    ->ArgNames({"combine"})->Arg(0)->Arg(1);
 
 void BM_SimScenarioBursty(benchmark::State& state) {
   // On/off arrivals, thinned to half rate inside a burst: mean load is
@@ -439,7 +459,7 @@ void BM_SimScenarioBursty(benchmark::State& state) {
 }
 BENCHMARK(BM_SimScenarioBursty)
     ->Name("BM_SimCoordination/scenario_bursty")
-    ->ArgNames({"workers"})->Arg(1);
+    ->ArgNames({"combine"})->Arg(0)->Arg(1);
 
 void BM_SimScenarioClosed(benchmark::State& state) {
   // Four logical clients per processor, exponential think times: offered
@@ -454,7 +474,7 @@ void BM_SimScenarioClosed(benchmark::State& state) {
 }
 BENCHMARK(BM_SimScenarioClosed)
     ->Name("BM_SimCoordination/scenario_closed")
-    ->ArgNames({"workers"})->Arg(1);
+    ->ArgNames({"combine"})->Arg(0)->Arg(1);
 
 void BM_SimCounterScale(benchmark::State& state) {
   // The counter hotspot swept over machine size k ∈ {6, 8, 10}

@@ -25,7 +25,7 @@
 // operate / distribute) of Yew–Tzeng–Lawrie and Herlihy–Shavit, with each
 // node run as a word-sized state machine in the style of Goodman-style
 // combining words: second arrivals deposit their mapping in a per-node
-// slot and spin-then-yield until the distributed result lands. Every
+// slot and watch its status word until the distributed result lands. Every
 // write of the root value is an atomic read-modify-write (the direct CAS,
 // or a CAS loop for a combined, declined or update() application),
 // so every operation linearizes at a modification of the root word.
@@ -50,20 +50,22 @@
 //   0. direct — v = root; CAS root v→f(v). Success: return v, done.
 //   1. precombine — climb from the leaf while CAS Idle→First succeeds;
 //      CAS First→SecondPending stops the climb (we are the second there);
-//      the root always stops the climb. An op whose climb stopped at the
-//      root (the top first of its path) then waits out the collision
-//      window, kCollisionWindowRounds wait rounds, still holding its
-//      First claims: a climber that reaches the path meanwhile engages as
-//      a second and is folded in phase 2, and the waiting op stays off
-//      the root word it just collided on (the §4 switch queue, where a
-//      collided request waits to meet a later one). A second goes on to
-//      deposit at once.
+//      the root always stops the climb. Every op whose climb stopped then
+//      waits out the collision window, kCollisionWindowRounds wait
+//      rounds, still holding its First claims: the top first of its path
+//      before it combines, a second before it deposits. A climber that
+//      reaches the path meanwhile engages as a second and is folded in
+//      phase 2; the top first stays off the root word it just collided
+//      on, and a second stays off its first, which is waiting out its own
+//      window (the §4 switch queue, where a collided request waits to
+//      meet a later one).
 //   2. combine — re-walk the path: CAS First→FirstLocked passes through
 //      (no partner), SecondReady folds the deposited mapping in with
 //      compose(first, second) — or records a decline.
 //   3. operate — at the root, apply with a CAS loop on the root word; at
 //      a SecondPending node, deposit the combined mapping (store + release
-//      tag flip) and spin-then-yield for the Result tag.
+//      tag flip) and watch the status word for the Result tag: a watching
+//      wait, so it ends on the pause the reply lands.
 //   4. distribute — walk back down: FirstLocked resets to Idle(gen+1);
 //      SecondCombined receives result = first_map(prior) — exactly
 //      ⟨id2, f(val)⟩ — or, if composition declined, the second's mapping
@@ -155,12 +157,13 @@ class MappingCombiningTree {
                 "the root cell is a std::atomic<V>");
 
  public:
-  /// Wait rounds the top first of a claimed path spends between its climb
-  /// and its combine phase (the collision window): 1+2+…+16 pauses under
-  /// every shipped policy. On a 4-CPU x86-64 host krs-bench hot_tree ran
-  /// 22M ops/s without the window, 26M at 5 rounds and 30M at 6, where
-  /// p99 was 17–23% above no window (docs/PERFORMANCE.md §1, "The
-  /// collision window").
+  /// Wait rounds every climber spends between its climb and its combine
+  /// phase (the collision window): 1+2+…+16 pauses under every shipped
+  /// policy. On a 4-CPU x86-64 host krs-bench hot_tree ran 22M ops/s
+  /// without the window, 26M with it for the top first alone, and 29M
+  /// with it for seconds too, whose reply wait ends on the pause the
+  /// reply lands (docs/PERFORMANCE.md §1, "The collision window" and
+  /// "Watched replies and a window for every climber").
   static constexpr unsigned kCollisionWindowRounds = 5;
   static_assert(inside_spin_grace(kCollisionWindowRounds),
                 "a collision window round must never yield or park");
@@ -182,10 +185,10 @@ class MappingCombiningTree {
 
   /// Atomically value ← f(value), returning the prior value. One CAS on
   /// the root word first; only if it loses does the operation climb,
-  /// wait out the collision window if it reached the root, and combine
-  /// with concurrent callers on the way up. `slot` must be <
-  /// width; a slot may be shared by threads, but concurrency above two
-  /// threads per leaf degrades to local waiting at that leaf.
+  /// wait out the collision window, and combine with concurrent callers
+  /// on the way up. `slot` must be < width; a slot may be shared by
+  /// threads, but concurrency above two threads per leaf degrades to
+  /// local waiting at that leaf.
   ///
   /// The direct path is a load, one CAS and, when the CAS lands, one
   /// plain store to the slot owner's counter (SlotCounter): `f` is taken
@@ -463,12 +466,12 @@ class MappingCombiningTree {
   };
 
   /// Phases 1–4 for an operation whose direct CAS lost, with the
-  /// collision window between precombine and combine for the top first
-  /// of a claimed path. The protocol already tolerates any delay there (a
-  /// preempted first causes one), so the window changes which ops fold,
-  /// never a reply's correctness. Out of line, so the direct path keeps a small frame. The
-  /// climb's one copy of `f` is the mapping it carries up: each combine()
-  /// moves it in and out, and a second's deposit moves it into the node.
+  /// collision window between precombine and combine. The protocol
+  /// already tolerates any delay there (a preempted climber causes one),
+  /// so the window changes which ops fold, never a reply's correctness.
+  /// Out of line, so the direct path keeps a small frame. The climb's one
+  /// copy of `f` is the mapping it carries up: each combine() moves it in
+  /// and out, and a second's deposit moves it into the node.
   [[gnu::noinline]] V climb(unsigned slot, const M& f) {
     const unsigned my_leaf = leaf_of(slot);  // heap index
 
@@ -478,8 +481,9 @@ class MappingCombiningTree {
     const unsigned stop = node;
 
     // The collision window (protocol step 1 above). A leaf that is the
-    // root (width 2) has no path to claim, so it has no window.
-    if (stop == kRootIndex && my_leaf != kRootIndex) {
+    // root (width 2) has no path to claim and no first to meet, so it
+    // has no window.
+    if (my_leaf != kRootIndex) {
       Policy pol;
       for (unsigned r = 0; r < kCollisionWindowRounds; ++r) pol.pause();
     }
@@ -493,7 +497,7 @@ class MappingCombiningTree {
     }
 
     // Phase 3: operate — at the root, apply; at a SecondPending node,
-    // deposit (the carried mapping moves into the node) and spin for the
+    // deposit (the carried mapping moves into the node) and watch for the
     // distributed result.
     const V prior = stop == kRootIndex
                         ? apply_at_root(combined)
@@ -646,14 +650,16 @@ class MappingCombiningTree {
     return r;
   }
 
-  /// Second case on the threaded path: deposit, then spin-then-yield on
-  /// this node's status word until the first distributes our reply.
+  /// Second case on the threaded path: deposit, then watch this node's
+  /// status word until the first distributes our reply.
   V deposit_and_await(unsigned n, M c) {
     plant_second(n, std::move(c));
-    // Blind rounds: the status word is 64-bit (generation-counted), not
-    // addressable by a parking policy's 32-bit wait word.
+    // Watching rounds on a handoff: only our first writes the reply. The
+    // status word is 64-bit (generation-counted), not addressable by a
+    // parking policy's 32-bit wait word, so a park round is a timed sleep.
+    const auto ready = [this, n] { return result_ready(n); };
     Policy pol;
-    while (!result_ready(n)) pol.pause();
+    while (!ready()) pol.watch_until(ready);
     return take_result(n);
   }
 

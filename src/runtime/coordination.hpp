@@ -61,10 +61,15 @@ class BasicBarrier {
     if (ticket % parties_ == parties_ - 1) {
       phase_.store(my_phase + 1, std::memory_order_release);
     } else {
-      // Blind rounds: the phase word is 64-bit (monotonic, never reused),
-      // not addressable by a parking policy's 32-bit wait word.
+      // Only the last arrival writes the phase word: a handoff, so watch
+      // it. It is 64-bit (monotonic, never reused), not addressable by a
+      // parking policy's 32-bit wait word, so a park round is a timed
+      // sleep.
+      const auto released = [this, my_phase] {
+        return phase_.load(std::memory_order_acquire) > my_phase;
+      };
       Policy pol;
-      while (phase_.load(std::memory_order_acquire) <= my_phase) pol.pause();
+      while (!released()) pol.watch_until(released);
     }
     // Absorb every party's pre-barrier history on the way out.
     Instrument::acquire(this);

@@ -18,7 +18,9 @@
 //  * a published op first WAITS in its slot for kElectAfterRounds rounds
 //    of the wait policy (the election window), where a running combiner
 //    can serve it — the analogue of a collided request waiting in a §4
-//    switch queue, and it keeps the op off the value word;
+//    switch queue, and it keeps the op off the value word. The rounds
+//    WATCH the slot word: a reply that lands mid-round ends the wait on
+//    that pause instead of at the round's end;
 //  * ONE thread at a time is the COMBINER, elected by a try-lock on a
 //    single word (never spun on while held — losers go back to watching
 //    their own slot);
@@ -41,10 +43,13 @@
 // pairwise) and the combiner's one RMW per batch — the inversion of the §1
 // hot spot that tools/krs_profile's flat wave run demonstrates. Waiting is
 // local spinning on the thread's own slot, paced by the WaitPolicy seam
-// (runtime/wait_policy.hpp): SpinYieldWait spins with bounded exponential
-// backoff then yields, FutexWait parks waiters on their own slot word (the
-// combiner wakes them when the reply lands, with bounded park timeouts
-// covering the publish-after-scan race).
+// (runtime/wait_policy.hpp) with watching rounds: the slot word is a
+// handoff only the combiner writes, so the owner re-reads it every pause
+// of the spin grace. Past the grace SpinYieldWait yields and FutexWait
+// parks waiters on their own slot word (the combiner wakes them when the
+// reply lands, with bounded park timeouts covering the publish-after-scan
+// race). A slot claim waits on a word aliased threads contend for, so its
+// rounds stay blind.
 //
 // FlatCombiningBackend (combining_backend.hpp) wraps the combiner behind
 // the RmwBackend concept, so every §6 algorithm runs over it unchanged.
@@ -345,10 +350,13 @@ class FlatCombiner {
         if constexpr (Policy::kParks) wake_pending();
         break;
       }
-      // Local wait on our own slot word: a combiner flipping it to kDone
-      // wakes a parked waiter; the bounded park timeout re-arms the
-      // try_lock election if a handoff left the list unserved.
-      pol.wait_while_equal(s.seq, kPending);
+      // Local watch on our own slot word, a handoff only a combiner
+      // writes: the round ends on the pause the reply lands. Still one
+      // call per round, so the election falls after kElectAfterRounds.
+      // A combiner flipping the word to kDone wakes a parked waiter; the
+      // bounded park timeout re-arms the try_lock election if a handoff
+      // left the list unserved.
+      pol.watch_while_equal(s.seq, kPending);
     }
     KRS_ASSERT(s.seq.load(std::memory_order_acquire) == kDone);
     const core::Word prior = s.result;

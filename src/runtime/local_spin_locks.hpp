@@ -26,6 +26,10 @@
 // Every wait routes through the WaitPolicy seam (runtime/wait_policy.hpp):
 // the queue locks park on their private word under FutexWait, so the same
 // lock object covers the whole spin↔park spectrum by template parameter.
+// An MCS waiter watches its flag (a watching round: only its predecessor
+// writes it), so the handoff ends on the pause it lands. A CLH waiter
+// stays blind: watching its predecessor's node lost 11–14% at 2 threads
+// in bench_lock_tier (docs/PERFORMANCE.md §8).
 //
 // BasicLockBackend<Lock> exposes any of these locks as an RmwBackend
 // substrate (cell = one padded word guarded by one lock), so every §6
@@ -76,10 +80,11 @@ class BasicMcsLock {
       contended_.fetch_add(1, std::memory_order_relaxed);
       // Link in; the release store publishes our node to the predecessor.
       pred->next.store(&me, std::memory_order_release);
+      // A handoff only the predecessor writes: watch it.
       Policy pol;
       Instrument::shared_load(&me.locked, KRS_SITE);
       while (me.locked.load(std::memory_order_acquire) != 0) {
-        pol.wait_while_equal(me.locked, 1);
+        pol.watch_while_equal(me.locked, 1);
       }
     }
     Instrument::acquire(this);

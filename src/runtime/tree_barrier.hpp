@@ -75,7 +75,8 @@ class BasicTreeBarrier {
       while (release_.load(std::memory_order_acquire) != target) {
         // The release word only ever holds 0 or 1, so "not yet my sense"
         // is exactly "still the previous phase's sense" — addressable.
-        pol.wait_while_equal(release_, target ^ 1u);
+        // Only the last arrival writes it: a handoff, so watch it.
+        pol.watch_while_equal(release_, target ^ 1u);
       }
     }
     // Departure: absorb every party's pre-barrier history. All arrivals

@@ -21,14 +21,36 @@
 //    Right when waiters ≫ cores: parked waiters stop burning the very
 //    cycles the lock holder needs.
 //
-// Interface (concept `WaitPolicy`): a policy object paces ONE wait episode.
-// `pause()` is a blind round (no addressable word — FutexWait degrades to a
-// bounded timed sleep, so progress never depends on a waker). `wait_while_
-// equal(w, v)` is an addressable round: the policy may park on `w` while it
-// holds `v`; callers keep the predicate re-check loop around it. `reset()`
-// re-arms the schedule between independent episodes. `notify_one/all(w)`
-// are the waker-side hooks — no-ops unless the policy parks (`kParks`), so
-// default-policy fast paths stay store-only.
+// Interface (concept `WaitPolicy`): a policy object paces ONE wait episode,
+// one round per call. Callers keep their predicate re-check loop around
+// the call. Rounds are blind or watching, and three kinds of wait pick
+// between them:
+//
+//  * blind rounds spin their whole 2^r pauses before the caller re-checks.
+//    `pause()` has no addressable word (FutexWait degrades to a bounded
+//    timed sleep, so progress never depends on a waker);
+//    `wait_while_equal(w, v)` may park on `w` while it holds `v`. They
+//    serve two kinds of wait:
+//    - BLIND WINDOWS, the combiners' collision and election windows, whose
+//      point is to let time pass;
+//    - CONTENDED RETRIES on words many threads write (shared lock words,
+//      a slot being claimed, the rw-lock's counts): re-reading such a word
+//      every pause would pull its line away from the thread about to
+//      release it;
+//  * watching rounds re-check before every pause of the spin grace, end
+//    as soon as the wait is over and count only the pauses spent; past
+//    the grace they are exactly the blind round of their kind. They serve
+//    WATCHED HANDOFFS, a reply that one writer lands in a word only the
+//    waiter polls (the paper's local spin on a private word, §3), where a
+//    blind round would sit out the rest of a 16- or 32-pause round after
+//    the reply arrived:
+//    - `watch_while_equal(w, v)` for a 32-bit word;
+//    - `watch_until(ready)` for a word a parking policy cannot address;
+//      its park round is `pause()`'s timed sleep.
+//
+// `reset()` re-arms the schedule between independent episodes.
+// `notify_one/all(w)` are the waker-side hooks — no-ops unless the policy
+// parks (`kParks`), so default-policy fast paths stay store-only.
 //
 // Telemetry: every policy counts spins / yields / parks and every notify
 // counts wakes. Counters accumulate into a thread-local block (flushed on
@@ -319,6 +341,30 @@ class PacedWait {
     ++local_.parks;
   }
 
+  /// Watching round on an addressable word: inside the spin grace, it
+  /// re-checks `w` before every pause and ends as soon as `w` differs
+  /// from `v`; past the grace, it is exactly wait_while_equal.
+  void watch_while_equal(const std::atomic<std::uint32_t>& w,
+                         std::uint32_t v) noexcept {
+    if (round_ < kSpinRounds) {
+      watch([&w, v] { return w.load(std::memory_order_acquire) != v; });
+    } else {
+      wait_while_equal(w, v);
+    }
+  }
+
+  /// Watching round on a word only `ready` can read: inside the spin
+  /// grace, it re-checks `ready()` before every pause and ends as soon as
+  /// it holds; past the grace, it is exactly pause().
+  template <std::predicate Ready>
+  void watch_until(Ready&& ready) {
+    if (round_ < kSpinRounds) {
+      watch(ready);
+    } else {
+      pause();
+    }
+  }
+
   void reset() noexcept {
     flush();
     round_ = 0;
@@ -364,6 +410,17 @@ class PacedWait {
     local_.spins += n;
   }
 
+  /// One spin-grace round that ends early once `done()` holds. Separate
+  /// from spin(), so the blind rounds keep their code.
+  template <typename Done>
+  void watch(Done&& done) {
+    const std::uint32_t n = 1u << round_;
+    std::uint32_t i = 0;
+    for (; i < n && !done(); ++i) cpu_relax();
+    local_.spins += i;
+    ++round_;
+  }
+
   std::chrono::nanoseconds next_timeout() noexcept {
     const auto t = timeout_;
     timeout_ = timeout_ * 2 > kMaxParkTimeout ? kMaxParkTimeout : timeout_ * 2;
@@ -407,10 +464,13 @@ template <typename P>
 concept WaitPolicy =
     std::is_default_constructible_v<P> &&
     requires(P p, const std::atomic<std::uint32_t>& cw,
-             std::atomic<std::uint32_t>& w, std::uint32_t v) {
+             std::atomic<std::uint32_t>& w, std::uint32_t v,
+             bool (*ready)()) {
       p.pause();
       p.reset();
       p.wait_while_equal(cw, v);
+      p.watch_while_equal(cw, v);
+      p.watch_until(ready);
       P::notify_one(w);
       P::notify_all(w);
       { P::kParks } -> std::convertible_to<bool>;

@@ -25,9 +25,10 @@
 //    CAS, and its direct apply makes no copy of the mapping;
 //  * the collision window, driven through CombiningTreeTestPeer::climb
 //    with a scripted wait policy: a lone climber waits exactly the window
-//    before its root apply, a partner depositing in it is folded, a climb
-//    stopped below the root deposits before any wait, a width-2 climb has
-//    no window, and under both shipped policies the window is pure spin;
+//    before its root apply, a partner depositing in it is folded, a
+//    second waits the same window before it deposits, a width-2 climb has
+//    no window, under both shipped policies the window is pure spin, and
+//    a second's reply wait ends on the pause its reply lands;
 //  * compare_exchange racing direct and combined fetch_adds on one cell:
 //    no increment may be lost;
 //  * deterministic race_explorer models of the node handshake, of the
@@ -38,6 +39,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <map>
 #include <optional>
@@ -524,10 +526,12 @@ TEST(CombiningTreeWindow, PartnerDepositingInTheWindowIsFolded) {
   EXPECT_EQ(st.ops, 2u);
 }
 
-TEST(CombiningTreeWindow, ClimbStoppedBelowTheRootDepositsAtOnce) {
+TEST(CombiningTreeWindow, SecondWaitsTheWindowThenDeposits) {
   // A scripted first holds leaf 4 and node 2. The climber reaches leaf 4
-  // as the second, so it has no window: its mapping is in the node before
-  // its first wait round, where the first then combines and distributes.
+  // as the second and waits out the collision window before it deposits:
+  // its mapping is first in the node at wait kCollisionWindowRounds, its
+  // first reply-wait round, where the first then combines and
+  // distributes.
   STree tree(8, 100);
   ASSERT_TRUE(Peer::precombine(tree, 4));
   ASSERT_TRUE(Peer::precombine(tree, 2));
@@ -545,8 +549,8 @@ TEST(CombiningTreeWindow, ClimbStoppedBelowTheRootDepositsAtOnce) {
   };
   EXPECT_EQ(Peer::climb(tree, 1, AnyRmw(FetchAdd(7))), 105u);
   ScriptedWait::on_wait = nullptr;
-  EXPECT_EQ(deposited_at, 0u);
-  EXPECT_EQ(ScriptedWait::waits, 1u);  // the one round awaiting the reply
+  EXPECT_EQ(deposited_at, kWindow);
+  EXPECT_EQ(ScriptedWait::waits, kWindow + 1);  // the window, one reply wait
   EXPECT_EQ(tree.read(), 112u);
   EXPECT_EQ(tree.stats().folds, 1u);
 }
@@ -579,6 +583,69 @@ void lone_climber_spins_the_window() {
 TEST(CombiningTreeWindow, WindowIsSpinGraceUnderBothShippedPolicies) {
   lone_climber_spins_the_window<SpinYieldWait>();
   lone_climber_spins_the_window<FutexWait>();
+}
+
+TEST(CombiningTreeWindow, SecondsReplyWaitEndsOnTheReply) {
+  // Under SpinYieldWait, a thread plays the first: it holds leaf 4 and
+  // node 2, and distributes as soon as the climber, the second at leaf 4,
+  // has deposited. The reply lands at no particular pause, so a watching
+  // reply wait ends mid-round in some trial; a blind one always ends on a
+  // round boundary. Trials repeat until one ends mid-round (a descheduled
+  // first can push a reply past the grace) or the deadline passes. Every
+  // trial's reply is the first's prior plus 5.
+  using PTree = MappingCombiningTree<AnyRmw, NoInstrument, SpinYieldWait>;
+  constexpr unsigned kWindowSpins = (1u << PTree::kCollisionWindowRounds) - 1;
+  constexpr int kMinTrials = 20;
+  PTree tree(8, 0);
+  std::atomic<int> requested{-1};
+  std::atomic<int> claimed{-1};
+  std::atomic<bool> stop{false};
+  std::jthread first([&] {
+    for (int t = 0;; ++t) {
+      while (requested.load(std::memory_order_acquire) < t) {
+        if (stop.load(std::memory_order_acquire)) return;
+        std::this_thread::yield();
+      }
+      EXPECT_TRUE(Peer::precombine(tree, 4));
+      EXPECT_TRUE(Peer::precombine(tree, 2));
+      EXPECT_FALSE(Peer::precombine(tree, 1));
+      claimed.store(t, std::memory_order_release);
+      while (!Peer::second_ready(tree, 4)) cpu_relax();
+      AnyRmw combined = Peer::combine(tree, 4, AnyRmw(FetchAdd(5)));
+      combined = Peer::combine(tree, 2, std::move(combined));
+      const Word prior = Peer::apply_at_root(tree, combined);
+      Peer::distribute(tree, 2, prior);
+      Peer::distribute(tree, 4, prior);
+    }
+  });
+  int trials = 0;
+  int mid_round = 0;
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while ((trials < kMinTrials || mid_round == 0) &&
+         std::chrono::steady_clock::now() < deadline) {
+    const int t = trials++;
+    requested.store(t, std::memory_order_release);
+    while (claimed.load(std::memory_order_acquire) != t) {
+      std::this_thread::yield();
+    }
+    const WaitStats before = thread_wait_stats();
+    EXPECT_EQ(Peer::climb(tree, 1, AnyRmw(FetchAdd(7))),
+              static_cast<Word>(12 * t + 5));
+    // No ASSERT in this loop: returning early would leave the first
+    // waiting for a trial that never comes.
+    const WaitStats d = thread_wait_stats() - before;
+    EXPECT_GE(d.spins, kWindowSpins);
+    if (d.spins >= kWindowSpins &&
+        !ends_on_a_round_boundary(d.spins - kWindowSpins)) {
+      ++mid_round;
+    }
+  }
+  stop.store(true, std::memory_order_release);
+  first.join();
+  EXPECT_GT(mid_round, 0);
+  EXPECT_EQ(tree.read(), static_cast<Word>(12 * trials));
+  EXPECT_EQ(tree.stats().folds, static_cast<std::uint64_t>(trials));
 }
 
 // --- cross-backend equivalence ----------------------------------------------

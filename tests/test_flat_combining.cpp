@@ -13,8 +13,9 @@
 //    must tick;
 //  * the election window: a collided op waits exactly kElectAfterRounds
 //    rounds of its wait policy before it elects itself (scripted, and
-//    under SpinYieldWait and FutexWait), and a combiner arriving in that
-//    window serves it with no takeover of its own;
+//    under SpinYieldWait and FutexWait), a combiner arriving in that
+//    window serves it with no takeover of its own, and an op a peer
+//    serves in its window stops waiting on the pause the reply lands;
 //  * the counters the serving pass keeps: an op a peer served before its
 //    own election counts as combined, and under threads every op is a
 //    direct apply or a served one, exactly;
@@ -40,6 +41,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <functional>
 #include <latch>
@@ -279,6 +281,62 @@ void lone_publisher_spins_the_window() {
 TEST(FlatCombinerElection, WindowIsSpinGraceUnderBothShippedPolicies) {
   lone_publisher_spins_the_window<SpinYieldWait>();
   lone_publisher_spins_the_window<FutexWait>();
+}
+
+// A peer thread holds the lock and serves slot 0 as soon as it is
+// published, so the op is served inside its election window (its
+// try_lock would fail anyway). The reply lands at no particular pause: a
+// watching wait ends mid-round, under 63 spins, in some trial; a blind
+// one always ends on a round boundary. Trials repeat until one ends
+// mid-round in the window (a descheduled peer can serve an op late) or
+// the deadline passes.
+template <typename Policy>
+void served_op_stops_waiting_on_the_reply() {
+  using PFc = FlatCombiner<NoInstrument, Policy>;
+  constexpr std::uint64_t kWindowSpins = (1u << PFc::kElectAfterRounds) - 1;
+  constexpr int kMinTrials = 20;
+  PFc fc(2, 0);
+  std::atomic<bool> locked{false};
+  std::atomic<bool> done{false};
+  std::jthread peer([&] {
+    EXPECT_TRUE(Peer::lock(fc));
+    locked.store(true, std::memory_order_release);
+    // One tenure may serve two trials: its next pass can find the op
+    // published right after the previous reply.
+    while (!done.load(std::memory_order_acquire)) {
+      if (Peer::pending(fc, 0)) {
+        Peer::combine(fc);
+      } else {
+        cpu_relax();
+      }
+    }
+    Peer::unlock(fc);
+  });
+  while (!locked.load(std::memory_order_acquire)) std::this_thread::yield();
+  int trials = 0;
+  int mid_round_in_window = 0;
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while ((trials < kMinTrials || mid_round_in_window == 0) &&
+         std::chrono::steady_clock::now() < deadline) {
+    const int t = trials++;
+    const WaitStats before = thread_wait_stats();
+    EXPECT_EQ(Peer::collide(fc, 0, AnyRmw(FetchAdd(1))),
+              static_cast<Word>(t));
+    const WaitStats d = thread_wait_stats() - before;
+    if (d.spins < kWindowSpins && !ends_on_a_round_boundary(d.spins)) {
+      ++mid_round_in_window;
+    }
+  }
+  done.store(true, std::memory_order_release);
+  peer.join();
+  EXPECT_GT(mid_round_in_window, 0);
+  EXPECT_EQ(fc.stats().ops, static_cast<std::uint64_t>(trials));
+}
+
+TEST(FlatCombinerElection, OpServedInItsWindowStopsWaitingOnTheReply) {
+  served_op_stops_waiting_on_the_reply<SpinYieldWait>();
+  served_op_stops_waiting_on_the_reply<FutexWait>();
 }
 
 // --- the counters the serving pass keeps --------------------------------------

@@ -2,7 +2,8 @@
 // lock, shared by the test files that drive their private protocol
 // piecewise or check their layout. Each is a friend of its class
 // (combining_tree.hpp, flat_combining.hpp, coordination.hpp). Also the
-// scripted wait policy both combiners' window tests drive them with.
+// scripted wait policy both combiners' window tests drive them with, and
+// the round-boundary check their reply-wait tests share.
 #pragma once
 
 #include <gtest/gtest.h>
@@ -46,7 +47,8 @@ struct Member {
 /// A WaitPolicy that pauses for nothing and runs a test callback on each
 /// wait round, numbered from 0 across the test: the only way to act at a
 /// chosen round of a single-threaded combiner's wait (the flat combiner's
-/// election window, the tree's collision window).
+/// election window, the tree's collision window and reply wait). Every
+/// call is one round, blind or watching.
 struct ScriptedWait {
   static constexpr bool kParks = false;
   static inline unsigned waits = 0;
@@ -58,11 +60,26 @@ struct ScriptedWait {
   void wait_while_equal(const std::atomic<std::uint32_t>&, std::uint32_t) {
     pause();
   }
+  void watch_while_equal(const std::atomic<std::uint32_t>&, std::uint32_t) {
+    pause();
+  }
+  template <typename Ready>
+  void watch_until(Ready&&) {
+    pause();
+  }
   void reset() {}
   static void notify_one(std::atomic<std::uint32_t>&) {}
   static void notify_all(std::atomic<std::uint32_t>&) {}
 };
 static_assert(WaitPolicy<ScriptedWait>);
+
+/// True when `spins` is what whole spin-grace rounds add up to
+/// (1+2+…+2^k = 2^(k+1) − 1): a wait that ended between rounds. A blind
+/// wait always does; a watching wait ends mid-round when its word changes
+/// during one.
+inline bool ends_on_a_round_boundary(std::uint64_t spins) {
+  return ((spins + 1) & spins) == 0;
+}
 
 // Test-only peer: drives the private four-phase protocol single-threaded
 // so fold/decline telemetry is deterministic (under real concurrency the

@@ -13,6 +13,10 @@
 //    critical-section tickets at 2/4/8 threads, and deterministic FIFO
 //    handoff via the contended_acquires() stagger (spawn thread i+1 only
 //    after thread i has provably enqueued behind a held lock);
+//  * watching rounds — inside the grace a round ends on the pause its
+//    word changes (at once on a word that already differs, mid-round on
+//    one another thread flips) and counts only the pauses spent; past
+//    the grace the hook-driven FutexWait cases hold for them unchanged;
 //  * the telemetry plumbing — per-thread counts drain to the process
 //    totals at thread exit, so a joined coordinator reads exact sums;
 //  * EpisodeWait — the backoff-reset fix: the schedule re-arms exactly
@@ -100,16 +104,32 @@ constexpr std::uint32_t kGraceRounds =
 
 // ---- FutexWait: hook-driven determinism --------------------------------
 
-TEST(FutexWaitHooks, SurvivesSpuriousWakeups) {
+// Each hook case runs once per addressable round kind: past the grace a
+// watching round must yield and park exactly like a blind one.
+void blind_round(FutexWait& pol, const std::atomic<std::uint32_t>& w,
+                 std::uint32_t v) {
+  pol.wait_while_equal(w, v);
+}
+void watching_round(FutexWait& pol, const std::atomic<std::uint32_t>& w,
+                    std::uint32_t v) {
+  pol.watch_while_equal(w, v);
+}
+using Round = void (*)(FutexWait&, const std::atomic<std::uint32_t>&,
+                       std::uint32_t);
+
+void survives_spurious_wakeups(Round round) {
   HookGuard guard({&scripted_park, &counting_wake});
   g_release_on_park = 3;  // two pure spurious wakes, then the real one
 
   std::atomic<std::uint32_t> word{0};
   const WaitStats before = thread_wait_stats();
   {
+    // Bounded, so a round that never reaches the hook fails, not hangs.
     FutexWait pol;
-    while (word.load(std::memory_order_acquire) == 0) {
-      pol.wait_while_equal(word, 0);
+    for (std::uint32_t i = 0;
+         i < kGraceRounds + 8 && word.load(std::memory_order_acquire) == 0;
+         ++i) {
+      round(pol, word, 0);
     }
   }
   EXPECT_EQ(word.load(), 1u);
@@ -124,7 +144,15 @@ TEST(FutexWaitHooks, SurvivesSpuriousWakeups) {
   EXPECT_EQ(d.yields, FutexWait::kYieldRounds);
 }
 
-TEST(FutexWaitHooks, LostWakeOrderingNeverSleeps) {
+TEST(FutexWaitHooks, SurvivesSpuriousWakeups) {
+  survives_spurious_wakeups(&blind_round);
+}
+
+TEST(FutexWaitHooks, WatchSurvivesSpuriousWakeups) {
+  survives_spurious_wakeups(&watching_round);
+}
+
+void lost_wake_ordering_never_sleeps(Round round) {
   HookGuard guard({&scripted_park, &counting_wake});
 
   std::atomic<std::uint32_t> word{0};
@@ -132,7 +160,7 @@ TEST(FutexWaitHooks, LostWakeOrderingNeverSleeps) {
   // Burn the grace rounds while the word still holds the waited value —
   // no park happens yet.
   for (std::uint32_t i = 0; i < kGraceRounds; ++i) {
-    pol.wait_while_equal(word, 0);
+    round(pol, word, 0);
   }
   ASSERT_EQ(g_park_calls.load(), 0);
 
@@ -141,9 +169,17 @@ TEST(FutexWaitHooks, LostWakeOrderingNeverSleeps) {
   // return immediately — this re-check is the property that makes
   // parking safe without a waiter count.
   word.store(1, std::memory_order_release);
-  pol.wait_while_equal(word, 0);
+  round(pol, word, 0);
   EXPECT_EQ(g_park_calls.load(), 1);
   EXPECT_EQ(g_park_mismatches.load(), 1);  // saw w != expected, never slept
+}
+
+TEST(FutexWaitHooks, LostWakeOrderingNeverSleeps) {
+  lost_wake_ordering_never_sleeps(&blind_round);
+}
+
+TEST(FutexWaitHooks, WatchLostWakeOrderingNeverSleeps) {
+  lost_wake_ordering_never_sleeps(&watching_round);
 }
 
 TEST(FutexWaitHooks, NotifyRoutesThroughWakeHookAndCounts) {
@@ -158,14 +194,14 @@ TEST(FutexWaitHooks, NotifyRoutesThroughWakeHookAndCounts) {
   EXPECT_EQ(d.wakes, 2u);
 }
 
-TEST(FutexWaitHooks, ParkTimeoutEscalatesBoundedAndResets) {
+void park_timeout_escalates_bounded_and_resets(Round round) {
   HookGuard guard({&timeout_recording_park, &counting_wake});
 
   std::atomic<std::uint32_t> word{0};
   FutexWait pol;
   const int kParks = 10;
   for (std::uint32_t i = 0; i < kGraceRounds + kParks; ++i) {
-    pol.wait_while_equal(word, 0);
+    round(pol, word, 0);
   }
   ASSERT_EQ(g_timeouts.size(), static_cast<std::size_t>(kParks));
   EXPECT_EQ(g_timeouts.front(), FutexWait::kMinParkTimeout);
@@ -181,10 +217,130 @@ TEST(FutexWaitHooks, ParkTimeoutEscalatesBoundedAndResets) {
   pol.reset();
   g_timeouts.clear();
   for (std::uint32_t i = 0; i < kGraceRounds + 1; ++i) {
-    pol.wait_while_equal(word, 0);
+    round(pol, word, 0);
   }
   ASSERT_EQ(g_timeouts.size(), 1u);
   EXPECT_EQ(g_timeouts.front(), FutexWait::kMinParkTimeout);
+}
+
+TEST(FutexWaitHooks, ParkTimeoutEscalatesBoundedAndResets) {
+  park_timeout_escalates_bounded_and_resets(&blind_round);
+}
+
+TEST(FutexWaitHooks, WatchParkTimeoutEscalatesBoundedAndResets) {
+  park_timeout_escalates_bounded_and_resets(&watching_round);
+}
+
+// ---- watching rounds ---------------------------------------------------
+
+template <typename Policy>
+void watch_on_a_moved_word_spins_nothing() {
+  const std::atomic<std::uint32_t> word{1};
+  const WaitStats before = thread_wait_stats();
+  {
+    Policy pol;
+    for (std::uint32_t r = 0; r < Policy::kSpinRounds; ++r) {
+      if (r % 2 == 0) {
+        pol.watch_while_equal(word, 0);
+      } else {
+        pol.watch_until([] { return true; });
+      }
+    }
+  }
+  const WaitStats d = thread_wait_stats() - before;
+  EXPECT_EQ(d.spins, 0u);
+  EXPECT_EQ(d.yields, 0u);
+  EXPECT_EQ(d.parks, 0u);
+}
+
+TEST(WatchingRound, WordThatAlreadyDiffersSpinsNothing) {
+  watch_on_a_moved_word_spins_nothing<SpinWait>();
+  watch_on_a_moved_word_spins_nothing<SpinYieldWait>();
+  watch_on_a_moved_word_spins_nothing<FutexWait>();
+}
+
+TEST(WatchingRound, EndsOnThePauseItsPredicateHolds) {
+  // Rounds 0..3 watch a predicate that never holds: 1+2+4+8 pauses. In
+  // round 4 (16 pauses) it holds at its sixth check, after 5 pauses. The
+  // round still counts as one: round 5 spins its full 32.
+  const WaitStats before = thread_wait_stats();
+  {
+    SpinYieldWait pol;
+    for (int r = 0; r < 4; ++r) pol.watch_until([] { return false; });
+    int checks = 0;
+    pol.watch_until([&checks] { return ++checks == 6; });
+    EXPECT_EQ(checks, 6);
+    pol.watch_until([] { return false; });
+  }
+  const WaitStats d = thread_wait_stats() - before;
+  EXPECT_EQ(d.spins, 15u + 5u + 32u);
+  EXPECT_EQ(d.yields, 0u);
+}
+
+TEST(WatchingRound, WordFlippedByAnotherThreadEndsTheRoundEarly) {
+  // Round 6 is the grace's last and longest: 64 pauses. Another thread
+  // flips the word as soon as the round is about to start, so the round
+  // ends on the pause the flip lands, with fewer than 64 pauses. A
+  // descheduled flipper can miss a round, so trials repeat until one
+  // catches it or the deadline passes; a blind round never does.
+  constexpr std::uint32_t kLast = SpinYieldWait::kSpinRounds - 1;
+  constexpr std::uint64_t kEarlierSpins = (1u << kLast) - 1;
+  std::atomic<std::uint32_t> word{0};
+  std::atomic<int> go{-1};
+  std::atomic<bool> stop{false};
+  std::jthread flipper([&] {
+    int flipped = -1;
+    while (!stop.load(std::memory_order_acquire)) {
+      const int t = go.load(std::memory_order_acquire);
+      if (t != flipped) {
+        word.store(1, std::memory_order_release);
+        flipped = t;
+      } else {
+        cpu_relax();
+      }
+    }
+  });
+  bool early = false;
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  for (int t = 0; !early && std::chrono::steady_clock::now() < deadline;
+       ++t) {
+    word.store(0, std::memory_order_relaxed);
+    const WaitStats before = thread_wait_stats();
+    {
+      SpinYieldWait pol;
+      for (std::uint32_t r = 0; r < kLast; ++r) {
+        pol.watch_while_equal(word, 0);
+      }
+      go.store(t, std::memory_order_release);
+      pol.watch_while_equal(word, 0);
+    }
+    const WaitStats d = thread_wait_stats() - before;
+    EXPECT_EQ(d.yields, 0u);
+    EXPECT_LE(d.spins, kEarlierSpins + (1u << kLast));
+    early = d.spins < kEarlierSpins + (1u << kLast);
+    while (word.load(std::memory_order_acquire) == 0) {
+      std::this_thread::yield();
+    }
+  }
+  stop.store(true, std::memory_order_release);
+  EXPECT_TRUE(early);
+}
+
+TEST(WatchingRound, WatchUntilPastTheGraceIsAPause) {
+  // A word a parking policy cannot address: past the grace the round
+  // yields, then parks as a bounded timed sleep, exactly like pause().
+  const WaitStats before = thread_wait_stats();
+  {
+    FutexWait pol;
+    for (std::uint32_t i = 0; i < kGraceRounds + 1; ++i) {
+      pol.watch_until([] { return false; });
+    }
+  }
+  const WaitStats d = thread_wait_stats() - before;
+  EXPECT_EQ(d.spins, (1u << FutexWait::kSpinRounds) - 1);
+  EXPECT_EQ(d.yields, FutexWait::kYieldRounds);
+  EXPECT_EQ(d.parks, 1u);
 }
 
 // ---- telemetry plumbing ------------------------------------------------
@@ -221,6 +377,14 @@ struct CountingPolicy {
   void pause() noexcept { ++pauses; }
   void wait_while_equal(const std::atomic<std::uint32_t>&,
                         std::uint32_t) noexcept {
+    ++pauses;
+  }
+  void watch_while_equal(const std::atomic<std::uint32_t>&,
+                         std::uint32_t) noexcept {
+    ++pauses;
+  }
+  template <typename Ready>
+  void watch_until(Ready&&) noexcept {
     ++pauses;
   }
   void reset() noexcept { ++resets; }
