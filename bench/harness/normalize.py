@@ -296,7 +296,7 @@ def normalize(runs, context, config, profiles=()):
     # per thread count, keyed "<impl>/threads". The spin row is the same
     # 3-state mutex as the futex row without parking, so futex/spin
     # isolates the park decision; read rows with threads > host_cpus for
-    # the oversubscription verdict (bench/bench_lock_tier.cpp).
+    # the oversubscription verdict (bench/lock_tier/main.cpp).
     lt_prefix = "BM_LockTier/"
     lt_rows = {}
     for b in benchmarks:

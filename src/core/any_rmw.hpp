@@ -9,6 +9,12 @@
 // principle combine with anything (it is the identity of every family);
 // exploiting that is left to the family-specific identity-absorption rules
 // tested in tests/core.
+//
+// apply() is the one member on a hot path: the runtime's software
+// combiners call it between loading the hot word and the CAS that
+// installs f(v), as §2's memory applies the mapping inside one RMW. The
+// variant is 160 bytes, sized by DlsWordOp's 152-byte transition table;
+// every other family fits in 16.
 #pragma once
 
 #include <optional>
@@ -40,8 +46,13 @@ class AnyRmw {
 
   static constexpr AnyRmw identity() noexcept { return AnyRmw{}; }
 
-  [[nodiscard]] constexpr Word apply(Word x) const {
-    return std::visit([x](const auto& f) { return f.apply(x); }, op_);
+  /// One index dispatch with every family's apply inlined: the combiners'
+  /// direct path runs this between the load of the hot word and its CAS,
+  /// where an out-of-line call (std::visit's __do_visit) would widen the
+  /// window in which another core can take the line away. always_inline
+  /// because GCC otherwise outlines the fold as a clone.
+  [[nodiscard, gnu::always_inline]] constexpr Word apply(Word x) const {
+    return apply_at(x, std::make_index_sequence<std::variant_size_v<Alt>>{});
   }
 
   [[nodiscard]] std::size_t encoded_size_bytes() const {
@@ -93,6 +104,15 @@ class AnyRmw {
   }
 
  private:
+  template <std::size_t... I>
+  [[gnu::always_inline]] constexpr Word apply_at(
+      Word x, std::index_sequence<I...>) const {
+    const std::size_t i = op_.index();
+    Word y = x;
+    (void)((i == I && (y = std::get_if<I>(&op_)->apply(x), true)) || ...);
+    return y;
+  }
+
   Alt op_;
 };
 

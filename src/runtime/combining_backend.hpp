@@ -26,6 +26,14 @@
 // Thread→slot assignment uses thread_ordinal() mod width. Slots may
 // collide (more threads than width): both combiners serialize a shared
 // slot's occupants, so collisions cost waiting, never correctness.
+//
+// The direct path is a load of the value word, an inline apply of the
+// mapping (AnyRmw's index dispatch), one CAS and one plain store to the
+// slot owner's counter, with no call between the load and the CAS: the
+// slot is an inline thread-local load (thread_ordinal()) taken before the
+// load, and it needs a division only when the ordinal is at or above the
+// width. Every instruction between reading the hot word and the CAS
+// widens the window in which another core can take the line away.
 #pragma once
 
 #include <algorithm>
@@ -98,8 +106,9 @@ class BasicCombinerBackend
   static constexpr unsigned kDefaultWidth = 16;
 
  private:
+  /// Inline, and a division only for an ordinal at or above the width.
   [[nodiscard]] unsigned slot() const noexcept {
-    return thread_ordinal() % width_;
+    return slot_of(thread_ordinal(), width_);
   }
 
   unsigned width_;

@@ -190,9 +190,10 @@ class MappingCombiningTree {
   /// threads, but concurrency above two threads per leaf degrades to
   /// local waiting at that leaf.
   ///
-  /// The direct path is a load, one CAS and, when the CAS lands, one
-  /// plain store to the slot owner's counter (SlotCounter): `f` is taken
-  /// by reference, and only a climb, after the CAS lost, copies it.
+  /// The direct path is a load, an inline apply of `f`, one CAS and, when
+  /// the CAS lands, one plain store to the slot owner's counter
+  /// (SlotCounter), with no call between the load and the CAS: `f` is
+  /// taken by reference, and only a climb, after the CAS lost, copies it.
   ///
   /// Out of line: inlined into a caller's loop, the mapping temporaries
   /// widen the caller's frame, and its deepest call (the first one, which

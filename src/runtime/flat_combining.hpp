@@ -158,8 +158,9 @@ class FlatCombiner {
   /// after the election window, this thread elects itself and serves the
   /// whole publication list, its own op included.
   ///
-  /// The direct path is a load, one CAS and, when the CAS lands, one
-  /// plain store to the slot owner's counter (SlotCounter).
+  /// The direct path is a load, an inline apply of `f`, one CAS and, when
+  /// the CAS lands, one plain store to the slot owner's counter
+  /// (SlotCounter), with no call between the load and the CAS.
   ///
   /// Out of line, like the tree's fetch_rmw: inlined into a caller's loop
   /// the mapping temporaries widen the caller's frame.
@@ -167,7 +168,7 @@ class FlatCombiner {
                                          const core::AnyRmw& f) {
     Instrument::acquire(this);
     Instrument::contended_rmw(&value_, KRS_SITE);
-    const unsigned idx = slot % nslots_;
+    const unsigned idx = slot_of(slot, nslots_);
     core::Word cur = value_.load(std::memory_order_relaxed);
     if (value_.compare_exchange_strong(cur, f.apply(cur),
                                        std::memory_order_acq_rel,

@@ -3,6 +3,11 @@
 // and the wrapper satisfies the Rmw concept laws.
 #include <gtest/gtest.h>
 
+#include <array>
+#include <cstdint>
+#include <type_traits>
+#include <utility>
+#include <variant>
 #include <vector>
 
 #include "core/any_rmw.hpp"
@@ -27,6 +32,67 @@ TEST(AnyRmw, ApplyDelegates) {
   EXPECT_EQ(AnyRmw(FetchAdd(5)).apply(10), 15u);
   EXPECT_EQ(AnyRmw(LssOp::store(3)).apply(10), 3u);
   EXPECT_EQ(AnyRmw(Affine(2, 1)).apply(10), 21u);
+}
+
+// Sample mappings of one family. Every alternative of AnyRmw::Alt needs a
+// branch: a family without one reaches the static_assert.
+template <typename M>
+std::vector<M> family_samples(krs::util::Xoshiro256& rng) {
+  if constexpr (std::is_same_v<M, LssOp>) {
+    return {LssOp::load(), LssOp::store(rng.next()), LssOp::swap(rng.next())};
+  } else if constexpr (requires { typename M::op_type; }) {
+    // Every fetch-and-θ family: FetchAdd, FetchOr, FetchAnd, FetchXor,
+    // FetchMin, FetchMax.
+    return {M(rng.next()), M(rng.next()), M(rng.below(256)), M::identity()};
+  } else if constexpr (std::is_same_v<M, BoolVec>) {
+    return {BoolVec::broadcast(BoolFn::kComp),
+            BoolVec::masked_store(rng.next(), rng.next()),
+            BoolVec(rng.next(), rng.next())};
+  } else if constexpr (std::is_same_v<M, Affine>) {
+    return {Affine(rng.next(), rng.next()), Affine(3, 4), Affine::identity()};
+  } else if constexpr (std::is_same_v<M, DlsWordOp>) {
+    // The identity, then random 2- and 16-state automata, each as a
+    // guarded load and a guarded store.
+    std::vector<M> out{DlsWordOp::identity()};
+    for (const unsigned n : {2u, DlsWordOp::kMaxStates}) {
+      std::array<std::uint8_t, DlsWordOp::kMaxStates> next{};
+      for (unsigned s = 0; s < n; ++s) {
+        next[s] = static_cast<std::uint8_t>(rng.below(n));
+      }
+      const auto guard = static_cast<std::uint16_t>(rng.below(1u << n));
+      out.push_back(DlsWordOp::guarded_load(n, guard, next));
+      out.push_back(DlsWordOp::guarded_store(
+          n, rng.below(kDlsValueLimit), guard, next));
+    }
+    return out;
+  } else {
+    static_assert(!sizeof(M), "AnyRmw family without samples");
+  }
+}
+
+template <std::size_t... I>
+void check_every_family(krs::util::Xoshiro256& rng,
+                        std::index_sequence<I...>) {
+  const auto check = [&rng]<std::size_t K>() {
+    using M = std::variant_alternative_t<K, AnyRmw::Alt>;
+    for (const M& m : family_samples<M>(rng)) {
+      const AnyRmw any(m);
+      ASSERT_TRUE(any.holds<M>());
+      for (int t = 0; t < 64; ++t) {
+        // Small words too, so a DLS state tag lands inside the automaton.
+        const Word x = t % 2 ? rng.next() : rng.below(64);
+        EXPECT_EQ(any.apply(x), m.apply(x))
+            << "family " << K << ' ' << m.to_string() << " at " << x;
+      }
+    }
+  };
+  (check.template operator()<I>(), ...);
+}
+
+TEST(AnyRmw, ApplyDelegatesForEveryFamily) {
+  krs::util::Xoshiro256 rng(26);
+  check_every_family(
+      rng, std::make_index_sequence<std::variant_size_v<AnyRmw::Alt>>{});
 }
 
 TEST(AnyRmw, SameFamilyComposes) {

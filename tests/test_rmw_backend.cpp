@@ -218,6 +218,43 @@ TEST(ThreadOrdinal, ConcurrentThreadsGetDistinctDenseOrdinals) {
   EXPECT_LE(*uniq.rbegin(), kThreads);
 }
 
+// Set up before a thread's first thread_ordinal(), so it is destroyed
+// after the ordinal's guard: its destructor runs with the tenancy over.
+struct LateOrdinalProbe {
+  unsigned* seen = nullptr;
+  SlotCounter* counter = nullptr;
+  unsigned slot = 0;
+  ~LateOrdinalProbe() {
+    if (seen == nullptr) return;
+    *seen = thread_ordinal();
+    counter->add_one(slot);
+  }
+};
+
+TEST(ThreadOrdinal, NoOrdinalOutlivesTheTenancy) {
+  // After the guard has returned the ordinal to the pool, another thread
+  // may hold it, so the exiting thread must read kNoOrdinal and count on
+  // the shared word, never as the slot's owner.
+  unsigned held = kNoOrdinal;
+  unsigned after = 0;
+  SlotCounter counter;
+  std::jthread([&] {
+    thread_local LateOrdinalProbe probe;
+    probe.seen = &after;
+    probe.counter = &counter;
+    held = thread_ordinal();
+    probe.slot = held;
+  }).join();
+  EXPECT_NE(held, kNoOrdinal);
+  EXPECT_EQ(after, kNoOrdinal);
+  EXPECT_EQ(counter.own.load(), 0u);
+  EXPECT_EQ(counter.shared.load(), 1u);
+  // The ordinal went back to the pool: the next thread takes it again.
+  unsigned next = kNoOrdinal;
+  std::jthread([&] { next = thread_ordinal(); }).join();
+  EXPECT_EQ(next, held);
+}
+
 TEST(ThreadOrdinal, StableWithinAThread) {
   std::jthread([] {
     const unsigned a = thread_ordinal();
