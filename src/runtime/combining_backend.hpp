@@ -14,26 +14,15 @@
 //     batch with one RMW; batching needs no compose, so mixed families
 //     never decline.
 //
-// Either way, every operation served by fetch_rmw first tries one CAS on
-// the combiner's value word and combines only when that CAS loses, so an
-// uncontended cell costs one hardware CAS and combining starts where
-// traffic collides. store is the constant mapping core::LssOp::store, so
-// it combines too; compare_exchange is not a tractable mapping (the update
-// branches on the old value), so it goes through the combiner's update():
-// a CAS loop on the value word, linearized against all direct and combined
-// traffic; load is the combiner's atomic read().
+// Both are built on the hardware-first front end (hardware_first.hpp):
+// fetch_rmw combines only when its direct CAS loses. store is the
+// constant mapping core::LssOp::store, so it combines too;
+// compare_exchange goes through the front end's update(); load is its
+// read().
 //
 // Thread→slot assignment uses thread_ordinal() mod width. Slots may
 // collide (more threads than width): both combiners serialize a shared
 // slot's occupants, so collisions cost waiting, never correctness.
-//
-// The direct path is a load of the value word, an inline apply of the
-// mapping (AnyRmw's index dispatch), one CAS and one plain store to the
-// slot owner's counter, with no call between the load and the CAS: the
-// slot is an inline thread-local load (thread_ordinal()) taken before the
-// load, and it needs a division only when the ordinal is at or above the
-// width. Every instruction between reading the hot word and the CAS
-// widens the window in which another core can take the line away.
 #pragma once
 
 #include <algorithm>
@@ -48,7 +37,8 @@
 namespace krs::runtime {
 
 /// `Combiner` is constructed from (width, initial) and provides
-/// fetch_rmw(slot, m), update(f), read() and stats().
+/// fetch_rmw(slot, m), update(f), read() (its HardwareFirst front end)
+/// and stats().
 template <typename Combiner>
 class BasicCombinerBackend
     : public MappingOps<BasicCombinerBackend<Combiner>> {

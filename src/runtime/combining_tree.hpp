@@ -17,18 +17,15 @@
 // CombiningBackend (combining_backend.hpp) serves every RmwBackend cell
 // through one of these trees over core::AnyRmw.
 //
-// Hardware first (§7: any subset of requests may skip combining without
-// losing correctness): an operation first tries ONE compare-exchange of
-// f(v) for v on the root word and returns v if it lands. Only an operation
-// whose CAS lost — traffic that actually collided — enters the tree and
-// runs the classic four-phase combining protocol (precombine / combine /
-// operate / distribute) of Yew–Tzeng–Lawrie and Herlihy–Shavit, with each
-// node run as a word-sized state machine in the style of Goodman-style
-// combining words: second arrivals deposit their mapping in a per-node
-// slot and watch its status word until the distributed result lands. Every
-// write of the root value is an atomic read-modify-write (the direct CAS,
-// or a CAS loop for a combined, declined or update() application),
-// so every operation linearizes at a modification of the root word.
+// The tree is the meeting protocol behind the hardware-first front end
+// (hardware_first.hpp), which owns the value word, the direct CAS,
+// update() and read(). An operation whose direct CAS lost enters the tree
+// and runs the classic four-phase combining protocol (precombine /
+// combine / operate / distribute) of Yew–Tzeng–Lawrie and Herlihy–Shavit,
+// with each node run as a word-sized state machine in the style of
+// Goodman-style combining words: second arrivals deposit their mapping in
+// a per-node slot and watch its status word until the distributed result
+// lands. The root applies with the front end's CAS loop on the value word.
 //
 // Node status word (64 bits):
 //
@@ -42,12 +39,11 @@
 // inspected the mapping; reply owed — whether composition succeeded or
 // declined is a first-owned flag off the status word), Result (reply
 // delivered), Root (the root's word, which never changes: the root value
-// itself is the separate `root_` word). The generation count increments
+// itself is the front end's value word). The generation count increments
 // on every reset to Idle, so a stalled CAS from a previous occupancy of
 // the node can never succeed against a later one (ABA).
 //
-// Protocol per operation (slot s, mapping f):
-//   0. direct — v = root; CAS root v→f(v). Success: return v, done.
+// Protocol per operation (slot s, mapping f) whose direct CAS lost:
 //   1. precombine — climb from the leaf while CAS Idle→First succeeds;
 //      CAS First→SecondPending stops the climb (we are the second there);
 //      the root always stops the climb. Every op whose climb stopped then
@@ -62,7 +58,7 @@
 //   2. combine — re-walk the path: CAS First→FirstLocked passes through
 //      (no partner), SecondReady folds the deposited mapping in with
 //      compose(first, second) — or records a decline.
-//   3. operate — at the root, apply with a CAS loop on the root word; at
+//   3. operate — at the root, apply with a CAS loop on the value word; at
 //      a SecondPending node, deposit the combined mapping (store + release
 //      tag flip) and watch the status word for the Result tag: a watching
 //      wait, so it ends on the pause the reply lands.
@@ -78,8 +74,8 @@
 // exit, so operations separated in real time are ordered for the race
 // detector while overlapping ones stay unordered.
 //
-// See docs/PERFORMANCE.md for the encoding walkthrough, the direct path's
-// and the collision window's measurements, and the backoff strategy.
+// See docs/PERFORMANCE.md for the encoding walkthrough, the collision
+// window's measurements, and the backoff strategy.
 #pragma once
 
 #include <algorithm>
@@ -88,14 +84,13 @@
 #include <cstdint>
 #include <functional>
 #include <optional>
-#include <type_traits>
 #include <utility>
 #include <vector>
 
 #include "analysis/instrument.hpp"
 #include "core/rmw.hpp"
 #include "runtime/cacheline.hpp"
-#include "runtime/thread_ordinal.hpp"
+#include "runtime/hardware_first.hpp"
 #include "runtime/wait_policy.hpp"
 #include "util/assert.hpp"
 #include "util/bits.hpp"
@@ -107,56 +102,39 @@ namespace krs::runtime {
 /// the declined count, a mixed-family workload that silently stops
 /// combining (every try_compose declining) is indistinguishable from a
 /// perfectly-combining one in the value stream — both are correct; only
-/// the cost differs.
-struct CombiningTreeStats {
-  std::uint64_t ops = 0;            ///< root applications + folded seconds
+/// the cost differs. `ops` = root applications + folded seconds, and
+/// `direct_applies` is the part of `root_applies` the direct CAS served.
+struct CombiningTreeStats : HardwareFirstStats {
   std::uint64_t folds = 0;          ///< successful try_compose folds
   std::uint64_t declined_folds = 0; ///< cross-family / overflow declines
   std::uint64_t root_applies = 0;   ///< operations served at the root
-  std::uint64_t direct_applies = 0; ///< of root_applies: the direct CAS
-  /// update() calls (compare_exchange): serialized at the root, never
-  /// combined, and counted in neither `ops` nor `root_applies`, which
-  /// count fetch_rmw operations only — the flat combiner's meaning.
-  std::uint64_t serialized_updates = 0;
 
   /// Fraction of operations absorbed by a fold below the root (§4.2's
-  /// win). 0 when nothing ran.
-  [[nodiscard]] double combine_rate() const {
-    return ops > 0
-               ? static_cast<double>(folds) / static_cast<double>(ops)
-               : 0.0;
-  }
-  /// Fraction applied by the direct CAS, never entering the tree.
-  [[nodiscard]] double direct_rate() const {
-    return ops > 0 ? static_cast<double>(direct_applies) /
-                         static_cast<double>(ops)
-                   : 0.0;
-  }
+  /// win).
+  [[nodiscard]] double combine_rate() const { return per_op(folds); }
   /// Fraction applied at the root, directly or after a climb; (1 -
   /// combine_rate) by construction. Near 1.0 is the normal reading when
   /// operations rarely collide (most land with the direct CAS); a
   /// combining regression shows in declined_folds, not here.
   [[nodiscard]] double served_at_root_fraction() const {
-    return ops > 0 ? static_cast<double>(root_applies) /
-                         static_cast<double>(ops)
-                   : 0.0;
+    return per_op(root_applies);
   }
 };
 
 template <core::CombinableMapping M,
           typename Instrument = analysis::DefaultInstrument,
           WaitPolicy Policy = SpinYieldWait>
-class MappingCombiningTree {
- public:
-  using value_type = typename M::value_type;
-  using mapping_type = M;
-
- private:
-  using V = value_type;
-  static_assert(std::is_trivially_copyable_v<V>,
-                "the root cell is a std::atomic<V>");
+class MappingCombiningTree
+    : public HardwareFirst<MappingCombiningTree<M, Instrument, Policy>, M,
+                           Instrument> {
+  using Front = HardwareFirst<MappingCombiningTree, M, Instrument>;
+  friend Front;
+  using V = typename Front::value_type;
+  using Front::nslots_;
 
  public:
+  using typename Front::WaveOp;
+
   /// Wait rounds every climber spends between its climb and its combine
   /// phase (the collision window): 1+2+…+16 pauses under every shipped
   /// policy. On a 4-CPU x86-64 host krs-bench hot_tree ran 22M ops/s
@@ -170,81 +148,16 @@ class MappingCombiningTree {
 
   /// `width`: requested slot capacity, rounded up internally to a power of
   /// two ≥ 2 (the heap layout needs it; callers sized to odd core counts
-  /// need not care). Thread slots are 0..width()-1, the ROUNDED range;
-  /// slots 2i and 2i+1 share a leaf.
+  /// need not care). slots() is the ROUNDED count; slots 2i and 2i+1
+  /// share a leaf. A leaf shared by more than two threads degrades to
+  /// local waiting at that leaf.
   explicit MappingCombiningTree(unsigned width, V initial = V{})
-      : width_(rounded_width(width)),
-        nodes_(width_),
-        direct_applies_(width_),
-        root_(initial) {
+      : Front(static_cast<unsigned>(util::ceil_pow2(std::max(2u, width))),
+              initial),
+        nodes_(nslots_),
+        direct_applies_(nslots_) {
     nodes_[kRootIndex].status.store(kRootWord, std::memory_order_relaxed);
   }
-
-  MappingCombiningTree(const MappingCombiningTree&) = delete;
-  MappingCombiningTree& operator=(const MappingCombiningTree&) = delete;
-
-  /// Atomically value ← f(value), returning the prior value. One CAS on
-  /// the root word first; only if it loses does the operation climb,
-  /// wait out the collision window, and combine with concurrent callers
-  /// on the way up. `slot` must be < width; a slot may be shared by
-  /// threads, but concurrency above two threads per leaf degrades to
-  /// local waiting at that leaf.
-  ///
-  /// The direct path is a load, an inline apply of `f`, one CAS and, when
-  /// the CAS lands, one plain store to the slot owner's counter
-  /// (SlotCounter), with no call between the load and the CAS: `f` is
-  /// taken by reference, and only a climb, after the CAS lost, copies it.
-  ///
-  /// Out of line: inlined into a caller's loop, the mapping temporaries
-  /// widen the caller's frame, and its deepest call (the first one, which
-  /// binds library symbols lazily) can then touch one more stack page.
-  [[gnu::noinline]] V fetch_rmw(unsigned slot, const M& f) {
-    KRS_EXPECTS(slot < width_);
-    Instrument::acquire(this);
-    Instrument::contended_rmw(&root_, KRS_SITE);
-    V cur = root_.load(std::memory_order_relaxed);
-    if (root_.compare_exchange_strong(cur, f.apply(cur),
-                                      std::memory_order_acq_rel,
-                                      std::memory_order_relaxed)) {
-      direct_applies_[slot].n.add_one(slot);
-      Instrument::release(this);
-      return cur;
-    }
-    const V prior = climb(slot, f);
-    Instrument::release(this);
-    return prior;
-  }
-
-  /// Escape hatch for updates that are NOT tractable mappings
-  /// (compare-and-swap, arbitrary θ): applies `f` to the root value with a
-  /// CAS loop and returns the prior value. `f` may run more than once (a
-  /// lost CAS re-reads the root), so it must depend only on its argument
-  /// for the value it returns. Linearizes with every other operation, but
-  /// combines with none.
-  template <std::invocable<V> F>
-  V update(F&& f) {
-    Instrument::acquire(this);
-    Instrument::contended_rmw(&root_, KRS_SITE);
-    const V prior = cas_root(std::forward<F>(f));
-    serialized_updates_.fetch_add(1, std::memory_order_relaxed);
-    Instrument::release(this);
-    return prior;
-  }
-
-  /// Atomic snapshot of the current value. The root cell is a single
-  /// atomic word, modified only by atomic read-modify-writes, so a bare
-  /// acquire load is a coherent (and per-reader monotone) snapshot.
-  [[nodiscard]] V read() const {
-    Instrument::shared_load(&root_, KRS_SITE);
-    return root_.load(std::memory_order_acquire);
-  }
-
-  [[nodiscard]] unsigned width() const noexcept { return width_; }
-
-  /// Address of the root value word — the address the Instrument policy's
-  /// contended_rmw hook reports for root traffic. Lets a profiler caller
-  /// (tools/krs_profile) map "the hot line" back to this tree.
-  [[nodiscard]] const void* root_address() const noexcept { return &root_; }
 
   /// Aggregate fold/decline/root counters across all nodes and slots.
   /// Counters are relaxed, so a concurrent snapshot is approximate;
@@ -255,18 +168,14 @@ class MappingCombiningTree {
   /// application).
   [[nodiscard]] CombiningTreeStats stats() const {
     CombiningTreeStats s;
+    this->front_stats(s);
     for (const Node& nd : nodes_) {
       s.folds += nd.folds.load(std::memory_order_relaxed);
       s.declined_folds += nd.declined_folds.load(std::memory_order_relaxed);
     }
-    for (const DirectCounter& c : direct_applies_) {
-      s.direct_applies += c.n.total();
-    }
     s.root_applies =
         root_applies_.load(std::memory_order_relaxed) + s.direct_applies;
     s.ops = s.root_applies + s.folds;
-    s.serialized_updates =
-        serialized_updates_.load(std::memory_order_relaxed);
     return s;
   }
 
@@ -279,21 +188,13 @@ class MappingCombiningTree {
 
   // ---- deterministic batch surface ------------------------------------------
 
-  /// One operation of a single-caller wave: `slot` plays the role a thread
-  /// slot plays on the threaded path. Slots within one wave must be
-  /// DISTINCT — the wave models one simultaneous round of at most `width`
-  /// threads, one per slot.
-  struct WaveOp {
-    unsigned slot;
-    M op;
-  };
-
   /// Drive every wave[i] through the full four-phase protocol from ONE
   /// caller, interleaved the way a simultaneous round would run, and
-  /// return the priors in wave order. A wave never takes the direct path:
-  /// it models a round in which every operation's CAS collided. The
-  /// caller must be the only thread using the tree. Fold/root-apply counts
-  /// after a wave sequence are a pure function of that sequence — this is
+  /// return the priors in wave order. Slots within one wave must be
+  /// DISTINCT. A wave never takes the direct path: it models a round in
+  /// which every operation's CAS collided. The caller must be the only
+  /// thread using the tree. Fold/root-apply counts after a wave sequence
+  /// are a pure function of that sequence — this is
   /// the deterministic measurement surface the contention profiler drives
   /// (the threaded path's combine rate depends on the host scheduler,
   /// useless on a 1-CPU CI box).
@@ -310,13 +211,7 @@ class MappingCombiningTree {
   /// land — a dependency forest, so the drain terminates.
   std::vector<V> run_wave(const std::vector<WaveOp>& wave,
                           const std::function<void(std::size_t)>& on_op = {}) {
-    KRS_EXPECTS(wave.size() <= width_);
-    std::vector<bool> seen(width_, false);
-    for (const WaveOp& o : wave) {
-      KRS_EXPECTS(o.slot < width_ && !seen[o.slot] &&
-                  "wave slots must be distinct");
-      seen[o.slot] = true;
-    }
+    this->expect_wave_slots(wave);
 
     struct Flight {
       unsigned stop = 0;
@@ -358,9 +253,7 @@ class MappingCombiningTree {
       }
       if (f.stop == kRootIndex) {
         f.prior = apply_at_root(f.combined);
-        for (unsigned d = f.path_len; d-- > 0;) {
-          distribute(f.leaf >> d, f.prior);
-        }
+        distribute_path(f.leaf, f.path_len, f.prior);
         f.done = true;
       } else {
         plant_second(f.stop, std::move(f.combined));
@@ -380,9 +273,7 @@ class MappingCombiningTree {
         }
         if (on_op) on_op(i);
         f.prior = take_result(f.stop);
-        for (unsigned d = f.path_len; d-- > 0;) {
-          distribute(f.leaf >> d, f.prior);
-        }
+        distribute_path(f.leaf, f.path_len, f.prior);
         f.done = true;
         progressed = true;
       }
@@ -398,13 +289,9 @@ class MappingCombiningTree {
  private:
   friend struct CombiningTreeTestPeer;
 
-  static constexpr unsigned rounded_width(unsigned width) {
-    return static_cast<unsigned>(util::ceil_pow2(std::max(2u, width)));
-  }
-
   /// Slot → leaf heap index: slots 2i and 2i+1 share a leaf.
   [[nodiscard]] unsigned leaf_of(unsigned slot) const {
-    return width_ / 2 + slot / 2;
+    return nslots_ / 2 + slot / 2;
   }
 
   // ---- status word encoding -------------------------------------------------
@@ -458,22 +345,25 @@ class MappingCombiningTree {
     M second_map{};
   };
 
-  /// One slot's direct root CASes, both words on a line no other slot
-  /// writes: the direct path's only write besides the root word stays
-  /// uncontended. The slot's owner counts with a plain store; threads
-  /// aliasing onto the slot share the fetch_add word (SlotCounter).
-  struct alignas(kCacheLine) DirectCounter {
-    SlotCounter n;
-  };
+  /// One slot's direct CASes, both words on a line no other slot writes:
+  /// the direct path's only write besides the value word stays
+  /// uncontended.
+  struct alignas(kCacheLine) DirectCounter : SlotCounter {};
 
-  /// Phases 1–4 for an operation whose direct CAS lost, with the
-  /// collision window between precombine and combine. The protocol
-  /// already tolerates any delay there (a preempted climber causes one),
-  /// so the window changes which ops fold, never a reply's correctness.
-  /// Out of line, so the direct path keeps a small frame. The climb's one
-  /// copy of `f` is the mapping it carries up: each combine() moves it in
-  /// and out, and a second's deposit moves it into the node.
-  [[gnu::noinline]] V climb(unsigned slot, const M& f) {
+  template <typename Self>
+  static auto& direct_counter(Self& c, unsigned slot) {
+    return c.direct_applies_[slot];
+  }
+
+  /// The front end's meet: phases 1–4 for an operation whose direct CAS
+  /// lost, with the collision window between precombine and combine. The
+  /// protocol already tolerates any delay there (a preempted climber
+  /// causes one), so the window changes which ops fold, never a reply's
+  /// correctness. Out of line, so the direct path keeps a small frame.
+  /// The climb's one copy of `f` is the mapping it carries up: each
+  /// combine() moves it in and out, and a second's deposit moves it into
+  /// the node.
+  [[gnu::noinline]] V meet(unsigned slot, const M& f) {
     const unsigned my_leaf = leaf_of(slot);  // heap index
 
     // Phase 1: precombine — climb while we are the first to arrive.
@@ -504,9 +394,8 @@ class MappingCombiningTree {
                         ? apply_at_root(combined)
                         : deposit_and_await(stop, std::move(combined));
 
-    // Phase 4: distribute results back down our path (i levels above the
-    // leaf is my_leaf >> i).
-    for (unsigned i = depth; i-- > 0;) distribute(my_leaf >> i, prior);
+    // Phase 4: distribute results back down our path.
+    distribute_path(my_leaf, depth, prior);
     return prior;
   }
 
@@ -603,24 +492,12 @@ class MappingCombiningTree {
 
   // ---- phase 3 --------------------------------------------------------------
 
-  /// Root case: apply the combined mapping to the root word.
+  /// Root case: apply the combined mapping to the value word with the
+  /// front end's CAS loop.
   V apply_at_root(const M& c) {
-    Instrument::contended_rmw(&root_, KRS_SITE);
-    const V prior = cas_root([&c](const V& v) { return c.apply(v); });
+    Instrument::contended_rmw(&this->value_, KRS_SITE);
+    const V prior = this->cas_value([&c](const V& v) { return c.apply(v); });
     root_applies_.fetch_add(1, std::memory_order_relaxed);
-    return prior;
-  }
-
-  /// root ← next(root) with a CAS loop; returns the prior value. Every
-  /// root write other than the direct CAS goes through here, so none can
-  /// overwrite a concurrent direct apply.
-  template <typename F>
-  V cas_root(F&& next) {
-    V prior = root_.load(std::memory_order_relaxed);
-    while (!root_.compare_exchange_weak(prior, next(prior),
-                                        std::memory_order_acq_rel,
-                                        std::memory_order_relaxed)) {
-    }
     return prior;
   }
 
@@ -694,17 +571,20 @@ class MappingCombiningTree {
     }
   }
 
-  // Read by every operation, written by none after construction.
-  unsigned width_;
-  std::vector<Node> nodes_;  // heap layout, nodes_[1..width-1]
-  std::vector<DirectCounter> direct_applies_;  // per slot
-  // The root word alone on its line: every operation's CAS lands here.
-  alignas(kCacheLine) std::atomic<V> root_;
-  // Tree-path root applications (direct ones are counted per slot) and
-  // update() calls, on their own line: a counter beside root_ would turn
-  // every apply into a second write to the hot line.
-  alignas(kCacheLine) std::atomic<std::uint64_t> root_applies_{0};
-  std::atomic<std::uint64_t> serialized_updates_{0};
+  /// Phase 4 for a whole path: distribute down the `len` nodes between
+  /// `leaf`'s stop and `leaf`, top first (d levels above the leaf is
+  /// leaf >> d).
+  void distribute_path(unsigned leaf, unsigned len, const V& prior) {
+    for (unsigned d = len; d-- > 0;) distribute(leaf >> d, prior);
+  }
+
+  // Tree-path root applications (direct ones are counted per slot), on
+  // the front end's telemetry line beside serialized_updates_.
+  std::atomic<std::uint64_t> root_applies_{0};
+  // Read by every climber or direct apply, written by none after
+  // construction, on a line of its own past the telemetry.
+  alignas(kCacheLine) std::vector<Node> nodes_;  // heap layout, [1..slots)
+  std::vector<DirectCounter> direct_applies_;    // per slot
 };
 
 }  // namespace krs::runtime

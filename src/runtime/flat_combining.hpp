@@ -6,12 +6,11 @@
 // pays lg n coherence misses per operation where a single serialization
 // point would pay ~1. Flat combining (Hendler–Incze–Shavit–Tzafrir's
 // structure, applied here to the §3/§5 fetch-and-θ mapping families) is
-// that single point done right:
+// that single point done right. It is the meeting protocol behind the
+// hardware-first front end (hardware_first.hpp), which owns the value
+// word, the direct CAS, update() and read(); only an operation whose
+// direct CAS lost publishes:
 //
-//  * hardware first (§7: any subset of requests may skip combining): an
-//    operation first tries ONE compare-exchange of f(v) for v on the value
-//    word and returns v if it lands. Only an operation whose CAS lost —
-//    traffic that actually collided — publishes;
 //  * every thread owns a cache-line-padded PUBLICATION SLOT; to publish it
 //    writes its encoded core::AnyRmw mapping into the slot and
 //    release-publishes it — one line transfer, no CAS;
@@ -28,20 +27,17 @@
 //    BATCH and applies it with ONE atomic read-modify-write of the value
 //    word (§2's memory module applying a combined request in one step): a
 //    hardware fetch_add of the operand sum when every op is a fetch-and-
-//    add, else a CAS loop that recomputes the chain. Each op's reply is
-//    the running prior — exactly the §3 decombination chain ⟨id2, f(val)⟩,
-//    computed at one site instead of down a tree path;
+//    add, else the front end's CAS loop recomputing the chain. Each op's
+//    reply is the running prior — exactly the §3 decombination chain
+//    ⟨id2, f(val)⟩, computed at one site instead of down a tree path;
 //  * after a bounded number of scan passes the combiner releases the lock
 //    (HANDOFF), so no thread serves others forever and a continuously
 //    loaded cell rotates its combiner.
 //
-// Every write of the value word is an atomic read-modify-write (the
-// direct CAS, the batch's fetch_add or CAS, update()'s CAS), so
-// none can overwrite a concurrent one and every operation linearizes at a
-// modification of the value word. Under collision the shared-memory
-// traffic concentrates on the publication lines (owner↔combiner,
-// pairwise) and the combiner's one RMW per batch — the inversion of the §1
-// hot spot that tools/krs_profile's flat wave run demonstrates. Waiting is
+// Under collision the shared-memory traffic concentrates on the
+// publication lines (owner↔combiner, pairwise) and the combiner's one RMW
+// per batch — the inversion of the §1 hot spot that tools/krs_profile's
+// flat wave run demonstrates. Waiting is
 // local spinning on the thread's own slot, paced by the WaitPolicy seam
 // (runtime/wait_policy.hpp) with watching rounds: the slot word is a
 // handoff only the combiner writes, so the owner re-reads it every pause
@@ -53,17 +49,12 @@
 //
 // FlatCombiningBackend (combining_backend.hpp) wraps the combiner behind
 // the RmwBackend concept, so every §6 algorithm runs over it unchanged.
-// compare_exchange is not a tractable mapping, so it never batches:
-// update() applies it with a CAS loop on the value word, linearized
-// against every direct and batched operation — the same escape hatch as
-// the tree's update().
 //
-// See docs/PERFORMANCE.md for the measured flat-vs-tree crossover, the
-// direct path's measurements and when to pick which.
+// See docs/PERFORMANCE.md for the measured flat-vs-tree crossover and
+// when to pick which.
 #pragma once
 
 #include <atomic>
-#include <concepts>
 #include <cstdint>
 #include <functional>
 #include <vector>
@@ -73,51 +64,43 @@
 #include "core/fetch_theta.hpp"
 #include "core/types.hpp"
 #include "runtime/cacheline.hpp"
-#include "runtime/thread_ordinal.hpp"
+#include "runtime/hardware_first.hpp"
 #include "runtime/wait_policy.hpp"
 #include "util/assert.hpp"
 
 namespace krs::runtime {
 
-/// Combiner-side telemetry. `ops` counts completed operations, direct and
-/// published; `direct_applies` the subset whose first CAS on the value
-/// word landed, never publishing; `combined` the published ops served by
-/// ANOTHER thread's pass (the flat-combining win: those threads never
-/// touched the value word after their lost CAS); `takeovers` successful
-/// combiner elections; `passes` publication-list scans; `handoffs` lock
-/// releases forced by the pass cap while work was still pending (the
-/// anti-starvation path); `serialized_updates` the update() escape-hatch
-/// calls. Every published op is counted in `ops` (and, if a peer served
-/// it, in `combined`) by the lock holder's pass that served it, never by
-/// its publisher, so the publish path writes no shared counter.
-struct FlatCombinerStats {
-  std::uint64_t ops = 0;
-  std::uint64_t direct_applies = 0;
+/// Combiner-side telemetry. `ops` counts direct and published
+/// operations; `combined` the published ops served by ANOTHER thread's
+/// pass (the flat-combining win: those threads never touched the value
+/// word after their lost CAS); `takeovers` successful combiner elections;
+/// `passes` publication-list scans; `handoffs` lock releases forced by the
+/// pass cap while work was still pending (the anti-starvation path).
+/// Every published op is counted in `ops` (and, if a peer served it, in
+/// `combined`) by the lock holder's pass that served it, never by its
+/// publisher, so the publish path writes no shared counter.
+struct FlatCombinerStats : HardwareFirstStats {
   std::uint64_t combined = 0;
   std::uint64_t takeovers = 0;
   std::uint64_t passes = 0;
   std::uint64_t handoffs = 0;
-  std::uint64_t serialized_updates = 0;
 
-  /// Fraction of operations a peer combiner absorbed (0 when nothing ran).
-  [[nodiscard]] double combined_fraction() const {
-    return ops > 0
-               ? static_cast<double>(combined) / static_cast<double>(ops)
-               : 0.0;
-  }
-  /// Fraction applied by the direct CAS, never publishing.
-  [[nodiscard]] double direct_rate() const {
-    return ops > 0 ? static_cast<double>(direct_applies) /
-                         static_cast<double>(ops)
-                   : 0.0;
-  }
+  /// Fraction of operations a peer combiner absorbed.
+  [[nodiscard]] double combined_fraction() const { return per_op(combined); }
 };
 
 template <typename Instrument = analysis::DefaultInstrument,
           WaitPolicy Policy = SpinYieldWait>
-class FlatCombiner {
+class FlatCombiner
+    : public HardwareFirst<FlatCombiner<Instrument, Policy>, core::AnyRmw,
+                           Instrument> {
+  using Front = HardwareFirst<FlatCombiner, core::AnyRmw, Instrument>;
+  friend Front;
+  using Front::nslots_;
+  using Front::value_;
+
  public:
-  using value_type = core::Word;
+  using typename Front::WaveOp;
 
   static constexpr unsigned kDefaultMaxPasses = 8;
 
@@ -142,82 +125,14 @@ class FlatCombiner {
   /// amortize the lock word better under sustained load.
   explicit FlatCombiner(unsigned slots, core::Word initial = 0,
                         unsigned max_passes = kDefaultMaxPasses)
-      : nslots_(slots < 2 ? 2 : slots),
+      : Front(slots < 2 ? 2 : slots, initial),
         max_passes_(max_passes < 1 ? 1 : max_passes),
-        slots_(nslots_),
-        value_(initial) {
+        slots_(nslots_) {
     served_.reserve(nslots_);
   }
 
-  FlatCombiner(const FlatCombiner&) = delete;
-  FlatCombiner& operator=(const FlatCombiner&) = delete;
-
-  /// Atomically value ← f(value), returning the prior value. One CAS on
-  /// the value word first; only if it loses does the op publish into
-  /// `slot` (mod slots()), where either a running combiner serves it or,
-  /// after the election window, this thread elects itself and serves the
-  /// whole publication list, its own op included.
-  ///
-  /// The direct path is a load, an inline apply of `f`, one CAS and, when
-  /// the CAS lands, one plain store to the slot owner's counter
-  /// (SlotCounter), with no call between the load and the CAS.
-  ///
-  /// Out of line, like the tree's fetch_rmw: inlined into a caller's loop
-  /// the mapping temporaries widen the caller's frame.
-  [[gnu::noinline]] core::Word fetch_rmw(unsigned slot,
-                                         const core::AnyRmw& f) {
-    Instrument::acquire(this);
-    Instrument::contended_rmw(&value_, KRS_SITE);
-    const unsigned idx = slot_of(slot, nslots_);
-    core::Word cur = value_.load(std::memory_order_relaxed);
-    if (value_.compare_exchange_strong(cur, f.apply(cur),
-                                       std::memory_order_acq_rel,
-                                       std::memory_order_relaxed)) {
-      slots_[idx].direct.add_one(idx);
-      Instrument::release(this);
-      return cur;
-    }
-    const core::Word prior = publish(idx, f);
-    Instrument::release(this);
-    return prior;
-  }
-
-  /// Escape hatch for updates that are NOT tractable mappings
-  /// (compare-and-swap): applies `f` to the value word with a CAS loop and
-  /// returns the prior value. `f` may run more than once (a lost CAS
-  /// re-reads the value), so the value it returns must depend only on its
-  /// argument. Lock-free; linearizes with every direct and batched
-  /// operation, combines with none — the analogue of the tree's update().
-  template <std::invocable<core::Word> F>
-  core::Word update(F&& f) {
-    Instrument::acquire(this);
-    Instrument::contended_rmw(&value_, KRS_SITE);
-    core::Word prior = value_.load(std::memory_order_relaxed);
-    while (!value_.compare_exchange_weak(prior, f(prior),
-                                         std::memory_order_acq_rel,
-                                         std::memory_order_relaxed)) {
-    }
-    serialized_updates_.fetch_add(1, std::memory_order_relaxed);
-    Instrument::release(this);
-    return prior;
-  }
-
-  /// Atomic snapshot of the current value: the value word is a single
-  /// atomic modified only by atomic read-modify-writes, so a bare acquire
-  /// load is coherent — no lock, no publication.
-  [[nodiscard]] core::Word read() const {
-    Instrument::shared_load(&value_, KRS_SITE);
-    return value_.load(std::memory_order_acquire);
-  }
-
-  [[nodiscard]] unsigned slots() const noexcept { return nslots_; }
-
-  /// Address of the value word — what the Instrument policy's
-  /// contended_rmw hook reports for combiner traffic, so a profiler caller
-  /// (tools/krs_profile) can map "the hot line" back to this combiner.
-  [[nodiscard]] const void* value_address() const noexcept { return &value_; }
-
-  /// Address of one publication slot's line, for the same mapping.
+  /// Address of one publication slot's line, for the same mapping as
+  /// value_address().
   [[nodiscard]] const void* slot_address(unsigned slot) const {
     KRS_EXPECTS(slot < nslots_);
     return &slots_[slot].seq;
@@ -229,26 +144,16 @@ class FlatCombiner {
   /// combined) the published ops == combined + takeovers.
   [[nodiscard]] FlatCombinerStats stats() const {
     FlatCombinerStats st;
-    for (const Slot& s : slots_) {
-      st.direct_applies += s.direct.total();
-    }
+    this->front_stats(st);
     st.ops = ops_.load(std::memory_order_relaxed) + st.direct_applies;
     st.combined = combined_.load(std::memory_order_relaxed);
     st.takeovers = takeovers_.load(std::memory_order_relaxed);
     st.passes = passes_.load(std::memory_order_relaxed);
     st.handoffs = handoffs_.load(std::memory_order_relaxed);
-    st.serialized_updates =
-        serialized_updates_.load(std::memory_order_relaxed);
     return st;
   }
 
   // ---- deterministic batch surface ------------------------------------------
-
-  /// One operation of a single-caller wave (mirrors the tree's surface).
-  struct WaveOp {
-    unsigned slot;
-    core::AnyRmw op;
-  };
 
   /// Drive one simultaneous round from ONE caller: publish every wave[i],
   /// run combining passes until all are served, pick the replies up in
@@ -265,20 +170,11 @@ class FlatCombiner {
   std::vector<core::Word> run_wave(
       const std::vector<WaveOp>& wave,
       const std::function<void(std::size_t)>& on_op = {}) {
-    KRS_EXPECTS(wave.size() <= nslots_);
-    std::vector<bool> seen(nslots_, false);
-    for (const WaveOp& o : wave) {
-      KRS_EXPECTS(o.slot < nslots_ && !seen[o.slot] &&
-                  "wave slots must be distinct");
-      seen[o.slot] = true;
-    }
+    this->expect_wave_slots(wave);
     Instrument::acquire(this);
     for (std::size_t i = 0; i < wave.size(); ++i) {
       if (on_op) on_op(i);
-      Slot& s = claim(wave[i].slot);
-      s.op = wave[i].op;
-      Instrument::shared_store(&s.seq, KRS_SITE);
-      s.seq.store(kPending, std::memory_order_release);
+      publish(wave[i].slot, wave[i].op);
     }
     if (!wave.empty()) {
       if (on_op) on_op(0);
@@ -325,16 +221,17 @@ class FlatCombiner {
   static_assert(sizeof(Slot) == 3 * kCacheLine,
                 "both direct counter words must fit the slot's tail padding");
 
-  /// The collision path: publish into slot `idx`, wait out the election
+  template <typename Self>
+  static auto& direct_counter(Self& c, unsigned slot) {
+    return c.slots_[slot].direct;
+  }
+
+  /// The front end's meet: publish into slot `idx`, wait out the election
   /// window for a peer combiner's reply, then elect this thread to serve
   /// the list. Counts nothing: the pass that serves the op does. Out of
   /// line, so the direct path keeps a small frame.
-  [[gnu::noinline]] core::Word publish(unsigned idx, const core::AnyRmw& f) {
-    Slot& s = claim(idx);
-    s.op = f;
-    Instrument::shared_store(&s.seq, KRS_SITE);
-    s.seq.store(kPending, std::memory_order_release);
-
+  [[gnu::noinline]] core::Word meet(unsigned idx, const core::AnyRmw& f) {
+    Slot& s = publish(idx, f);
     Policy pol;
     for (unsigned round = 0;; ++round) {
       if (s.seq.load(std::memory_order_acquire) == kDone) break;
@@ -366,7 +263,9 @@ class FlatCombiner {
     return prior;
   }
 
-  Slot& claim(unsigned idx) {
+  /// Claim slot `idx` (aliased threads wait their turn), write `f` into
+  /// it and release-publish it.
+  Slot& publish(unsigned idx, const core::AnyRmw& f) {
     Slot& s = slots_[idx];
     Policy pol;
     for (;;) {
@@ -374,7 +273,7 @@ class FlatCombiner {
       if (s.seq.compare_exchange_weak(expect, kClaimed,
                                       std::memory_order_acquire,
                                       std::memory_order_relaxed)) {
-        return s;
+        break;
       }
       if (expect != kIdle) {
         // Another thread owns the slot: wait on the value we observed —
@@ -384,6 +283,10 @@ class FlatCombiner {
         pol.pause();  // spurious weak-CAS failure
       }
     }
+    s.op = f;
+    Instrument::shared_store(&s.seq, KRS_SITE);
+    s.seq.store(kPending, std::memory_order_release);
+    return s;
   }
 
   [[nodiscard]] bool try_lock() {
@@ -423,8 +326,9 @@ class FlatCombiner {
   /// read-modify-write of the value word. Each served op's reply is the
   /// running prior — the §3 decombination chain evaluated at one site.
   /// An all-fetch_add batch is one hardware fetch_add of the operand sum
-  /// (it cannot lose to a concurrent direct CAS); any other batch is a CAS
-  /// loop that recomputes the chain from the value it lost to.
+  /// (it cannot lose to a concurrent direct CAS); any other batch goes
+  /// through the front end's CAS loop, recomputing the chain from the
+  /// value it lost to.
   ///
   /// Replies publish only after the RMW: a waiter that observes its reply
   /// therefore also observes a value_ that already includes its own op —
@@ -460,11 +364,7 @@ class FlatCombiner {
       if (all_adds) {
         chain(value_.fetch_add(sum, std::memory_order_acq_rel));
       } else {
-        core::Word prior = value_.load(std::memory_order_relaxed);
-        while (!value_.compare_exchange_weak(prior, chain(prior),
-                                             std::memory_order_acq_rel,
-                                             std::memory_order_relaxed)) {
-        }
+        this->cas_value([this](core::Word v) { return chain(v); });
       }
       for (const unsigned i : served_) {
         Slot& s = slots_[i];
@@ -514,34 +414,29 @@ class FlatCombiner {
     }
   }
 
-  // Five lines, one role each (cacheline.hpp's one-writer-per-hot-line
-  // rule). First, the line every operation reads and none writes after
-  // construction.
-  unsigned nslots_;
-  unsigned max_passes_;
+  // Telemetry (relaxed; snapshots race with operations by design),
+  // continuing the front end's telemetry line: a counter beside value_
+  // would turn every published op into a second write to the hot line.
+  // All are written only by the lock holder, so publishers never write
+  // this line.
+  std::atomic<std::uint64_t> ops_{0};  ///< published
+  std::atomic<std::uint64_t> combined_{0};
+  std::atomic<std::uint64_t> takeovers_{0};
+  std::atomic<std::uint64_t> passes_{0};
+  std::atomic<std::uint64_t> handoffs_{0};
+  // Three more lines, one role each (cacheline.hpp's one-writer-per-hot-
+  // line rule). First, the line every operation reads and none writes
+  // after construction.
+  alignas(kCacheLine) unsigned max_passes_;
   std::vector<Slot> slots_;
   // Waiters retry try_lock on lock_'s line, so the combiner's scratch
   // stays off it: beside lock_, krs-bench hot_flat p99 rose about 20% on
   // a 4-CPU host.
   alignas(kCacheLine) std::atomic<std::uint32_t> lock_{0};
-  // The value word alone on the line every direct CAS writes. Every
-  // publish and scan reads the slots_ header and every pass rewrites
-  // served_, so beside value_ either one pulls the line away from the
-  // CASers.
-  alignas(kCacheLine) std::atomic<core::Word> value_;
-  /// serve_pass scratch, on a line only the lock-holding combiner touches.
+  /// serve_pass scratch, on a line only the lock-holding combiner touches:
+  /// every pass rewrites it, so beside value_ or the slots_ header it
+  /// would pull those lines away from the CASers.
   alignas(kCacheLine) std::vector<unsigned> served_;
-
-  // Telemetry (relaxed; snapshots race with operations by design), on its
-  // own line: a counter beside value_ would turn every published op into a
-  // second write to the hot line. All but serialized_updates_ are written
-  // only by the lock holder, so publishers never write this line.
-  alignas(kCacheLine) std::atomic<std::uint64_t> ops_{0};  ///< published
-  std::atomic<std::uint64_t> combined_{0};
-  std::atomic<std::uint64_t> takeovers_{0};
-  std::atomic<std::uint64_t> passes_{0};
-  std::atomic<std::uint64_t> handoffs_{0};
-  std::atomic<std::uint64_t> serialized_updates_{0};
 };
 
 }  // namespace krs::runtime

@@ -716,7 +716,7 @@ TEST(CombiningTree, SingleThreadSequence) {
   EXPECT_EQ(b.fetch_add(c, 7), 105u);
   EXPECT_EQ(b.fetch_add(c, 1), 112u);
   EXPECT_EQ(b.load(c), 113u);
-  EXPECT_EQ(c.combiner.width(), 4u);
+  EXPECT_EQ(c.combiner.slots(), 4u);
 }
 
 TEST(CombiningTree, ConcurrentIncrementsGiveDistinctTickets) {
@@ -818,7 +818,7 @@ TEST(LockFreeCombiningTree, SingleThreadSequence) {
   EXPECT_EQ(tree_add(tree, 1, 7), 105u);
   EXPECT_EQ(tree_add(tree, 3, 1), 112u);
   EXPECT_EQ(tree.read(), 113u);
-  EXPECT_EQ(tree.width(), 4u);
+  EXPECT_EQ(tree.slots(), 4u);
 }
 
 TEST(LockFreeCombiningTree, ConcurrentIncrementsGiveDistinctTickets) {

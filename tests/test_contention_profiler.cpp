@@ -299,7 +299,7 @@ TEST(ProfilerPlumbing, WaveDrivenCombiningTreeHalvesRootTraffic) {
   // The profiler sees the same story at the root word: 2 RMWs per wave
   // instead of the 4 an uncombined counter would take, alternating
   // between the two firsts' virtual tids.
-  const LineProfile root = p.line_of(tree.root_address());
+  const LineProfile root = p.line_of(tree.value_address());
   EXPECT_EQ(root.rmws, 2u * kWaves);
   EXPECT_EQ(root.threads, 2u);
   EXPECT_EQ(root.conflicts, 2u * kWaves - 1);
@@ -314,7 +314,7 @@ TEST(ProfilerPlumbing, CombiningBackendCompareExchangeHitsTheRootWord) {
     krs::runtime::Word expected = 0;
     EXPECT_TRUE(backend.compare_exchange(cell, expected, 9));
   }
-  EXPECT_EQ(p.line_of(cell.combiner.root_address()).rmws, 1u);
+  EXPECT_EQ(p.line_of(cell.combiner.value_address()).rmws, 1u);
 }
 
 }  // namespace

@@ -845,11 +845,11 @@ TEST(TopologyTree, PermutationChangesWhichSlotsFold) {
 
 TEST(TreeWidth, OddWidthsRoundUpAndStayCorrect) {
   MappingCombiningTree<AnyRmw> t3(3, 0);
-  EXPECT_EQ(t3.width(), 4u);
+  EXPECT_EQ(t3.slots(), 4u);
   MappingCombiningTree<AnyRmw> t5(5, 0);
-  EXPECT_EQ(t5.width(), 8u);
+  EXPECT_EQ(t5.slots(), 8u);
   MappingCombiningTree<AnyRmw> t1(1, 0);
-  EXPECT_EQ(t1.width(), 2u);
+  EXPECT_EQ(t1.slots(), 2u);
 
   for (unsigned s = 0; s < 3; ++s) {
     EXPECT_EQ(t3.fetch_rmw(s, AnyRmw(FetchAdd(1))), s);

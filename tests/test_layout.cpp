@@ -72,20 +72,20 @@ TEST(CombiningTreeLayout, DirectPathLinesHaveOneWriter) {
     // One line per slot's direct counter: no other slot, no node and no
     // member of the tree shares it, and both its words (the owner's and
     // the aliases') sit on it.
-    for (unsigned s = 0; s < tree.width(); ++s) {
+    for (unsigned s = 0; s < tree.slots(); ++s) {
       const LineSpan c = TreePeer::direct_counter(tree, s);
       EXPECT_EQ(c.first, c.last) << "slot " << s;
       for (const LineSpan& w : TreePeer::direct_counter_words(tree, s)) {
         EXPECT_EQ(w.first, c.first) << "slot " << s;
         EXPECT_EQ(w.last, c.first) << "slot " << s;
       }
-      for (unsigned o = 0; o < tree.width(); ++o) {
+      for (unsigned o = 0; o < tree.slots(); ++o) {
         if (o != s) {
           EXPECT_FALSE(c.overlaps(TreePeer::direct_counter(tree, o)))
               << "slots " << s << " and " << o;
         }
       }
-      for (unsigned n = 1; n < tree.width(); ++n) {
+      for (unsigned n = 1; n < tree.slots(); ++n) {
         EXPECT_FALSE(c.overlaps(TreePeer::node_first_words(tree, n)[0]))
             << "slot " << s << " on node " << n << "'s status line";
       }
@@ -97,7 +97,7 @@ TEST(CombiningTreeLayout, DirectPathLinesHaveOneWriter) {
     // A node's status line holds the reply, the decline flag and the fold
     // counters: all written by the node's first just before its own
     // status store, so a handshake moves one line.
-    for (unsigned n = 1; n < tree.width(); ++n) {
+    for (unsigned n = 1; n < tree.slots(); ++n) {
       const std::vector<LineSpan> w = TreePeer::node_first_words(tree, n);
       for (std::size_t i = 1; i < w.size(); ++i) {
         EXPECT_EQ(w[i].first, w[0].first) << "node " << n << " word " << i;

@@ -90,7 +90,7 @@ struct CombiningTreeTestPeer {
   /// returning the prior.
   template <typename Tree, typename M>
   static typename Tree::value_type climb(Tree& t, unsigned slot, const M& f) {
-    return t.climb(slot, f);
+    return t.meet(slot, f);
   }
   template <typename Tree>
   static bool precombine(Tree& t, unsigned n) {
@@ -140,10 +140,10 @@ struct CombiningTreeTestPeer {
   /// The lines of the members the one-writer-per-hot-line rule places.
   template <typename Tree>
   static std::vector<Member> members(const Tree& t) {
-    return {{"width_", lines_of(t.width_)},
+    return {{"nslots_", lines_of(t.nslots_)},
             {"nodes_", lines_of(t.nodes_)},
             {"direct_applies_", lines_of(t.direct_applies_)},
-            {"root_", lines_of(t.root_)},
+            {"root_", lines_of(t.value_)},  // the value word (the root)
             {"root_applies_", lines_of(t.root_applies_)}};
   }
   template <typename Tree>
@@ -154,14 +154,14 @@ struct CombiningTreeTestPeer {
   template <typename Tree>
   static std::vector<LineSpan> direct_counter_words(const Tree& t,
                                                     unsigned slot) {
-    const auto& c = t.direct_applies_[slot].n;
+    const auto& c = t.direct_applies_[slot];
     return {lines_of(c.own), lines_of(c.shared)};
   }
   /// One slot's direct-apply counts: {the owner's word, the aliases'}.
   template <typename Tree>
   static std::pair<std::uint64_t, std::uint64_t> direct_counts(
       const Tree& t, unsigned slot) {
-    const auto& c = t.direct_applies_[slot].n;
+    const auto& c = t.direct_applies_[slot];
     return {c.own.load(), c.shared.load()};
   }
   /// One node's lines: [0] its status line, then every word its first
@@ -216,7 +216,7 @@ struct FlatCombinerTestPeer {
   template <typename FC>
   static krs::core::Word collide(FC& fc, unsigned slot,
                                  const krs::core::AnyRmw& op) {
-    return fc.publish(slot, op);
+    return fc.meet(slot, op);
   }
   /// The owner's reply pickup.
   template <typename FC>
@@ -243,11 +243,12 @@ struct FlatCombinerTestPeer {
   }
 
   /// The lines of the members the one-writer-per-hot-line rule places;
-  /// "telemetry" spans every counter from ops_ to serialized_updates_.
+  /// "telemetry" spans every counter from the front end's
+  /// serialized_updates_ to handoffs_.
   template <typename FC>
   static std::vector<Member> members(const FC& fc) {
-    const LineSpan first = lines_of(fc.ops_);
-    const LineSpan last = lines_of(fc.serialized_updates_);
+    const LineSpan first = lines_of(fc.serialized_updates_);
+    const LineSpan last = lines_of(fc.handoffs_);
     return {{"slots_", lines_of(fc.slots_)},
             {"lock_", lines_of(fc.lock_)},
             {"value_", lines_of(fc.value_)},

@@ -5,13 +5,14 @@
 #   MappingCombiningTree<core::AnyRmw, NoInstrument, SpinYieldWait>
 #   FlatCombiner<NoInstrument, SpinYieldWait>
 #
-# each fetch_rmw must reach its first `lock cmpxchg` (the direct CAS on
-# the value word) without a `call`, and must never call thread_ordinal.
+# each one's fetch_rmw (its HardwareFirst front end's, one symbol per
+# combiner) must reach its first `lock cmpxchg` (the direct CAS on the
+# value word) without a `call`, and must never call thread_ordinal.
 # The direct path is a load of the hot word, an inline apply of the
 # mapping, the CAS and one plain store; a call between the load and the
 # CAS widens the window in which another core can take the line away
-# (PERFORMANCE.md §1). Inlining is decided per translation unit, so the
-# check reads the machine code rather than the source.
+# (runtime/hardware_first.hpp). Inlining is decided per translation unit,
+# so the check reads the machine code rather than the source.
 #
 # Usage: tools/check_direct_path.sh BINARY
 # Needs nm, objdump and c++filt (binutils). Exit 0 when both symbols
@@ -27,9 +28,11 @@ BIN="$1"
 # SpinYieldWait is PacedWait<AfterGrace::kYield>; the demangler prints
 # the enumerator as its value, 1.
 POLICY='krs::runtime::PacedWait<(krs::runtime::AfterGrace)1>'
+FRONT='krs::runtime::HardwareFirst<krs::runtime'
+TAIL='krs::core::AnyRmw, krs::analysis::NoInstrument>::fetch_rmw('
 WANT=(
-  "krs::runtime::MappingCombiningTree<krs::core::AnyRmw, krs::analysis::NoInstrument, ${POLICY} >::fetch_rmw("
-  "krs::runtime::FlatCombiner<krs::analysis::NoInstrument, ${POLICY} >::fetch_rmw("
+  "${FRONT}::MappingCombiningTree<krs::core::AnyRmw, krs::analysis::NoInstrument, ${POLICY} >, ${TAIL}"
+  "${FRONT}::FlatCombiner<krs::analysis::NoInstrument, ${POLICY} >, ${TAIL}"
 )
 
 # "address size type mangled" for every defined text symbol that has a

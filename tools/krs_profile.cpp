@@ -154,7 +154,7 @@ RunResult run_combining(const Options& opt) {
     set_profile_tid(krs::analysis::kProfileTidAuto);
   }
   RunResult r{"combining", profiler.report(),
-              profiler.line_of(counter.combiner.root_address()), {}};
+              profiler.line_of(counter.combiner.value_address()), {}};
   return r;
 }
 
