@@ -20,9 +20,11 @@
 // compare_exchange goes through the front end's update(); load is its
 // read().
 //
-// Thread→slot assignment uses thread_ordinal() mod width. Slots may
-// collide (more threads than width): both combiners serialize a shared
-// slot's occupants, so collisions cost waiting, never correctness.
+// Each operation passes its thread_ordinal() to the combiner unreduced;
+// the front end serves it as slot ordinal mod slots(), its only
+// reduction. Slots may collide (more threads than slots): both combiners
+// serialize a shared slot's occupants, so collisions cost waiting, never
+// correctness.
 #pragma once
 
 #include <algorithm>
@@ -44,11 +46,10 @@ class BasicCombinerBackend
     : public MappingOps<BasicCombinerBackend<Combiner>> {
  public:
   /// `width`: slot capacity of every cell's combiner, ≥ 2 — any value
-  /// works, including odd core counts (the tree rounds its heap up to a
-  /// power of two internally; the thread→slot modulo stays at the
-  /// requested width so live slots remain dense). More threads than
-  /// `width` still work (slots are shared); sizing width to the expected
-  /// thread count maximizes combining.
+  /// works, including odd core counts (the tree rounds its slot count up
+  /// to a power of two, and the thread→slot modulo is taken at that
+  /// count). More threads than slots still work (slots are shared);
+  /// sizing width to the expected thread count maximizes combining.
   explicit BasicCombinerBackend(unsigned width = kDefaultWidth)
       : width_(std::max(2u, width)) {}
 
@@ -62,7 +63,7 @@ class BasicCombinerBackend
   };
 
   Word fetch_rmw(Cell& c, const core::AnyRmw& m) const {
-    return c.combiner.fetch_rmw(slot(), m);
+    return c.combiner.fetch_rmw(thread_ordinal(), m);
   }
 
   /// The update loop may call the lambda more than once, so every call
@@ -81,7 +82,8 @@ class BasicCombinerBackend
   Word load(const Cell& c) const { return c.combiner.read(); }
 
   void store(Cell& c, Word v) const {
-    c.combiner.fetch_rmw(slot(), core::AnyRmw(core::LssOp::store(v)));
+    c.combiner.fetch_rmw(thread_ordinal(),
+                         core::AnyRmw(core::LssOp::store(v)));
   }
 
   [[nodiscard]] unsigned width() const noexcept { return width_; }
@@ -96,11 +98,6 @@ class BasicCombinerBackend
   static constexpr unsigned kDefaultWidth = 16;
 
  private:
-  /// Inline, and a division only for an ordinal at or above the width.
-  [[nodiscard]] unsigned slot() const noexcept {
-    return slot_of(thread_ordinal(), width_);
-  }
-
   unsigned width_;
 };
 

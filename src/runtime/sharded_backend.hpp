@@ -7,11 +7,12 @@
 // A `ShardedBackend<Inner>::Cell` stripes one logical word across S
 // per-shard `Inner` cells (any substrate: hardware atomics, the combining
 // tree, the flat combiner, the simulated machine), each on its own cache
-// line. Updates touch exactly ONE shard — so they stay combinable inside
-// that shard's own substrate — while `load()` folds the shard values with
-// the cell's semigroup operation (sum for counters, union for flag words):
-// the write-cheap/read-folds structure of a write-and-f-array, with the §3
-// decombination chain run at read time instead of in the switches.
+// line of one line-aligned block. Updates touch exactly ONE shard — so
+// they stay combinable inside that shard's own substrate — while `load()`
+// folds the shard values with the cell's semigroup operation (sum for
+// counters, union for flag words): the write-cheap/read-folds structure
+// of a write-and-f-array, with the §3 decombination chain run at read time
+// instead of in the switches.
 //
 // Semantics — deliberately RELAXED relative to a single cell:
 //
@@ -44,7 +45,7 @@
 
 #include <atomic>
 #include <cstdint>
-#include <deque>
+#include <new>
 #include <numeric>
 #include <vector>
 
@@ -150,21 +151,6 @@ class ShardedBackend : public MappingOps<ShardedBackend<Inner>> {
       : inner_(std::move(inner)), shards_(shards < 1 ? 1 : shards) {}
 
   struct Cell {
-    Cell(const ShardedBackend& b, Word initial)
-        : home(b.shard_of()) {
-      // Construct the S inner cells in place (inner cells are pinned —
-      // deque never relocates); the initial value lands in the HOME shard
-      // (the shard the constructing context routes to, so a
-      // single-threaded script sees unsharded semantics), identity
-      // elsewhere, keeping the aggregate equal to `initial`.
-      for (unsigned s = 0; s < b.shards_; ++s) {
-        slots.emplace_back(b.inner_,
-                           s == home ? initial : b.agg_.identity);
-      }
-    }
-    Cell(const Cell&) = delete;
-    Cell& operator=(const Cell&) = delete;
-
     /// One shard: its inner cell and the count of ops routed to it, on
     /// the shard's own line — a shared counter block would put back the
     /// hot line the striping removes.
@@ -174,8 +160,43 @@ class ShardedBackend : public MappingOps<ShardedBackend<Inner>> {
       std::atomic<std::uint64_t> ops{0};  ///< per-shard telemetry
     };
 
-    std::deque<Slot> slots;  ///< S cache-line-isolated shards
-    unsigned home;           ///< shard holding the initial value
+    Cell(const ShardedBackend& b, Word initial)
+        : slots(static_cast<Slot*>(::operator new(
+              b.shards_ * sizeof(Slot), std::align_val_t{alignof(Slot)}))),
+          count(b.shards_),
+          home(b.shard_of()) {
+      // Build the S inner cells in place, in shard order, in the one
+      // line-aligned block (inner cells are pinned: the block never
+      // moves). The initial value lands in the HOME shard (the shard the
+      // constructing context routes to, so a single-threaded script sees
+      // unsharded semantics), identity elsewhere, keeping the aggregate
+      // equal to `initial`. A throwing inner constructor unwinds the
+      // shards already built and frees the block.
+      unsigned built = 0;
+      try {
+        for (; built < count; ++built) {
+          ::new (slots + built)
+              Slot(b.inner_, built == home ? initial : b.agg_.identity);
+        }
+      } catch (...) {
+        release(built);
+        throw;
+      }
+    }
+    Cell(const Cell&) = delete;
+    Cell& operator=(const Cell&) = delete;
+    ~Cell() { release(count); }
+
+    Slot* const slots;     ///< S cache-line-isolated shards, one block
+    const unsigned count;  ///< S
+    unsigned home;         ///< shard holding the initial value
+
+   private:
+    /// Destroy the first `built` shards in reverse order, free the block.
+    void release(unsigned built) noexcept {
+      while (built > 0) slots[--built].~Slot();
+      ::operator delete(slots, std::align_val_t{alignof(Slot)});
+    }
   };
 
   Word fetch_rmw(Cell& c, const core::AnyRmw& m) const {
@@ -193,8 +214,8 @@ class ShardedBackend : public MappingOps<ShardedBackend<Inner>> {
   /// §3 decombination chain run at read time.
   Word load(const Cell& c) const {
     Word acc = agg_.identity;
-    for (const auto& slot : c.slots) {
-      acc = agg_.fold(acc, inner_.load(slot.cell));
+    for (unsigned s = 0; s < c.count; ++s) {
+      acc = agg_.fold(acc, inner_.load(c.slots[s].cell));
     }
     return acc;
   }
@@ -226,8 +247,8 @@ class ShardedBackend : public MappingOps<ShardedBackend<Inner>> {
   [[nodiscard]] ShardedCellStats cell_stats(const Cell& c) const {
     ShardedCellStats out;
     out.shard_ops.reserve(shards_);
-    for (const auto& slot : c.slots) {
-      out.shard_ops.push_back(slot.ops.load(std::memory_order_relaxed));
+    for (unsigned s = 0; s < c.count; ++s) {
+      out.shard_ops.push_back(c.slots[s].ops.load(std::memory_order_relaxed));
     }
     return out;
   }

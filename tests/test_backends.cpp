@@ -721,7 +721,7 @@ TEST(CombiningTree, SingleThreadSequence) {
 
 TEST(CombiningTree, ConcurrentIncrementsGiveDistinctTickets) {
   // An odd width, as sizing to a 3-core host would ask for:
-  // the heap rounds up to 4 slots while the thread→slot modulo stays at 3.
+  // the heap rounds up to 4 slots and the thread→slot modulo is taken at 4.
   hotspot_counter_invariants(CombiningBackend{3});
 }
 

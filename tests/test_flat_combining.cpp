@@ -858,8 +858,8 @@ TEST(TreeWidth, OddWidthsRoundUpAndStayCorrect) {
 }
 
 TEST(TreeWidth, OddWidthBackendCountsExactly) {
-  // CombiningBackend sized to an odd "core count": thread→slot modulo
-  // stays at the requested width while the tree rounds internally.
+  // CombiningBackend sized to an odd "core count": the tree rounds its
+  // slot count up to 4 and takes the thread→slot modulo there.
   CombiningBackend backend(3);
   EXPECT_EQ(backend.width(), 3u);
   CombiningBackend::Cell cell(backend, 0);

@@ -18,8 +18,10 @@
 //    the verdict comes from the modeled per-shard edges.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdint>
 #include <set>
+#include <stdexcept>
 #include <thread>
 #include <vector>
 
@@ -230,6 +232,110 @@ TEST(ShardedSemantics, ShardCounterSharesItsShardsLine) {
     lines.insert(line(&b.shard_cell(cell, s)));
   }
   EXPECT_EQ(lines.size(), b.shards());
+}
+
+// --- the shard block's layout and lifetime -----------------------------------
+
+TEST(ShardedLayout, ShardsFormOneLineAlignedBlock) {
+  // The S shards are one line-aligned block: shard s starts s lines past
+  // the base.
+  for (const unsigned shards : {1u, 3u, 8u}) {
+    ShardedBackend<AtomicBackend> b{AtomicBackend{}, shards};
+    ShardedBackend<AtomicBackend>::Cell cell(b, 0);
+    const auto base = reinterpret_cast<std::uintptr_t>(&cell.slots[0]);
+    EXPECT_EQ(base % kCacheLine, 0u) << "S = " << shards;
+    for (unsigned s = 0; s < shards; ++s) {
+      EXPECT_EQ(reinterpret_cast<std::uintptr_t>(&b.shard_cell(cell, s)),
+                base + std::uintptr_t{s} * kCacheLine)
+          << "S = " << shards << ", shard " << s;
+    }
+  }
+}
+
+/// What the counting substrate's cells saw: each construction's sequence
+/// number in destruction order, and the construction that throws.
+struct Lifetimes {
+  unsigned built = 0;
+  std::vector<unsigned> destroyed;
+  unsigned throw_at = ~0u;
+};
+
+/// A test-only inner substrate whose cells record their construction and
+/// destruction; the `throw_at`-th construction (from 0) throws instead.
+class CountingBackend : public MappingOps<CountingBackend> {
+ public:
+  explicit CountingBackend(Lifetimes& log) : log_(&log) {}
+
+  struct Cell {
+    Cell(const CountingBackend& b, Word v)
+        : log(b.log_), seq(b.log_->built), word(v) {
+      if (seq == log->throw_at) throw std::runtime_error("shard cell");
+      ++log->built;
+    }
+    Cell(const Cell&) = delete;
+    Cell& operator=(const Cell&) = delete;
+    ~Cell() { log->destroyed.push_back(seq); }
+
+    Lifetimes* log;
+    unsigned seq;
+    std::atomic<Word> word;
+  };
+
+  Word fetch_rmw(Cell& c, const krs::core::AnyRmw& m) const {
+    Word cur = c.word.load();
+    while (!c.word.compare_exchange_weak(cur, m.apply(cur))) {
+    }
+    return cur;
+  }
+  bool compare_exchange(Cell& c, Word& expected, Word desired) const {
+    return c.word.compare_exchange_strong(expected, desired);
+  }
+  Word load(const Cell& c) const { return c.word.load(); }
+  void store(Cell& c, Word v) const { c.word.store(v); }
+
+ private:
+  Lifetimes* log_;
+};
+
+TEST(ShardedLifetime, EachShardBuiltOnceAndDestroyedOnce) {
+  // Shards are built in shard order and destroyed once each, in reverse.
+  for (const unsigned shards : {1u, 3u, 8u}) {
+    Lifetimes log;
+    const ShardedBackend<CountingBackend> b{CountingBackend{log}, shards};
+    {
+      ShardedBackend<CountingBackend>::Cell cell(b, 7);
+      EXPECT_EQ(log.built, shards);
+      EXPECT_TRUE(log.destroyed.empty());
+      EXPECT_EQ(b.load(cell), 7u);
+      for (unsigned s = 0; s < shards; ++s) {
+        EXPECT_EQ(b.shard_cell(cell, s).seq, s) << "S = " << shards;
+      }
+    }
+    EXPECT_EQ(log.built, shards);
+    std::vector<unsigned> reverse(shards);
+    for (unsigned s = 0; s < shards; ++s) reverse[s] = shards - 1 - s;
+    EXPECT_EQ(log.destroyed, reverse) << "S = " << shards;
+  }
+}
+
+TEST(ShardedLifetime, ThrowingShardUnwindsTheBuiltPrefix) {
+  // The k-th shard's constructor throws: the exception reaches the caller,
+  // the k shards already built are destroyed (in reverse), and the block
+  // is freed (the asan build's leak check sees it otherwise).
+  constexpr unsigned kShards = 8;
+  for (unsigned k = 0; k < kShards; ++k) {
+    Lifetimes log;
+    log.throw_at = k;
+    const ShardedBackend<CountingBackend> b{CountingBackend{log}, kShards};
+    const auto build = [&] {
+      const ShardedBackend<CountingBackend>::Cell cell(b, 1);
+    };
+    EXPECT_THROW(build(), std::runtime_error) << "k = " << k;
+    EXPECT_EQ(log.built, k);
+    std::vector<unsigned> reverse(k);
+    for (unsigned s = 0; s < k; ++s) reverse[s] = k - 1 - s;
+    EXPECT_EQ(log.destroyed, reverse) << "k = " << k;
+  }
 }
 
 // --- aggregation-read linearization model ------------------------------------
