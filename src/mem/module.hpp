@@ -24,12 +24,10 @@
 #include <unordered_map>
 #include <vector>
 
-#include "core/combining.hpp"
 #include "core/rmw.hpp"
 #include "core/types.hpp"
+#include "net/combine_buffer.hpp"
 #include "net/packet.hpp"
-#include "net/switch.hpp"
-#include "net/wait_table.hpp"
 #include "util/assert.hpp"
 #include "util/ring.hpp"
 
@@ -50,7 +48,8 @@ struct ModuleConfig {
   /// FIFO-decoupled memory, "combining in this queue will improve the
   /// memory throughput by reducing conflicting accesses to the same memory
   /// bank." When set, an arriving request combines with the youngest
-  /// queued request for its address, exactly like a network switch.
+  /// queued request for its address by the switch's rule
+  /// (net/combine_buffer.hpp), with unlimited fan-in and no records cap.
   bool combine_in_queue = false;
   /// §5.5's queueing model: "An alternative mechanism is to queue a
   /// request at memory until it is executable. This decreases the network
@@ -101,7 +100,10 @@ class MemoryModule {
   using Rev = net::RevPacket<M>;
 
   MemoryModule(ModuleConfig cfg, Value initial)
-      : cfg_(cfg), initial_(initial) {
+      : cfg_(cfg),
+        initial_(initial),
+        combine_(cfg.combine_in_queue ? net::CombinePolicy::kUnlimited
+                                      : net::CombinePolicy::kNone) {
     in_q_.reserve(cfg_.queue_capacity);
     pending_.reserve(cfg_.queue_capacity);
   }
@@ -111,7 +113,7 @@ class MemoryModule {
   [[nodiscard]] bool can_accept(const Fwd& pkt) const {
     if (pkt.kind == net::TxnKind::kWriteUnlock) return true;
     if (in_q_.size() < cfg_.queue_capacity) return true;
-    return would_combine(pkt);
+    return combine_.can_absorb(in_q_, pkt);
   }
 
   /// Accept a packet. If queue combining is enabled and the arrival
@@ -119,24 +121,7 @@ class MemoryModule {
   /// *events (for the Theorem 4.2 expansion) and no queue slot is used.
   void accept(Fwd&& pkt, std::vector<net::CombineEvent>* events = nullptr) {
     KRS_EXPECTS(can_accept(pkt));
-    if (cfg_.combine_in_queue && pkt.kind == net::TxnKind::kRmw) {
-      // Youngest-match rule, as in the switch (preserves M2.3).
-      for (std::size_t i = in_q_.size(); i-- > 0;) {
-        auto& queued = in_q_[i];
-        if (queued.kind != net::TxnKind::kRmw ||
-            queued.req.addr != pkt.req.addr) {
-          continue;
-        }
-        auto rec = core::try_combine(queued.req, pkt.req);
-        if (!rec) break;
-        wait_records_.append(queued.req.id, {*rec, pkt.path});
-        ++stats_.queue_combines;
-        if (events != nullptr) {
-          events->push_back({rec->representative, rec->second, pkt.req.addr});
-        }
-        return;
-      }
-    }
+    if (combine_.absorb(in_q_, pkt, /*hop=*/-1, events)) return;
     in_q_.push_back(std::move(pkt));
   }
 
@@ -210,11 +195,15 @@ class MemoryModule {
   [[nodiscard]] const std::vector<AccessRecord>& access_log() const noexcept {
     return access_log_;
   }
-  [[nodiscard]] const ModuleStats& stats() const noexcept { return stats_; }
+  [[nodiscard]] ModuleStats stats() const noexcept {
+    ModuleStats s = stats_;
+    s.queue_combines = combine_.counters().combines;
+    return s;
+  }
 
   [[nodiscard]] bool idle() const noexcept {
     return in_q_.empty() && pending_.empty() && !locked_by_.has_value() &&
-           wait_records_.empty() && parked_.empty();
+           combine_.empty() && parked_.empty();
   }
 
   /// §5.5 queueing: operations currently parked at this module. A machine
@@ -231,19 +220,6 @@ class MemoryModule {
     Tick due;
     Rev pkt;
   };
-
-  [[nodiscard]] bool would_combine(const Fwd& pkt) const {
-    if (!cfg_.combine_in_queue || pkt.kind != net::TxnKind::kRmw) return false;
-    for (std::size_t i = in_q_.size(); i-- > 0;) {
-      const auto& queued = in_q_[i];
-      if (queued.kind != net::TxnKind::kRmw ||
-          queued.req.addr != pkt.req.addr) {
-        continue;
-      }
-      return try_compose(queued.req.f, pkt.req.f).has_value();
-    }
-    return false;
-  }
 
   void service(Fwd&& pkt, Tick now) {
     Value& cell = cell_ref(pkt.req.addr);
@@ -281,23 +257,14 @@ class MemoryModule {
         ++stats_.write_unlocks;
         break;
     }
-    const Value old_value = rev.reply.value;
-    const ReqId rep_id = rev.reply.id;
-    const bool was_rmw = pkt.kind == net::TxnKind::kRmw;
-    pending_.push_back({now + cfg_.latency, std::move(rev)});
-    // Decombine queue-combined requests (after the representative's reply,
-    // so replies leave in combine order): each absorbed request gets
-    // f(old) along its own stored path, as at a network switch.
-    if (was_rmw) {
-      wait_records_.consume(rep_id, [&](WaitRecord& record) {
-        Rev second;
-        second.reply.id = record.rec.second;
-        second.reply.value = core::decombine(record.rec, old_value);
-        second.reply.completed = now + cfg_.latency;
-        second.path = record.path;
-        pending_.push_back({now + cfg_.latency, std::move(second)});
-      });
-    }
+    // The representative's reply leaves first, then one reply per request
+    // combined into it here, in combine order. The module never reverses,
+    // so decombination leaves `rev` unchanged.
+    const Tick due = now + cfg_.latency;
+    pending_.push_back({due, rev});
+    combine_.decombine(rev, [&](Rev&& second) {
+      pending_.push_back({due, std::move(second)});
+    });
     wake_parked(pkt.req.addr);
   }
 
@@ -330,13 +297,11 @@ class MemoryModule {
     return it->second;
   }
 
-  using WaitRecord = typename net::WaitTable<M>::Record;
-
   ModuleConfig cfg_;
   Value initial_;
   util::RingBuffer<Fwd> in_q_;
   util::RingBuffer<Pending> pending_;
-  net::WaitTable<M> wait_records_;
+  net::CombineBuffer<M> combine_;
   std::unordered_map<Addr, std::deque<Fwd>> parked_;
   std::unordered_map<Addr, Value> cells_;
   std::optional<std::uint32_t> locked_by_;

@@ -1,46 +1,25 @@
 // A 2×2 packet-switched combining switch (§4.2), the building block of the
 // Ultracomputer-style network.
 //
-// Forward direction: requests arriving at an input port are routed to an
-// output queue by a destination bit. If a request for the same address is
-// already waiting in that queue (and policy allows), the arrival is
-// *combined* into it: the queued request's mapping becomes compose(f, g)
-// and a wait-buffer record (id2, f, path of the absorbed request) is saved
-// under the queued request's id. Combining consumes no queue space — that
-// is precisely how combining relieves hot-spot congestion.
-//
-// Reverse direction: a reply arriving for id first decombines: for every
-// wait-buffer record saved under id (in LIFO order of the values they
-// captured — order is immaterial since each targets a distinct requester),
-// a new reply ⟨id2, f(val)⟩ is emitted along the absorbed request's own
-// path. The original reply then continues along its popped path.
-//
-// Policy knobs reproduce the design space of §7 ("one can use combining
-// logic that detects only part of the combinable pairs"): combining can be
-// disabled (baseline network), limited to pairwise (one combine per queued
-// message, as in the NYU VLSI switch) or unlimited fan-in; the wait buffer
-// has finite capacity, and a full wait buffer declines further combining.
+// The switch owns two output FIFOs toward memory and two reply FIFOs
+// toward the processors. Combining and decombination follow §4.2's one
+// rule (net/combine_buffer.hpp): an arrival combines with the youngest
+// same-address request in its output FIFO, and a returning reply
+// decombines into one reply per wait-buffer record before it continues
+// along its popped path. The switch adds port routing and the stall rule:
+// an arrival that neither combines nor finds a free slot waits.
 #pragma once
 
 #include <cstdint>
 #include <vector>
 
-#include "core/combining.hpp"
-#include "core/load_store_swap.hpp"
 #include "core/rmw.hpp"
-#include "core/types.hpp"
+#include "net/combine_buffer.hpp"
 #include "net/packet.hpp"
-#include "net/wait_table.hpp"
 #include "util/assert.hpp"
 #include "util/ring.hpp"
 
 namespace krs::net {
-
-enum class CombinePolicy : std::uint8_t {
-  kNone,      ///< never combine (baseline network)
-  kPairwise,  ///< a queued message combines at most once per switch
-  kUnlimited  ///< unbounded fan-in per queued message
-};
 
 struct SwitchConfig {
   CombinePolicy policy = CombinePolicy::kUnlimited;
@@ -69,22 +48,13 @@ struct SwitchStats {
   std::uint64_t max_queue_depth = 0;  ///< deepest request FIFO ever seen
 };
 
-/// One combine event, reported to the machine-level log so the verifier can
-/// expand combined messages into the request sequences they represent.
-struct CombineEvent {
-  core::ReqId representative;
-  core::ReqId absorbed;
-  core::Addr addr;
-  /// §5.1 reversal: the absorbed request's effect logically PRECEDES the
-  /// representative's (the verifier expands it first).
-  bool reversed = false;
-};
-
 template <core::Rmw M>
 class CombiningSwitch {
  public:
   explicit CombiningSwitch(const SwitchConfig& cfg = {})
-      : cfg_(cfg), wait_buffer_(cfg.wait_buffer_capacity) {
+      : cfg_(cfg),
+        wait_buffer_(cfg.policy, cfg.wait_buffer_capacity,
+                     cfg.allow_order_reversal) {
     // Size the forward FIFOs to their capacity bound up front. The reverse
     // FIFOs can burst past it (decombination fan-out) — they grow on first
     // use and, like all ring buffers here, never shrink, so the steady
@@ -101,45 +71,8 @@ class CombiningSwitch {
                      std::vector<CombineEvent>* events) {
     KRS_EXPECTS(in_port < 2 && out_port < 2);
     auto& q = fwd_out_[out_port];
-    if (pkt.kind == TxnKind::kRmw && cfg_.policy != CombinePolicy::kNone) {
-      // Combine only with the YOUNGEST queued request for this address, and
-      // give up if that one declines. Combining with an older entry could
-      // sequence this arrival ahead of an intervening request from the same
-      // processor to the same location, violating M2.3 — the unique-path
-      // network keeps same-source/same-address requests in one queue, so
-      // "youngest match" preserves their order unconditionally.
-      for (std::size_t i = q.size(); i-- > 0;) {
-        auto& queued = q[i];
-        if (queued.kind != TxnKind::kRmw || queued.req.addr != pkt.req.addr) {
-          continue;
-        }
-        if (cfg_.policy == CombinePolicy::kPairwise &&
-            wait_buffer_.fan_in(queued.req.id) >= 1) {
-          ++stats_.combine_declined_policy;
-          break;
-        }
-        if (wait_buffer_.records() >= cfg_.wait_buffer_capacity) {
-          ++stats_.combine_declined_waitbuf;
-          break;
-        }
-        // §5.1 order reversal, when enabled and applicable (load/store/swap
-        // family, both messages uncombined originals of distinct
-        // processors, and the reversible table actually reverses).
-        if (try_reversed_combine(queued, pkt, in_port, events)) return true;
-        auto rec = core::try_combine(queued.req, pkt.req);
-        if (!rec) break;  // family declined (e.g. Möbius overflow)
-        queued.combined = true;
-        pkt.path.push_back(static_cast<std::uint8_t>(in_port));
-        wait_buffer_.append(queued.req.id,
-                            {*rec, pkt.path, /*reversed=*/false, M{}});
-        stats_.max_wait_buffer = std::max<std::uint64_t>(
-            stats_.max_wait_buffer, wait_buffer_.records());
-        ++stats_.combines;
-        if (events != nullptr) {
-          events->push_back({queued.req.id, rec->second, pkt.req.addr, false});
-        }
-        return true;
-      }
+    if (wait_buffer_.absorb(q, pkt, static_cast<int>(in_port), events)) {
+      return true;
     }
     if (q.size() >= cfg_.queue_capacity) {
       ++stats_.stalls;
@@ -174,9 +107,12 @@ class CombiningSwitch {
 
   /// Accept a reply coming back from the memory side. Decombines against
   /// the wait buffer and stages all resulting replies on the reverse
-  /// queues of their input ports.
+  /// queues of their input ports, the representative's last (a reversed
+  /// record may rewrite its value).
   void accept_reply(RevPacket<M>&& pkt) {
-    deliver_reverse(std::move(pkt));
+    wait_buffer_.decombine(
+        pkt, [&](RevPacket<M>&& second) { route_out(std::move(second)); });
+    route_out(std::move(pkt));
   }
 
   [[nodiscard]] const RevPacket<M>* peek_reply(unsigned in_port) const {
@@ -192,7 +128,16 @@ class CombiningSwitch {
     return p;
   }
 
-  [[nodiscard]] const SwitchStats& stats() const noexcept { return stats_; }
+  [[nodiscard]] SwitchStats stats() const noexcept {
+    SwitchStats s = stats_;
+    const CombineCounters& c = wait_buffer_.counters();
+    s.combines = c.combines;
+    s.reversed_combines = c.reversed;
+    s.combine_declined_policy = c.declined_policy;
+    s.combine_declined_waitbuf = c.declined_full;
+    s.max_wait_buffer = c.max_records;
+    return s;
+  }
 
   /// True when no request or reply traffic is pending in this switch.
   [[nodiscard]] bool idle() const noexcept {
@@ -205,67 +150,6 @@ class CombiningSwitch {
   }
 
  private:
-  using WaitRecord = typename WaitTable<M>::Record;
-
-  /// Attempt the §5.1 reversed combination of `pkt` (an arriving store)
-  /// into `queued` (a load/swap). Only defined for the LssOp family.
-  bool try_reversed_combine(FwdPacket<M>& queued, FwdPacket<M>& pkt,
-                            unsigned in_port,
-                            std::vector<CombineEvent>* events) {
-    if constexpr (std::same_as<M, core::LssOp>) {
-      if (!cfg_.allow_order_reversal) return false;
-      if (queued.combined || pkt.combined) return false;
-      if (queued.req.id.proc == pkt.req.id.proc) return false;
-      if (wait_buffer_.records() >= cfg_.wait_buffer_capacity) return false;
-      const auto r = core::compose_reversible(queued.req.f, pkt.req.f);
-      if (!r.reversed) return false;
-      WaitRecord wr;
-      wr.rec = core::CombineRecord<M>{queued.req.id, pkt.req.id, M{}};
-      pkt.path.push_back(static_cast<std::uint8_t>(in_port));
-      wr.path = pkt.path;
-      wr.reversed = true;
-      wr.absorbed_map = pkt.req.f;
-      queued.req.f = r.forwarded;
-      queued.combined = true;
-      wait_buffer_.append(queued.req.id, std::move(wr));
-      stats_.max_wait_buffer = std::max<std::uint64_t>(stats_.max_wait_buffer,
-                                                       wait_buffer_.records());
-      ++stats_.combines;
-      ++stats_.reversed_combines;
-      if (events != nullptr) {
-        events->push_back({queued.req.id, pkt.req.id, pkt.req.addr, true});
-      }
-      return true;
-    } else {
-      (void)queued;
-      (void)pkt;
-      (void)in_port;
-      (void)events;
-      return false;
-    }
-  }
-
-  void deliver_reverse(RevPacket<M>&& pkt) {
-    // Decombine first: every record saved under this id spawns a reply.
-    const auto original_val = pkt.reply.value;
-    wait_buffer_.consume(pkt.reply.id, [&](WaitRecord& wr) {
-      RevPacket<M> second;
-      second.reply.id = wr.rec.second;
-      second.reply.value =
-          wr.reversed ? original_val : core::decombine(wr.rec, original_val);
-      second.reply.completed = pkt.reply.completed;
-      second.path = wr.path;
-      second.nack = pkt.nack;
-      if (wr.reversed) {
-        // The representative executed after the absorbed store: its
-        // reply is the value that store wrote.
-        pkt.reply.value = wr.absorbed_map.apply(original_val);
-      }
-      route_out(std::move(second));
-    });
-    route_out(std::move(pkt));
-  }
-
   void route_out(RevPacket<M>&& pkt) {
     KRS_EXPECTS(!pkt.path.empty());
     const unsigned port = pkt.path.back();
@@ -278,8 +162,8 @@ class CombiningSwitch {
   SwitchConfig cfg_;
   util::RingBuffer<FwdPacket<M>> fwd_out_[2];
   util::RingBuffer<RevPacket<M>> rev_out_[2];
-  WaitTable<M> wait_buffer_;
-  SwitchStats stats_;
+  CombineBuffer<M> wait_buffer_;
+  SwitchStats stats_;  ///< the combine fields are filled by stats()
 };
 
 }  // namespace krs::net

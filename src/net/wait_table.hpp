@@ -1,6 +1,6 @@
-// Flat open-addressed wait buffer for combine records, replacing the
-// per-switch std::unordered_map. The switch's wait buffer is bounded by
-// its configured capacity, so the whole structure — an open-addressed
+// Flat open-addressed wait buffer for combine records, the storage behind
+// net::CombineBuffer. A switch's or router's buffer is bounded by its
+// configured capacity, so the whole structure — an open-addressed
 // index of representatives (linear probing, backshift deletion) plus a
 // pooled slab of records chained per representative — can be sized once
 // and never allocate again. Components without a hard bound (the memory
@@ -26,7 +26,7 @@ class WaitTable {
  public:
   /// One decombination record: enough to synthesize the absorbed request's
   /// reply and route it home. `reversed`/`absorbed_map` serve the §5.1
-  /// order-reversal variant (switch only).
+  /// order-reversal variant (net/combine_buffer.hpp).
   struct Record {
     core::CombineRecord<M> rec{};
     PathHeader path{};
@@ -95,7 +95,6 @@ class WaitTable {
   }
 
   [[nodiscard]] std::size_t records() const noexcept { return records_; }
-  [[nodiscard]] std::size_t entries() const noexcept { return entries_; }
   [[nodiscard]] bool empty() const noexcept { return records_ == 0; }
 
  private:

@@ -22,7 +22,8 @@
 #include "core/rmw.hpp"
 #include "core/types.hpp"
 #include "mem/module.hpp"
-#include "net/switch.hpp"
+#include "net/combine_buffer.hpp"
+#include "net/packet.hpp"
 #include "proc/processor.hpp"
 #include "sim/engine.hpp"
 #include "util/assert.hpp"
@@ -80,13 +81,7 @@ class BusMachine {
     return static_cast<std::uint32_t>(addr % cfg_.banks);
   }
 
-  void tick() {
-    const std::uint32_t shards = engine_shards();
-    for (unsigned ph = 0; ph < kSubphases; ++ph) {
-      for (std::uint32_t sh = 0; sh < shards; ++sh) engine_subphase(ph, sh);
-    }
-    engine_end_cycle();
-  }
+  void tick() { SequentialEngine::step(*this); }
 
   bool run(core::Tick max_cycles) {
     return SequentialEngine::run(*this, max_cycles);

@@ -43,17 +43,21 @@ concept CycleSharded = requires(MachineT& m, const MachineT& cm) {
 /// Reference engine: one thread, shards in index order. This is the
 /// specification the parallel engine is tested against.
 struct SequentialEngine {
+  /// One cycle: every sub-phase over every shard, then the serial step.
   template <CycleSharded MachineT>
-  static bool run(MachineT& m, core::Tick max_cycles) {
+  static void step(MachineT& m) {
     const std::uint32_t shards = m.engine_shards();
     const unsigned phases = m.engine_subphases();
+    for (unsigned ph = 0; ph < phases; ++ph) {
+      for (std::uint32_t sh = 0; sh < shards; ++sh) m.engine_subphase(ph, sh);
+    }
+    m.engine_end_cycle();
+  }
+
+  template <CycleSharded MachineT>
+  static bool run(MachineT& m, core::Tick max_cycles) {
     while (m.now() < max_cycles) {
-      for (unsigned ph = 0; ph < phases; ++ph) {
-        for (std::uint32_t sh = 0; sh < shards; ++sh) {
-          m.engine_subphase(ph, sh);
-        }
-      }
-      m.engine_end_cycle();
+      step(m);
       if (m.drained()) return true;
     }
     return m.drained();

@@ -8,8 +8,9 @@
 // e-cube (dimension-order) routing — a unique, deterministic path, so the
 // §4.1 assumptions (non-overtaking, reply retraces the path) hold exactly
 // as in the indirect network. Each router output link carries a combining
-// FIFO with the same youngest-match rule and wait-buffer decombination as
-// the 2×2 switch; the Theorem 4.2 checker applies unchanged.
+// FIFO, and one net::CombineBuffer per node applies §4.2's youngest-match
+// rule and wait-buffer decombination over all d of them, exactly as the
+// 2×2 switch does over its two; the Theorem 4.2 checker applies unchanged.
 //
 // Engine layout (sim/engine.hpp): one shard per node. CONSUME ingests the
 // node's staging slots (replies, then local memory, then requests, then
@@ -21,18 +22,17 @@
 // sequential ones.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <deque>
 #include <memory>
 #include <vector>
 
-#include "core/combining.hpp"
 #include "core/rmw.hpp"
 #include "core/types.hpp"
 #include "mem/module.hpp"
+#include "net/combine_buffer.hpp"
 #include "net/packet.hpp"
-#include "net/switch.hpp"
-#include "net/wait_table.hpp"
 #include "proc/processor.hpp"
 #include "runtime/cacheline.hpp"
 #include "sim/engine.hpp"
@@ -58,6 +58,7 @@ struct HypercubeStats {
   std::uint64_t ops_completed = 0;
   std::uint64_t combines = 0;
   std::uint64_t hops = 0;  ///< request link traversals
+  std::uint64_t max_wait_buffer = 0;  ///< most records one node ever held
   util::LogHistogram latency;
   double throughput_ops_per_cycle = 0.0;
 };
@@ -88,8 +89,8 @@ class HypercubeMachine {
       node_[u].out_rep.resize(cfg_.dimensions);
       node_[u].in_req.resize(cfg_.dimensions);
       node_[u].in_rep.resize(cfg_.dimensions);
-      node_[u].wait_buffer =
-          std::make_unique<net::WaitTable<M>>(cfg_.wait_buffer_capacity);
+      node_[u].wait_buffer = std::make_unique<net::CombineBuffer<M>>(
+          cfg_.policy, cfg_.wait_buffer_capacity);
     }
   }
 
@@ -102,13 +103,7 @@ class HypercubeMachine {
   }
 
   /// Advance one cycle (sequential shard order).
-  void tick() {
-    const std::uint32_t n = nodes();
-    for (unsigned ph = 0; ph < kSubphases; ++ph) {
-      for (std::uint32_t u = 0; u < n; ++u) engine_subphase(ph, u);
-    }
-    engine_end_cycle();
-  }
+  void tick() { SequentialEngine::step(*this); }
 
   bool run(core::Tick max_cycles) {
     return SequentialEngine::run(*this, max_cycles);
@@ -189,7 +184,9 @@ class HypercubeMachine {
     s.ops_completed = completed_.size();
     for (const auto& op : completed_) s.latency.add(op.completed - op.issued);
     for (const auto& nd : node_) {
-      s.combines += nd.combines;
+      const net::CombineCounters& c = nd.wait_buffer->counters();
+      s.combines += c.combines;
+      s.max_wait_buffer = std::max(s.max_wait_buffer, c.max_records);
       s.hops += nd.hops;
     }
     s.throughput_ops_per_cycle =
@@ -214,10 +211,9 @@ class HypercubeMachine {
     std::vector<std::deque<Rev>> in_rep;
     /// Replies destined for the local processor, delivered next cycle.
     std::deque<Rev> local_rep;
-    /// Decombination records, keyed by representative id.
-    std::unique_ptr<net::WaitTable<M>> wait_buffer;
-    /// Shard-local counters, summed by stats() — no shared cells.
-    std::uint64_t combines = 0;
+    /// Combining over all out_req FIFOs, and its decombination records.
+    std::unique_ptr<net::CombineBuffer<M>> wait_buffer;
+    /// Shard-local counter, summed by stats() — no shared cells.
     std::uint64_t hops = 0;
   };
 
@@ -281,16 +277,8 @@ class HypercubeMachine {
   /// A reply present AT node u (after crossing a link or leaving memory):
   /// decombine against u's wait buffer, then route onward.
   void handle_reply(std::uint32_t u, Rev&& rev) {
-    Node& nd = node_[u];
-    const auto original_val = rev.reply.value;
-    nd.wait_buffer->consume(rev.reply.id, [&](auto& wr) {
-      Rev second;
-      second.reply.id = wr.rec.second;
-      second.reply.value = core::decombine(wr.rec, original_val);
-      second.reply.completed = rev.reply.completed;
-      second.path = wr.path;
-      route_reply(u, std::move(second));
-    });
+    node_[u].wait_buffer->decombine(
+        rev, [&](Rev&& second) { route_reply(u, std::move(second)); });
     route_reply(u, std::move(rev));
   }
 
@@ -308,7 +296,7 @@ class HypercubeMachine {
   }
 
   /// Route a request at node u into the local memory or the proper output
-  /// FIFO, combining youngest-match. `head` is only consumed on success
+  /// FIFO, where it may combine. `head` is only consumed on success
   /// (return true); on refusal it is left untouched for retry next cycle.
   /// `arrival_dim` is recorded in the path header (−1: local injection).
   bool try_route(std::uint32_t u, Fwd& head, int arrival_dim, ShardLog* log) {
@@ -325,27 +313,7 @@ class HypercubeMachine {
     }
     const unsigned dim = route_dim(u, dest);
     auto& q = nd.out_req[dim];
-    if (cfg_.policy != net::CombinePolicy::kNone &&
-        head.kind == net::TxnKind::kRmw) {
-      for (auto it = q.rbegin(); it != q.rend(); ++it) {
-        if (it->kind != net::TxnKind::kRmw || it->req.addr != head.req.addr) {
-          continue;
-        }
-        if (nd.wait_buffer->entries() >= cfg_.wait_buffer_capacity) break;
-        auto rec = core::try_combine(it->req, head.req);
-        if (!rec) break;
-        it->combined = true;
-        Fwd pkt = std::move(head);
-        if (arrival_dim >= 0) {
-          pkt.path.push_back(static_cast<std::uint8_t>(arrival_dim));
-        }
-        nd.wait_buffer->append(it->req.id, {*rec, pkt.path});
-        ++nd.combines;
-        log->events.push_back(
-            {rec->representative, rec->second, pkt.req.addr, false});
-        return true;
-      }
-    }
+    if (nd.wait_buffer->absorb(q, head, arrival_dim, &log->events)) return true;
     if (q.size() >= cfg_.link_queue_capacity) return false;
     Fwd pkt = std::move(head);
     if (arrival_dim >= 0) {

@@ -155,13 +155,7 @@ class Machine {
   }
 
   /// Advance one cycle (sequential shard order).
-  void tick() {
-    const std::uint32_t shards = engine_shards();
-    for (unsigned ph = 0; ph < kSubphases; ++ph) {
-      for (std::uint32_t sh = 0; sh < shards; ++sh) engine_subphase(ph, sh);
-    }
-    engine_end_cycle();
-  }
+  void tick() { SequentialEngine::step(*this); }
 
   /// Run until every processor is quiescent and the machine has drained,
   /// or `max_cycles` elapse. Returns true iff fully drained.
@@ -283,8 +277,8 @@ class Machine {
     return s;
   }
 
-  [[nodiscard]] const net::SwitchStats& switch_stats(unsigned stage,
-                                                     std::uint32_t row) const {
+  [[nodiscard]] net::SwitchStats switch_stats(unsigned stage,
+                                              std::uint32_t row) const {
     return stages_[stage][row].stats();
   }
 

@@ -4,6 +4,8 @@
 // hot-spot trees just as in the indirect network.
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <map>
 #include <memory>
 #include <set>
 #include <vector>
@@ -100,6 +102,66 @@ TEST(Hypercube, CombiningBeatsNoCombiningOnHotSpot) {
   EXPECT_LT(comb.cycles, base.cycles);
   // Combining also cuts link traffic (absorbed requests stop traveling).
   EXPECT_LT(comb.hops, base.hops);
+}
+
+HypercubeMachine<FetchAdd> hot_spot_cube(HypercubeConfig<FetchAdd> cfg) {
+  cfg.dimensions = 4;
+  SourceVec<FetchAdd> src;
+  for (std::uint32_t u = 0; u < 16; ++u) {
+    workload::HotSpotSource<FetchAdd>::Params params;
+    params.total = 16;
+    params.hot_fraction = 0.5;
+    params.hot_addr = 3;
+    params.addr_space = 64;
+    src.push_back(std::make_unique<workload::HotSpotSource<FetchAdd>>(
+        params, [](util::Xoshiro256& r) { return FetchAdd(r.below(9)); },
+        41 + u));
+  }
+  return {cfg, std::move(src)};
+}
+
+// Pairwise allows one combine per queued message per node, and a message
+// queues at one node per hop of its e-cube path, so a representative from
+// node p absorbs at most popcount(p ^ home(addr)) requests in all.
+TEST(Hypercube, PairwisePolicyCombinesAtMostOncePerQueuedMessage) {
+  auto run_with = [](net::CombinePolicy policy) {
+    HypercubeConfig<FetchAdd> cfg;
+    cfg.policy = policy;
+    auto m = hot_spot_cube(cfg);
+    EXPECT_TRUE(m.run(1000000));
+    EXPECT_TRUE(verify::check_machine(m, 0).ok);
+    std::map<core::ReqId, std::pair<unsigned, core::Addr>> fan_in;
+    for (const auto& ev : m.combine_log()) {
+      auto& [n, addr] = fan_in[ev.representative];
+      ++n;
+      addr = ev.addr;
+    }
+    bool within = true;
+    for (const auto& [rep, entry] : fan_in) {
+      const auto hops = std::popcount(rep.proc ^ m.node_of(entry.second));
+      within = within && entry.first <= static_cast<unsigned>(hops);
+    }
+    return std::make_pair(m.stats().combines, within);
+  };
+  const auto [pairwise, pairwise_within] =
+      run_with(net::CombinePolicy::kPairwise);
+  const auto [unlimited, unlimited_within] =
+      run_with(net::CombinePolicy::kUnlimited);
+  EXPECT_GT(pairwise, 0u);
+  EXPECT_LT(pairwise, unlimited);
+  EXPECT_TRUE(pairwise_within);
+  EXPECT_FALSE(unlimited_within);  // the bound has teeth
+}
+
+// The cap bounds the records one node holds, as the switch's does.
+TEST(Hypercube, WaitBufferCapacityBoundsRecords) {
+  HypercubeConfig<FetchAdd> cfg;
+  cfg.wait_buffer_capacity = 2;
+  auto m = hot_spot_cube(cfg);
+  ASSERT_TRUE(m.run(1000000));
+  EXPECT_TRUE(verify::check_machine(m, 0).ok);
+  EXPECT_GT(m.stats().combines, 0u);
+  EXPECT_LE(m.stats().max_wait_buffer, 2u);
 }
 
 class HypercubeSeeds : public ::testing::TestWithParam<int> {};
