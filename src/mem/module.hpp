@@ -108,21 +108,24 @@ class MemoryModule {
     pending_.reserve(cfg_.queue_capacity);
   }
 
-  /// Can the module accept a packet this cycle? Write-unlocks always can;
-  /// a combinable arrival needs no queue slot.
-  [[nodiscard]] bool can_accept(const Fwd& pkt) const {
-    if (pkt.kind == net::TxnKind::kWriteUnlock) return true;
-    if (in_q_.size() < cfg_.queue_capacity) return true;
-    return combine_.can_absorb(in_q_, pkt);
-  }
-
-  /// Accept a packet. If queue combining is enabled and the arrival
-  /// combines with a queued request, the combine event is appended to
-  /// *events (for the Theorem 4.2 expansion) and no queue slot is used.
-  void accept(Fwd&& pkt, std::vector<net::CombineEvent>* events = nullptr) {
-    KRS_EXPECTS(can_accept(pkt));
-    if (combine_.absorb(in_q_, pkt, /*hop=*/-1, events)) return;
+  /// Offer a packet this cycle, in one pass. If queue combining is
+  /// enabled and the arrival combines with a queued request, the combine
+  /// event is appended to *events (for the Theorem 4.2 expansion) and no
+  /// queue slot is used; else the packet takes a queue slot (write-unlocks
+  /// always get one). Either way the packet is consumed and true is
+  /// returned. A full FIFO refuses: false, and `pkt` is left untouched
+  /// for a retry. `hop`, if non-negative, is appended to the path header
+  /// of a consumed packet (the port it arrived on).
+  bool try_accept(Fwd& pkt, std::vector<net::CombineEvent>* events = nullptr,
+                  int hop = -1) {
+    if (combine_.absorb(in_q_, pkt, hop, events)) return true;
+    if (pkt.kind != net::TxnKind::kWriteUnlock &&
+        in_q_.size() >= cfg_.queue_capacity) {
+      return false;
+    }
+    if (hop >= 0) pkt.path.push_back(static_cast<std::uint8_t>(hop));
     in_q_.push_back(std::move(pkt));
+    return true;
   }
 
   /// Service step: process at most one request, then emit replies due this

@@ -96,7 +96,7 @@ class CombineBuffer {
   bool absorb(Queue& queue, const FwdPacket<M>& pkt, int hop,
               std::vector<CombineEvent>* events) {
     FwdPacket<M>* queued = youngest_match(queue, pkt);
-    if (queued == nullptr || !admits(*queued, &counters_)) return false;
+    if (queued == nullptr || !admits(*queued)) return false;
     WaitRecord wr;
     if (const auto forwarded = reversal(*queued, pkt)) {
       // The arriving store (logically) executes first, so the forwarded
@@ -124,16 +124,6 @@ class CombineBuffer {
         std::max<std::uint64_t>(counters_.max_records, table_.records());
     ++counters_.combines;
     return true;
-  }
-
-  /// Dry run of absorb(): would `pkt` combine into `queue` right now?
-  template <typename Queue>
-  [[nodiscard]] bool can_absorb(const Queue& queue,
-                                const FwdPacket<M>& pkt) const {
-    const FwdPacket<M>* queued = youngest_match(queue, pkt);
-    return queued != nullptr && admits(*queued, nullptr) &&
-           (reversal(*queued, pkt).has_value() ||
-            try_compose(queued->req.f, pkt.req.f).has_value());
   }
 
   /// Decombine the reply `rep` of a representative: call `emit(RevPacket&&)`
@@ -185,16 +175,15 @@ class CombineBuffer {
     return nullptr;
   }
 
-  /// The pairwise and records-cap checks; a decline is counted in
-  /// *declines when given (absorb) and not in a dry run.
-  bool admits(const FwdPacket<M>& queued, CombineCounters* declines) const {
+  /// The pairwise and records-cap checks; a decline is counted.
+  bool admits(const FwdPacket<M>& queued) {
     if (policy_ == CombinePolicy::kPairwise &&
         table_.fan_in(queued.req.id) >= 1) {
-      if (declines != nullptr) ++declines->declined_policy;
+      ++counters_.declined_policy;
       return false;
     }
     if (table_.records() >= capacity_) {
-      if (declines != nullptr) ++declines->declined_full;
+      ++counters_.declined_full;
       return false;
     }
     return true;

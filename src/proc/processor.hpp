@@ -111,6 +111,10 @@ class Processor {
   [[nodiscard]] const Fwd* peek_outgoing() const {
     return outgoing_.empty() ? nullptr : &outgoing_.front();
   }
+  /// The head a consumer may move from in place; pop it once consumed.
+  [[nodiscard]] Fwd* peek_outgoing() {
+    return outgoing_.empty() ? nullptr : &outgoing_.front();
+  }
 
   Fwd pop_outgoing() {
     KRS_EXPECTS(!outgoing_.empty());

@@ -1,4 +1,5 @@
-// Dense per-thread ordinals, and the per-slot counter that keys on them.
+// Dense per-thread ordinals, the per-thread record that holds them, and
+// the per-slot counter that keys on them.
 //
 // thread_ordinal() is the runtime layer's thread → slot map: a combiner's
 // slot, a reader slot, a simulated processor and a shard key are all
@@ -8,36 +9,79 @@
 // first read. SlotCounter builds on that: a word only the slot's owner
 // writes needs no locked read-modify-write to count exactly.
 //
+// A thread's runtime state is one constant-initialized, trivially
+// destructible thread_local record: its ordinal, its wait counters
+// (wait_policy.hpp) and two flags. It registers no C++ thread_local
+// destructor, so a thread's first runtime call allocates nothing (glibc's
+// __cxa_thread_atexit callocs one entry per destructor, and a thread's
+// first malloc gives it its own arena: 4 KiB resident and 64 MiB of
+// address space). The record is torn down by one POSIX thread-specific
+// key instead, the exit hook, armed on the thread's first thread_ordinal()
+// or first wait flush. glibc keeps a key below index 32 inside the thread
+// descriptor, so arming it allocates nothing either.
+//
+// The tenancy ends in the exit hook, which glibc runs after every C++
+// thread_local destructor: such a destructor still reads the live ordinal
+// and counts as its slot's owner, and code that runs after the hook (a
+// later key destructor) reads kNoOrdinal.
+//
 // The combiners read the ordinal on every operation, so its fast path is
-// inline: one load of a constant-initialized thread_local cache. Only a
-// thread's first call leaves the caller, on the cold take_ordinal(),
-// which constructs the OrdinalGuard that holds the tenancy; the guard's
-// destructor clears the cache before the ordinal goes back to the pool.
+// inline: one load of the record's ordinal. Only a thread's first call
+// leaves the caller, on the cold take_ordinal().
 #pragma once
+
+#include <pthread.h>
 
 #include <algorithm>
 #include <atomic>
 #include <cstdint>
+#include <cstdlib>
 #include <functional>
 #include <mutex>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 namespace krs::runtime {
 
 /// No ordinal: what thread_ordinal() returns once the calling thread's
-/// tenancy has ended (from a thread_local destructor that runs after the
-/// ordinal's guard). It equals no slot index, so a SlotCounter bumped
-/// from such a thread takes the shared word.
+/// tenancy has ended (from code that runs after the exit hook). It equals
+/// no slot index, so a SlotCounter bumped from such a thread takes the
+/// shared word.
 inline constexpr unsigned kNoOrdinal = ~0u;
+
+/// Cumulative wait-side work: spin rounds (in pause instructions), yields,
+/// parks (kernel sleeps, timed or woken), and wakes issued by notifiers.
+struct WaitStats {
+  std::uint64_t spins = 0;
+  std::uint64_t yields = 0;
+  std::uint64_t parks = 0;
+  std::uint64_t wakes = 0;
+
+  WaitStats& operator+=(const WaitStats& o) noexcept {
+    spins += o.spins;
+    yields += o.yields;
+    parks += o.parks;
+    wakes += o.wakes;
+    return *this;
+  }
+  friend WaitStats operator-(WaitStats a, const WaitStats& b) noexcept {
+    a.spins -= b.spins;
+    a.yields -= b.yields;
+    a.parks -= b.parks;
+    a.wakes -= b.wakes;
+    return a;
+  }
+};
 
 namespace detail {
 
 /// Process-wide pool of dense thread ordinals. An exiting thread returns
-/// its ordinal (via the thread-local guard below) and the smallest free
-/// ordinal is handed out next, so a churny process keeps its live threads
-/// dense in 0..peak-1 instead of leaking slots monotonically — otherwise
-/// every ordinal-mod-width mapping (combining_backend.hpp slot(), the sim
-/// backend's processor map) degenerates to a few aliased slots over time.
+/// its ordinal (in the exit hook below) and the smallest free ordinal is
+/// handed out next, so a churny process keeps its live threads dense in
+/// 0..peak-1 instead of leaking slots monotonically — otherwise every
+/// ordinal-mod-width mapping (the combiners' slot_of, the sim backend's
+/// processor map) degenerates to a few aliased slots over time.
 /// Mutex-guarded: acquire/release run once per thread lifetime, never on
 /// an operation path.
 class OrdinalPool {
@@ -68,36 +112,74 @@ class OrdinalPool {
   unsigned next_ = 0;
 };
 
-/// The calling thread's ordinal while its tenancy lasts, else kNoOrdinal
-/// (before the first thread_ordinal() and after the tenancy ended).
-/// Constant-initialized and trivially destructible, so reading it is one
-/// thread-local load with no initialization guard or wrapper call.
-inline thread_local constinit unsigned cached_ordinal = kNoOrdinal;
+/// Wait work of exited threads, added once per thread exit and read only
+/// by wait_stats_snapshot().
+struct GlobalWaitStats {
+  std::mutex mu;
+  WaitStats exited;  // guarded by mu
 
-/// RAII tenancy of one ordinal for the current thread's lifetime. The pool
-/// singleton is constructed before the first guard, so it outlives every
-/// guard's destructor (reverse destruction order), on the main thread and
-/// worker threads alike. The guard publishes its ordinal to the cache and
-/// clears the cache before returning the ordinal to the pool, so no stale
-/// ordinal outlives the tenancy.
-struct OrdinalGuard {
-  const unsigned ordinal = OrdinalPool::instance().acquire();
-  OrdinalGuard() noexcept { cached_ordinal = ordinal; }
-  OrdinalGuard(const OrdinalGuard&) = delete;
-  OrdinalGuard& operator=(const OrdinalGuard&) = delete;
-  ~OrdinalGuard() {
-    cached_ordinal = kNoOrdinal;
-    OrdinalPool::instance().release(ordinal);
+  static GlobalWaitStats& instance() {
+    static GlobalWaitStats g;
+    return g;
   }
 };
 
+/// One thread's runtime state.
+struct ThreadRecord {
+  /// The ordinal while the tenancy lasts, else kNoOrdinal (before the
+  /// first thread_ordinal() and after the exit hook).
+  unsigned ordinal = kNoOrdinal;
+  bool ended = false;  ///< the exit hook has run: take no ordinal again
+  bool armed = false;  ///< the exit hook runs when this thread exits
+  WaitStats waits;     ///< running totals, drained by the exit hook
+};
+
+// Constant-initialized and trivially destructible: reading the record is
+// one thread-local access with no initialization guard or wrapper call,
+// and it registers no destructor.
+static_assert(std::is_trivially_destructible_v<ThreadRecord>);
+inline thread_local constinit ThreadRecord thread_record{};
+
+/// The exit hook: drains the wait counters into the process totals, so a
+/// coordinator that has JOINED its workers reads exact sums, then ends the
+/// tenancy, clearing the ordinal before it goes back to the pool. The key
+/// was cleared before this call (POSIX), so a wait flush from a later key
+/// destructor re-arms the hook and is drained on the next pass.
+inline void on_thread_exit(void* p) noexcept {
+  ThreadRecord& r = *static_cast<ThreadRecord*>(p);
+  r.armed = false;
+  r.ended = true;
+  {
+    GlobalWaitStats& g = GlobalWaitStats::instance();
+    const std::lock_guard<std::mutex> lk(g.mu);
+    g.exited += std::exchange(r.waits, {});
+  }
+  if (const unsigned o = std::exchange(r.ordinal, kNoOrdinal);
+      o != kNoOrdinal) {
+    OrdinalPool::instance().release(o);
+  }
+}
+
+/// Arms the exit hook for the calling thread: once, on its first
+/// thread_ordinal() or first wait flush.
+[[gnu::cold, gnu::noinline]] inline void arm_exit_hook() noexcept {
+  static const pthread_key_t key = [] {
+    pthread_key_t k;
+    if (pthread_key_create(&k, on_thread_exit) != 0) std::abort();
+    return k;
+  }();
+  thread_record.armed = true;
+  pthread_setspecific(key, &thread_record);
+}
+
 /// The cold half of thread_ordinal(): takes the tenancy on a thread's
-/// first call. A call after the tenancy ended (from a thread_local
-/// destructor that runs after the guard's) finds the guard already
-/// constructed and returns kNoOrdinal.
+/// first call. A call after the exit hook ran returns kNoOrdinal.
 [[gnu::cold, gnu::noinline]] inline unsigned take_ordinal() noexcept {
-  thread_local const OrdinalGuard guard;
-  return cached_ordinal;
+  ThreadRecord& r = thread_record;
+  if (r.ended) return kNoOrdinal;
+  r.ordinal = OrdinalPool::instance().acquire();
+  if (!r.armed) arm_exit_hook();
+  return r.ordinal;
 }
 
 }  // namespace detail
@@ -113,7 +195,7 @@ struct OrdinalGuard {
 /// Inline and one thread-local load once the thread holds its ordinal;
 /// only the first call per thread leaves the caller.
 inline unsigned thread_ordinal() noexcept {
-  const unsigned o = detail::cached_ordinal;
+  const unsigned o = detail::thread_record.ordinal;
   if (o != kNoOrdinal) [[likely]] return o;
   return detail::take_ordinal();
 }
@@ -127,7 +209,7 @@ inline unsigned thread_ordinal() noexcept {
 /// An event count kept per slot, bumped without a locked RMW by the slot's
 /// owner: the thread whose ordinal equals the slot index is the only
 /// writer of `own`, so a relaxed load plus store counts exactly. add_one
-/// reads the ordinal cache without taking a tenancy, so it makes no call;
+/// reads the record's ordinal without taking a tenancy, so it makes no call;
 /// a thread that holds no ordinal owns no slot. Every other caller (an
 /// ordinal at or above the slot count that aliases onto the slot, or a
 /// caller passing an explicit slot) takes a fetch_add on `shared`.
@@ -137,7 +219,7 @@ struct SlotCounter {
   std::atomic<std::uint64_t> shared{0};
 
   void add_one(unsigned slot) noexcept {
-    if (detail::cached_ordinal == slot) {
+    if (detail::thread_record.ordinal == slot) {
       own.store(own.load(std::memory_order_relaxed) + 1,
                 std::memory_order_relaxed);
     } else {

@@ -53,10 +53,12 @@
 // parks (`kParks`), so default-policy fast paths stay store-only.
 //
 // Telemetry: every policy counts spins / yields / parks and every notify
-// counts wakes. Counters accumulate into a thread-local block (flushed on
-// reset/destruction) that drains into process totals at thread exit —
-// wait_stats_snapshot() after joining workers is exact, and a live thread
-// can watch its own thread_wait_stats() deltas (the bench harness does).
+// counts wakes. Counters accumulate in the thread's record
+// (thread_ordinal.hpp; flushed on reset/destruction), which the exit hook
+// drains into process totals at thread exit, after the thread's C++
+// thread_local destructors — wait_stats_snapshot() after joining workers
+// is exact, and a live thread can watch its own thread_wait_stats() deltas
+// (the bench harness does).
 //
 // Tests can interpose on parking via futex_hooks(): swap park/wake with
 // scripted functions to drive spurious wakeups and lost-wake orderings
@@ -72,6 +74,8 @@
 #include <mutex>
 #include <thread>
 #include <type_traits>
+
+#include "runtime/thread_ordinal.hpp"
 
 #if defined(__linux__)
 #include <linux/futex.h>
@@ -96,61 +100,13 @@ inline void cpu_relax() noexcept {
 #endif
 }
 
-/// Cumulative wait-side work: spin rounds (in pause instructions), yields,
-/// parks (kernel sleeps, timed or woken), and wakes issued by notifiers.
-struct WaitStats {
-  std::uint64_t spins = 0;
-  std::uint64_t yields = 0;
-  std::uint64_t parks = 0;
-  std::uint64_t wakes = 0;
-
-  WaitStats& operator+=(const WaitStats& o) noexcept {
-    spins += o.spins;
-    yields += o.yields;
-    parks += o.parks;
-    wakes += o.wakes;
-    return *this;
-  }
-  friend WaitStats operator-(WaitStats a, const WaitStats& b) noexcept {
-    a.spins -= b.spins;
-    a.yields -= b.yields;
-    a.parks -= b.parks;
-    a.wakes -= b.wakes;
-    return a;
-  }
-};
-
 namespace detail {
 
-/// Wait work of exited threads, added once per thread exit and read only
-/// by wait_stats_snapshot().
-struct GlobalWaitStats {
-  std::mutex mu;
-  WaitStats exited;  // guarded by mu
-
-  static GlobalWaitStats& instance() {
-    static GlobalWaitStats g;
-    return g;
-  }
-};
-
-/// Per-thread running totals; the destructor drains them into the process
-/// totals, so a coordinator that has JOINED its workers reads exact sums.
-struct TlsWaitStats {
-  WaitStats stats;
-  TlsWaitStats() = default;
-  TlsWaitStats(const TlsWaitStats&) = delete;
-  TlsWaitStats& operator=(const TlsWaitStats&) = delete;
-  ~TlsWaitStats() {
-    GlobalWaitStats& g = GlobalWaitStats::instance();
-    const std::lock_guard<std::mutex> lk(g.mu);
-    g.exited += stats;
-  }
-};
-
-inline TlsWaitStats& wait_tls() noexcept {
-  thread_local TlsWaitStats t;
-  return t;
+/// The calling thread's wait counters, with the exit hook armed so that
+/// they drain into the process totals when the thread exits.
+inline WaitStats& wait_counters() noexcept {
+  if (!thread_record.armed) [[unlikely]] arm_exit_hook();
+  return thread_record.waits;
 }
 
 }  // namespace detail
@@ -159,14 +115,14 @@ inline TlsWaitStats& wait_tls() noexcept {
 /// destruction — counts from a policy object mid-episode are not yet
 /// visible). Monotone within a thread; sample deltas around a region.
 [[nodiscard]] inline WaitStats thread_wait_stats() noexcept {
-  return detail::wait_tls().stats;
+  return detail::thread_record.waits;
 }
 
 /// Process-wide wait work: totals drained from exited threads plus the
 /// calling thread's own. Exact once all other worker threads have been
-/// joined (their destructors drained); approximate while they run.
+/// joined (their exit hooks drained); approximate while they run.
 [[nodiscard]] inline WaitStats wait_stats_snapshot() noexcept {
-  WaitStats s = detail::wait_tls().stats;
+  WaitStats s = detail::thread_record.waits;
   detail::GlobalWaitStats& g = detail::GlobalWaitStats::instance();
   const std::lock_guard<std::mutex> lk(g.mu);
   return s += g.exited;
@@ -382,7 +338,7 @@ class PacedWait {
   static void notify(std::atomic<std::uint32_t>& w, bool all) noexcept {
     if constexpr (kParks) {
       detail::do_wake(&w, all);
-      ++detail::wait_tls().stats.wakes;
+      ++detail::wait_counters().wakes;
     }
   }
 
@@ -428,7 +384,7 @@ class PacedWait {
   }
 
   void flush() noexcept {
-    detail::wait_tls().stats += local_;
+    detail::wait_counters() += local_;
     local_ = {};
   }
 

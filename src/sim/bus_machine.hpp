@@ -198,11 +198,12 @@ class BusMachine {
          i < cfg_.processors && transferred < cfg_.bus_width; ++i) {
       const std::uint32_t p =
           (static_cast<std::uint32_t>(now_) + i) % cfg_.processors;
-      const Fwd* head = procs_[p].peek_outgoing();
+      Fwd* head = procs_[p].peek_outgoing();
       if (head == nullptr) continue;
       auto& bank = banks_[bank_of(head->req.addr)];
-      if (!bank.can_accept(*head)) continue;  // bank FIFO full: retry later
-      bank.accept(procs_[p].pop_outgoing(), &combine_log_);
+      // Bank FIFO full: the head stays put and retries later.
+      if (!bank.try_accept(*head, &combine_log_)) continue;
+      procs_[p].pop_outgoing();
       ++transferred;
       ++bus_busy_;
     }

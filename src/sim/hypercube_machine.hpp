@@ -267,9 +267,9 @@ class HypercubeMachine {
       }
     }
     // Local injection.
-    if (const Fwd* head = nd.proc->peek_outgoing(); head != nullptr) {
-      Fwd copy = *head;
-      if (try_route(u, copy, /*arrival_dim=*/-1, &log)) nd.proc->pop_outgoing();
+    if (Fwd* head = nd.proc->peek_outgoing();
+        head != nullptr && try_route(u, *head, /*arrival_dim=*/-1, &log)) {
+      nd.proc->pop_outgoing();
     }
     nd.proc->tick(now_);
   }
@@ -303,13 +303,7 @@ class HypercubeMachine {
     Node& nd = node_[u];
     const std::uint32_t dest = node_of(head.req.addr);
     if (dest == u) {
-      if (!nd.memory->can_accept(head)) return false;
-      Fwd pkt = std::move(head);
-      if (arrival_dim >= 0) {
-        pkt.path.push_back(static_cast<std::uint8_t>(arrival_dim));
-      }
-      nd.memory->accept(std::move(pkt), &log->events);
-      return true;
+      return nd.memory->try_accept(head, &log->events, arrival_dim);
     }
     const unsigned dim = route_dim(u, dest);
     auto& q = nd.out_req[dim];

@@ -366,8 +366,7 @@ class Machine {
     for (unsigned j = 0; j < 2; ++j) {
       const std::uint32_t m = 2 * col + j;
       auto& link = fwd_links_[k][m];
-      if (link.full && modules_[m].can_accept(link.pkt)) {
-        modules_[m].accept(std::move(link.pkt), &log.events);
+      if (link.full && modules_[m].try_accept(link.pkt, &log.events)) {
         link.full = false;
       }
       log.due_scratch.clear();

@@ -52,14 +52,15 @@ TEST(CombineBuffer, DeclinedComposeEndsTheScan) {
   // The youngest match (a store) declines a fetch-and-add; the older
   // fetch-and-add would compose, but combining past the youngest could
   // reorder the arrival against it (M2.3), so the arrival queues alone.
-  EXPECT_FALSE(buf.can_absorb(fifo, add));
   std::vector<CombineEvent> ev;
   EXPECT_FALSE(buf.absorb(fifo, add, -1, &ev));
   EXPECT_TRUE(ev.empty());
   EXPECT_EQ(fifo[0].req.f, AnyRmw(FetchAdd(5)));
   EXPECT_TRUE(buf.empty());
   // A store does compose with the youngest store.
-  EXPECT_TRUE(buf.can_absorb(fifo, make_req(3, 9, AnyRmw(LssOp::store(8)))));
+  EXPECT_TRUE(buf.absorb(fifo, make_req(3, 9, AnyRmw(LssOp::store(8))), -1,
+                         &ev));
+  EXPECT_EQ(ev.size(), 1u);
 }
 
 TEST(CombineBuffer, DecombinesInCombineOrderAlongEachPath) {

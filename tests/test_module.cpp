@@ -23,10 +23,17 @@ FwdPacket<FetchAdd> rmw(std::uint32_t proc, std::uint32_t seq, Addr addr,
   return p;
 }
 
+/// Offers `p` and requires the module to take it.
+template <typename M>
+void accept(MemoryModule<M>& m, FwdPacket<M> p,
+            std::vector<krs::net::CombineEvent>* events = nullptr) {
+  ASSERT_TRUE(m.try_accept(p, events));
+}
+
 TEST(Module, ServicesFifoWithLatency) {
   MemoryModule<FetchAdd> m({8, 3}, 0);
-  m.accept(rmw(0, 0, 10, 5));
-  m.accept(rmw(1, 0, 10, 7));
+  accept(m, rmw(0, 0, 10, 5));
+  accept(m, rmw(1, 0, 10, 7));
   std::vector<RevPacket<FetchAdd>> out;
   // Cycle 0: service first (reply due at 3).
   m.tick(0, out);
@@ -48,7 +55,7 @@ TEST(Module, ServicesFifoWithLatency) {
 
 TEST(Module, OneServicePerCycle) {
   MemoryModule<FetchAdd> m({8, 0}, 0);
-  for (int i = 0; i < 4; ++i) m.accept(rmw(0, i, 1, 1));
+  for (int i = 0; i < 4; ++i) accept(m, rmw(0, i, 1, 1));
   std::vector<RevPacket<FetchAdd>> out;
   for (Tick t = 0; t < 4; ++t) m.tick(t, out);
   // Latency 0: each service emits on its own cycle.
@@ -58,8 +65,8 @@ TEST(Module, OneServicePerCycle) {
 
 TEST(Module, AccessLogRecordsOrder) {
   MemoryModule<FetchAdd> m({8, 0}, 0);
-  m.accept(rmw(3, 0, 4, 1));
-  m.accept(rmw(1, 0, 6, 1));
+  accept(m, rmw(3, 0, 4, 1));
+  accept(m, rmw(1, 0, 6, 1));
   std::vector<RevPacket<FetchAdd>> out;
   m.tick(0, out);
   m.tick(1, out);
@@ -72,11 +79,11 @@ TEST(Module, AccessLogRecordsOrder) {
 TEST(Module, CapacityRespected) {
   MemoryModule<FetchAdd> m({2, 1}, 0);
   auto p1 = rmw(0, 0, 1, 1), p2 = rmw(0, 1, 1, 1), p3 = rmw(0, 2, 1, 1);
-  EXPECT_TRUE(m.can_accept(p1));
-  m.accept(std::move(p1));
-  EXPECT_TRUE(m.can_accept(p2));
-  m.accept(std::move(p2));
-  EXPECT_FALSE(m.can_accept(p3));
+  EXPECT_TRUE(m.try_accept(p1));
+  EXPECT_TRUE(m.try_accept(p2));
+  EXPECT_FALSE(m.try_accept(p3));
+  EXPECT_EQ(p3.req.id, (ReqId{0, 2}));  // refused, left untouched
+  EXPECT_EQ(p3.path.size(), 2u);
 }
 
 TEST(Module, ProcessorSideLockBlocksOtherTraffic) {
@@ -84,9 +91,9 @@ TEST(Module, ProcessorSideLockBlocksOtherTraffic) {
   // P0 read-locks address 5.
   auto rl = rmw(0, 0, 5, 0);
   rl.kind = TxnKind::kReadLock;
-  m.accept(std::move(rl));
+  accept(m, std::move(rl));
   // P1's RMW arrives behind it.
-  m.accept(rmw(1, 0, 5, 7));
+  accept(m, rmw(1, 0, 5, 7));
   std::vector<RevPacket<FetchAdd>> out;
   m.tick(0, out);  // services the read-lock
   ASSERT_EQ(out.size(), 1u);
@@ -99,8 +106,7 @@ TEST(Module, ProcessorSideLockBlocksOtherTraffic) {
   auto wu = rmw(0, 0, 5, 0);
   wu.kind = TxnKind::kWriteUnlock;
   wu.store_value = 142;
-  EXPECT_TRUE(m.can_accept(wu));  // bypass even if queue were full
-  m.accept(std::move(wu));
+  EXPECT_TRUE(m.try_accept(wu));  // bypass even if queue were full
   m.tick(2, out);
   ASSERT_EQ(out.size(), 2u);
   EXPECT_EQ(m.value_at(5), 142u);
@@ -115,15 +121,14 @@ TEST(Module, WriteUnlockBypassesCapacity) {
   MemoryModule<FetchAdd> m({1, 0}, 0);
   auto rl = rmw(0, 0, 5, 0);
   rl.kind = TxnKind::kReadLock;
-  m.accept(std::move(rl));
+  accept(m, std::move(rl));
   std::vector<RevPacket<FetchAdd>> out;
   m.tick(0, out);  // lock taken, queue now has space
-  m.accept(rmw(1, 0, 5, 1));  // fills the queue
+  accept(m, rmw(1, 0, 5, 1));  // fills the queue
   auto wu = rmw(0, 0, 5, 0);
   wu.kind = TxnKind::kWriteUnlock;
   wu.store_value = 9;
-  EXPECT_TRUE(m.can_accept(wu));  // would deadlock otherwise
-  m.accept(std::move(wu));
+  EXPECT_TRUE(m.try_accept(wu));  // would deadlock otherwise
   m.tick(1, out);  // unlock bypasses the queued RMW
   EXPECT_EQ(m.value_at(5), 9u);
   m.tick(2, out);
@@ -140,8 +145,8 @@ TEST(Module, QueueCombiningMergesAndDecombines) {
   cfg.combine_in_queue = true;
   MemoryModule<FetchAdd> m(cfg, 100);
   std::vector<krs::net::CombineEvent> ev;
-  m.accept(rmw(0, 0, 5, 3), &ev);
-  m.accept(rmw(1, 0, 5, 4), &ev);
+  accept(m, rmw(0, 0, 5, 3), &ev);
+  accept(m, rmw(1, 0, 5, 4), &ev);
   ASSERT_EQ(ev.size(), 1u);
   EXPECT_EQ(ev[0].representative, (ReqId{0, 0}));
   EXPECT_EQ(m.stats().queue_combines, 1u);
@@ -163,18 +168,66 @@ TEST(Module, QueueCombiningNeedsNoSlot) {
   cfg.combine_in_queue = true;
   MemoryModule<FetchAdd> m(cfg, 0);
   auto p1 = rmw(0, 0, 5, 1);
-  m.accept(std::move(p1));
+  accept(m, std::move(p1));
   auto p2 = rmw(1, 0, 5, 2);
-  EXPECT_TRUE(m.can_accept(p2));  // full, but combinable
+  EXPECT_TRUE(m.try_accept(p2));  // full, but combinable
+  EXPECT_EQ(m.stats().queue_combines, 1u);
   auto p3 = rmw(2, 0, 9, 1);
-  EXPECT_FALSE(m.can_accept(p3));  // full, different address
+  EXPECT_FALSE(m.try_accept(p3));  // full, different address
+  EXPECT_EQ(p3.path.size(), 2u);   // refused, left untouched
+}
+
+/// Fetch-and-add whose try_compose counts its calls.
+struct CountingAdd {
+  using value_type = Word;
+  static inline int composes = 0;
+  Word add = 0;
+
+  [[nodiscard]] Word apply(Word x) const { return x + add; }
+  static CountingAdd identity() { return {}; }
+  [[nodiscard]] std::size_t encoded_size_bytes() const { return sizeof(Word); }
+  friend CountingAdd compose(const CountingAdd& f, const CountingAdd& g) {
+    return {f.add + g.add};
+  }
+  friend std::optional<CountingAdd> try_compose(const CountingAdd& f,
+                                                const CountingAdd& g) {
+    ++composes;
+    return compose(f, g);
+  }
+};
+static_assert(Rmw<CountingAdd>);
+
+TEST(Module, FullFifoComposesACombiningArrivalOnce) {
+  // A full FIFO offered a combinable arrival decides, absorbs and records
+  // it in one pass: one compose per combine, and none for a refusal.
+  ModuleConfig cfg;
+  cfg.queue_capacity = 1;
+  cfg.combine_in_queue = true;
+  MemoryModule<CountingAdd> m(cfg, 0);
+  const auto req = [](std::uint32_t proc, Addr addr, Word add) {
+    FwdPacket<CountingAdd> p;
+    p.req = Request<CountingAdd>{{proc, 0}, addr, CountingAdd{add}, 0};
+    return p;
+  };
+  auto p1 = req(0, 5, 1);
+  ASSERT_TRUE(m.try_accept(p1));
+  CountingAdd::composes = 0;
+  std::vector<krs::net::CombineEvent> ev;
+  auto p2 = req(1, 5, 2);
+  EXPECT_TRUE(m.try_accept(p2, &ev));
+  EXPECT_EQ(CountingAdd::composes, 1);
+  EXPECT_EQ(ev.size(), 1u);
+  auto p3 = req(2, 9, 4);
+  EXPECT_FALSE(m.try_accept(p3, &ev));
+  EXPECT_EQ(CountingAdd::composes, 1);
+  EXPECT_EQ(m.stats().queue_combines, 1u);
 }
 
 TEST(Module, QueueCombiningOffByDefault) {
   MemoryModule<FetchAdd> m({8, 0}, 0);
   std::vector<krs::net::CombineEvent> ev;
-  m.accept(rmw(0, 0, 5, 3), &ev);
-  m.accept(rmw(1, 0, 5, 4), &ev);
+  accept(m, rmw(0, 0, 5, 3), &ev);
+  accept(m, rmw(1, 0, 5, 4), &ev);
   EXPECT_TRUE(ev.empty());
   EXPECT_EQ(m.stats().queue_combines, 0u);
 }
@@ -182,7 +235,7 @@ TEST(Module, QueueCombiningOffByDefault) {
 TEST(Module, IdleReflectsState) {
   MemoryModule<FetchAdd> m({8, 2}, 0);
   EXPECT_TRUE(m.idle());
-  m.accept(rmw(0, 0, 1, 1));
+  accept(m, rmw(0, 0, 1, 1));
   EXPECT_FALSE(m.idle());
   std::vector<RevPacket<FetchAdd>> out;
   m.tick(0, out);

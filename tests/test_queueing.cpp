@@ -29,6 +29,11 @@ net::FwdPacket<FEOp> fe_req(std::uint32_t proc, std::uint32_t seq,
   return p;
 }
 
+/// Offers `p` and requires the module to take it.
+void accept(MemoryModule<FEOp>& m, net::FwdPacket<FEOp> p) {
+  ASSERT_TRUE(m.try_accept(p));
+}
+
 ModuleConfig queueing_cfg() {
   ModuleConfig cfg;
   cfg.latency = 0;
@@ -39,14 +44,14 @@ ModuleConfig queueing_cfg() {
 TEST(Queueing, ParkedGetWakesOnPut) {
   MemoryModule<FEOp> m(queueing_cfg(), FEWord{0, false});
   // Consumer's get arrives first: cell empty → parked, no reply.
-  m.accept(fe_req(0, 0, 5, FEOp::load_and_clear()));
+  accept(m, fe_req(0, 0, 5, FEOp::load_and_clear()));
   std::vector<net::RevPacket<FEOp>> out;
   m.tick(0, out);
   EXPECT_TRUE(out.empty());
   EXPECT_EQ(m.parked_count(), 1u);
   EXPECT_FALSE(m.idle());
   // Producer's put arrives: executes, wakes the get.
-  m.accept(fe_req(1, 0, 5, FEOp::store_if_clear_and_set(42)));
+  accept(m, fe_req(1, 0, 5, FEOp::store_if_clear_and_set(42)));
   m.tick(1, out);
   ASSERT_EQ(out.size(), 1u);  // the put's reply
   m.tick(2, out);
@@ -62,11 +67,11 @@ TEST(Queueing, ParkedGetWakesOnPut) {
 TEST(Queueing, ParkedPutWakesOnGet) {
   MemoryModule<FEOp> m(queueing_cfg(), FEWord{7, true});
   // Cell full: a second put parks.
-  m.accept(fe_req(0, 0, 5, FEOp::store_if_clear_and_set(42)));
+  accept(m, fe_req(0, 0, 5, FEOp::store_if_clear_and_set(42)));
   std::vector<net::RevPacket<FEOp>> out;
   m.tick(0, out);
   EXPECT_EQ(m.parked_count(), 1u);
-  m.accept(fe_req(1, 0, 5, FEOp::load_and_clear()));
+  accept(m, fe_req(1, 0, 5, FEOp::load_and_clear()));
   m.tick(1, out);
   ASSERT_EQ(out.size(), 1u);
   EXPECT_EQ(out[0].reply.value.value, 7u);  // get took the old value
@@ -82,14 +87,14 @@ TEST(Queueing, ChainOfAlternatingWakes) {
   std::vector<net::RevPacket<FEOp>> out;
   // Three gets park.
   for (std::uint32_t c = 0; c < 3; ++c) {
-    m.accept(fe_req(c, 0, 5, FEOp::load_and_clear()));
+    accept(m, fe_req(c, 0, 5, FEOp::load_and_clear()));
     m.tick(c, out);
   }
   EXPECT_EQ(m.parked_count(), 3u);
   // Three puts: each executes and wakes exactly one get.
   core::Tick t = 3;
   for (std::uint32_t p = 0; p < 3; ++p) {
-    m.accept(fe_req(10 + p, 0, 5, FEOp::store_if_clear_and_set(100 + p)));
+    accept(m, fe_req(10 + p, 0, 5, FEOp::store_if_clear_and_set(100 + p)));
   }
   while (!m.idle() && t < 50) m.tick(t++, out);
   EXPECT_TRUE(m.idle());
@@ -106,7 +111,7 @@ TEST(Queueing, ChainOfAlternatingWakes) {
 TEST(Queueing, DeadlockIsDetectedNotSilent) {
   // A get with no matching put parks forever: the paper's deadlock caveat.
   MemoryModule<FEOp> m(queueing_cfg(), FEWord{0, false});
-  m.accept(fe_req(0, 0, 5, FEOp::load_and_clear()));
+  accept(m, fe_req(0, 0, 5, FEOp::load_and_clear()));
   std::vector<net::RevPacket<FEOp>> out;
   for (core::Tick t = 0; t < 20; ++t) m.tick(t, out);
   EXPECT_TRUE(out.empty());

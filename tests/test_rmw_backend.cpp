@@ -12,12 +12,15 @@
 //    reclaim them, so a churny process marched every live thread onto
 //    ever-higher combining-tree slots (all aliasing mod width). Ordinals
 //    are now pooled: sequential spawn/join churn must reuse ONE ordinal,
-//    and concurrent threads must still get distinct ones.
+//    and concurrent threads must still get distinct ones. The tenancy
+//    ends in the exit hook, after the thread's C++ thread_local
+//    destructors: both sides of that boundary are pinned.
 //
 // Also pinned: AtomicBackend::fetch_rmw runs the native instruction for
 // every family that has one, so a generic fetch_rmw(FetchAdd) never
 // enters the paced CAS loop — directly and under ShardedBackend.
 #include <gtest/gtest.h>
+#include <pthread.h>
 
 #include <algorithm>
 #include <atomic>
@@ -218,41 +221,89 @@ TEST(ThreadOrdinal, ConcurrentThreadsGetDistinctDenseOrdinals) {
   EXPECT_LE(*uniq.rbegin(), kThreads);
 }
 
-// Set up before a thread's first thread_ordinal(), so it is destroyed
-// after the ordinal's guard: its destructor runs with the tenancy over.
-struct LateOrdinalProbe {
+// A C++ thread_local destructor runs before the exit hook (glibc calls
+// the key destructors last), so it runs inside the tenancy.
+struct TenantProbe {
   unsigned* seen = nullptr;
   SlotCounter* counter = nullptr;
-  unsigned slot = 0;
-  ~LateOrdinalProbe() {
+  ~TenantProbe() {
     if (seen == nullptr) return;
     *seen = thread_ordinal();
-    counter->add_one(slot);
+    counter->add_one(*seen);
+    SpinWait pol;
+    for (int i = 0; i < 3; ++i) pol.pause();  // 1+2+4 pauses
+  }
+};
+
+TEST(ThreadOrdinal, ThreadLocalDestructorsRunInsideTheTenancy) {
+  // No other thread can hold the ordinal yet, so the destructor reads the
+  // live ordinal, counts as the slot's owner, and its wait counts drain
+  // with the rest of the thread's.
+  unsigned held = kNoOrdinal;
+  unsigned seen = kNoOrdinal;
+  SlotCounter counter;
+  const WaitStats before = wait_stats_snapshot();
+  std::jthread([&] {
+    thread_local TenantProbe probe;
+    probe.seen = &seen;
+    probe.counter = &counter;
+    held = thread_ordinal();
+  }).join();
+  EXPECT_NE(held, kNoOrdinal);
+  EXPECT_EQ(seen, held);
+  EXPECT_EQ(counter.own.load(), 1u);
+  EXPECT_EQ(counter.shared.load(), 0u);
+  EXPECT_EQ((wait_stats_snapshot() - before).spins, 7u);
+}
+
+// A thread-specific-data destructor that re-arms its key once and probes
+// on its second call. glibc calls every armed key's destructor on each
+// pass, so by the second pass the exit hook has run, whatever the order
+// of the two keys.
+struct AfterHookProbe {
+  pthread_key_t key{};
+  bool rearmed = false;
+  unsigned slot = 0;
+  unsigned seen = 0;
+  SlotCounter counter;
+
+  static void on_exit(void* p) {
+    auto& probe = *static_cast<AfterHookProbe*>(p);
+    if (!probe.rearmed) {
+      probe.rearmed = true;
+      pthread_setspecific(probe.key, p);
+      return;
+    }
+    probe.seen = thread_ordinal();
+    probe.counter.add_one(probe.slot);
+    SpinWait pol;
+    for (int i = 0; i < 3; ++i) pol.pause();  // 1+2+4 pauses
   }
 };
 
 TEST(ThreadOrdinal, NoOrdinalOutlivesTheTenancy) {
-  // After the guard has returned the ordinal to the pool, another thread
-  // may hold it, so the exiting thread must read kNoOrdinal and count on
-  // the shared word, never as the slot's owner.
-  unsigned held = kNoOrdinal;
-  unsigned after = 0;
-  SlotCounter counter;
+  // After the exit hook has returned the ordinal to the pool, another
+  // thread may hold it, so the exiting thread must read kNoOrdinal and
+  // count on the shared word, never as the slot's owner. A wait flushed
+  // after the hook re-arms it, so those counts still drain by join().
+  AfterHookProbe probe;
+  ASSERT_EQ(pthread_key_create(&probe.key, AfterHookProbe::on_exit), 0);
+  const WaitStats before = wait_stats_snapshot();
   std::jthread([&] {
-    thread_local LateOrdinalProbe probe;
-    probe.seen = &after;
-    probe.counter = &counter;
-    held = thread_ordinal();
-    probe.slot = held;
+    probe.slot = thread_ordinal();
+    pthread_setspecific(probe.key, &probe);
   }).join();
-  EXPECT_NE(held, kNoOrdinal);
-  EXPECT_EQ(after, kNoOrdinal);
-  EXPECT_EQ(counter.own.load(), 0u);
-  EXPECT_EQ(counter.shared.load(), 1u);
+  pthread_key_delete(probe.key);
+  EXPECT_NE(probe.slot, kNoOrdinal);
+  EXPECT_TRUE(probe.rearmed);
+  EXPECT_EQ(probe.seen, kNoOrdinal);
+  EXPECT_EQ(probe.counter.own.load(), 0u);
+  EXPECT_EQ(probe.counter.shared.load(), 1u);
+  EXPECT_EQ((wait_stats_snapshot() - before).spins, 7u);
   // The ordinal went back to the pool: the next thread takes it again.
   unsigned next = kNoOrdinal;
   std::jthread([&] { next = thread_ordinal(); }).join();
-  EXPECT_EQ(next, held);
+  EXPECT_EQ(next, probe.slot);
 }
 
 TEST(ThreadOrdinal, StableWithinAThread) {
