@@ -171,13 +171,14 @@ BENCHMARK(BM_DlsProtocolFlat)
 // --- the §5.6 bound as a combining rate: BM_DlsWave --------------------------
 //
 // Deterministic waves through the tree's single-caller surface: two puts
-// of DISTINCT values into leaf-sharing slots, then two gets. At the full
-// §5.6 budget both waves fold (combine_rate 0.5). Narrowed to one value
-// slot, every put fold DECLINES (two distinct store values exceed the
-// wire format) and §7 partial combining serves the second put at the
-// root — the get fold, which carries no store values, still fits. The
-// counters are exact protocol constants, not timing artifacts:
-//   full    combine_rate=0.50  declined_fold_rate=0.00
+// of DISTINCT values into leaf-sharing slots, then two gets. Every put
+// fold DECLINES at either budget: core::DlsWordOp's wire form carries one
+// store value, and §7 partial combining serves the second put at the root
+// — the get fold, which carries no store values, still fits. (The typed
+// DlsOp<N> at the full §5.6 budget would fold both waves: 0.5 / 0.) The
+// counters are exact protocol constants, not timing artifacts, pinned by
+// tests/test_dls.cpp's DlsWord.WaveRatesPinTheWireBudget:
+//   full    combine_rate=0.25  declined_fold_rate=0.50
 //   narrow  combine_rate=0.25  declined_fold_rate=0.50
 void BM_DlsWave(benchmark::State& state, bool narrow) {
   const auto& pc = protocol();

@@ -135,10 +135,11 @@ bool section_declined_at_root() {
   runtime::CombiningBackend backend(4);
   runtime::CombiningBackend::Cell cell(backend, core::dls_pack({0, 0}));
 
-  // Two puts whose wire budget is narrowed to ONE value slot: the §5.6
-  // bound for |S|=3 would admit three distinct store values, but this
-  // switch's message format cannot carry two — try_compose declines, and
-  // §7 partial combining serves the declined request individually at the
+  // Two puts of distinct values, at a wire budget narrowed to ONE value
+  // slot: the §5.6 bound for |S|=3 would admit three distinct store
+  // values, but this switch's message format cannot carry two (nor can
+  // DlsWordOp's one-value wire form) — try_compose declines, and §7
+  // partial combining serves the declined request individually at the
   // root. Slots 0 and 1 share a leaf, so the fold is actually attempted.
   const auto budget = pc.put(111).encoded_size_bytes();  // one value slot
   using Wave = std::decay_t<decltype(cell.combiner)>::WaveOp;

@@ -13,8 +13,8 @@
 // apply() is the one member on a hot path: the runtime's software
 // combiners call it between loading the hot word and the CAS that
 // installs f(v), as §2's memory applies the mapping inside one RMW. The
-// variant is 160 bytes, sized by DlsWordOp's 152-byte transition table;
-// every other family fits in 16.
+// variant is 32 bytes, sized by DlsWordOp's 24-byte wire form (one store
+// value and a packed table) plus the tag; every other family fits in 16.
 #pragma once
 
 #include <optional>

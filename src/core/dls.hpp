@@ -26,7 +26,10 @@
 //     in the low 4 bits, value in the upper 60): the encoding that lets
 //     every RmwBackend substrate serve guarded operations through its
 //     ordinary word-valued fetch_rmw path (core::AnyRmw holds it as an
-//     alternative). Path expressions (Campbell–Habermann) compile to these
+//     alternative). It is stored in a 24-byte wire form with ONE inline
+//     store value, so a composition that needs a second distinct value
+//     declines and §7 serves it at the root; DlsOp<N> keeps the full |S|
+//     bound. Path expressions (Campbell–Habermann) compile to these
 //     automata — see core/path_expr.hpp and examples/path_expression.cpp.
 //
 // The full/empty family of §5.5 is the |S| = 2 special case; tests exhibit
@@ -313,12 +316,19 @@ static_assert(Rmw<DlsOp<4>>);
 /// Cells must be initialized with dls_pack(initial) and values must stay
 /// below kDlsValueLimit (the tag owns the low bits).
 ///
+/// Stored in its wire form, 24 bytes: ONE inline store value, a 4-bit
+/// successor per state, one store bit per state, the guard, the budget
+/// and the state count. A guarded op stores at most one value; a
+/// composition that would carry a second distinct value declines
+/// (`try_compose` → nullopt), and §7 partial combining serves it at the
+/// root. DlsOp<N> keeps the full |S|-value table.
+///
 /// Identity is the UNIVERSAL identity (state-count 0 sentinel): it applies
 /// as a plain load on any cell and composes with any automaton — so
 /// AnyRmw's identity-absorption and the Rmw identity laws hold without
-/// knowing the state count. try_compose declines across distinct automata
-/// (different state counts: the transition tables are not composable) and
-/// past the wire budget, exactly like DlsOp.
+/// knowing the state count. try_compose also declines across distinct
+/// automata (different state counts: the transition tables are not
+/// composable) and past the wire budget, exactly like DlsOp.
 class DlsWordOp {
  public:
   using value_type = Word;
@@ -350,17 +360,22 @@ class DlsWordOp {
 
   /// The packed twin of a compile-time DlsOp (same table, same guard, same
   /// budget semantics) — the bridge the equivalence tests drive.
+  /// Precondition: `op` stores at most one distinct value.
   template <unsigned N>
   static constexpr DlsWordOp from(const DlsOp<N>& op) noexcept {
+    KRS_EXPECTS(op.distinct_store_values() <= 1);
     DlsWordOp out;
     out.nstates_ = N;
     out.guard_ = op.guard();
     out.size_budget_ = static_cast<std::uint16_t>(op.size_budget());
     for (unsigned s = 0; s < N; ++s) {
       const auto& e = op.entry(s);
-      KRS_ASSERT(!e.store || e.value < kDlsValueLimit);
-      out.values_[s] = e.store ? e.value : 0;
-      out.ctrl_[s] = pack_ctrl(e.store, e.next);
+      if (e.store) {
+        KRS_ASSERT(e.value < kDlsValueLimit);
+        out.value_ = e.value;
+        out.store_ |= static_cast<std::uint16_t>(1u << s);
+      }
+      out.next_ |= std::uint64_t{e.next} << (kNextBits * s);
     }
     return out;
   }
@@ -388,41 +403,19 @@ class DlsWordOp {
            (guard_ & (1u << (prior & kDlsStateMask))) != 0;
   }
 
-  [[nodiscard]] constexpr bool stores_in(unsigned s) const noexcept {
-    return (ctrl_[s] & kStoreBit) != 0;
-  }
-  [[nodiscard]] constexpr std::uint8_t next_of(unsigned s) const noexcept {
-    return static_cast<std::uint8_t>(ctrl_[s] & kNextMask);
-  }
-  [[nodiscard]] constexpr Word value_of(unsigned s) const noexcept {
-    return values_[s];
-  }
-
   /// Total on words: a tag outside the automaton (s ≥ nstates, only
   /// reachable through a mis-initialized cell) behaves as failure —
   /// identity, like any un-guarded state.
   [[nodiscard]] constexpr Word apply(Word w) const noexcept {
     const unsigned s = static_cast<unsigned>(w & kDlsStateMask);
-    if (is_identity() || s >= nstates_) return w;
-    const Word value = stores_in(s) ? values_[s] : (w >> kDlsStateBits);
+    if (s >= nstates_) return w;  // also the identity (nstates_ == 0)
+    const Word value = stores_in(s) ? value_ : (w >> kDlsStateBits);
     return (value << kDlsStateBits) | next_of(s);
   }
 
+  /// 0 or 1: the wire form carries at most one store value.
   [[nodiscard]] constexpr unsigned distinct_store_values() const noexcept {
-    std::array<Word, kMaxStates> vals{};
-    unsigned n = 0;
-    for (unsigned s = 0; s < nstates_; ++s) {
-      if (!stores_in(s)) continue;
-      bool seen = false;
-      for (unsigned i = 0; i < n; ++i) {
-        if (vals[i] == values_[s]) {
-          seen = true;
-          break;
-        }
-      }
-      if (!seen) vals[n++] = values_[s];
-    }
-    return n;
+    return store_ != 0 ? 1 : 0;
   }
 
   /// Same wire format as DlsOp (detail::dls_encoded_bytes); the identity
@@ -439,7 +432,7 @@ class DlsWordOp {
       if (i) s += ";";
       s += 's';
       s += std::to_string(i);
-      s += stores_in(i) ? "->(" + std::to_string(values_[i]) + ",s"
+      s += stores_in(i) ? "->(" + std::to_string(value_) + ",s"
                         : "->(keep,s";
       s += std::to_string(next_of(i));
       s += ')';
@@ -447,71 +440,81 @@ class DlsWordOp {
     return s + "}";
   }
 
-  /// Semantic equality: same automaton size and same per-state behavior.
-  /// Guard and budget are issuer/switch metadata, kept out of equality
-  /// like DlsOp does.
+  /// Semantic equality: same automaton size and same per-state behavior
+  /// (the value is 0 unless some state stores it, so comparing every
+  /// field but the metadata is exact). Guard and budget are issuer/switch
+  /// metadata, kept out of equality like DlsOp does.
   friend constexpr bool operator==(const DlsWordOp& a,
                                    const DlsWordOp& b) noexcept {
-    if (a.nstates_ != b.nstates_) return false;
-    for (unsigned s = 0; s < a.nstates_; ++s) {
-      if (a.ctrl_[s] != b.ctrl_[s]) return false;
-      if (a.stores_in(s) && a.values_[s] != b.values_[s]) return false;
-    }
-    return true;
+    return a.nstates_ == b.nstates_ && a.next_ == b.next_ &&
+           a.store_ == b.store_ && a.value_ == b.value_;
   }
 
   /// "f then g", defined when one side is the identity or the state
   /// counts match; the table chase, guard composition, and budget meet
-  /// mirror DlsOp::compose.
+  /// mirror DlsOp::compose. Precondition: the result stores at most one
+  /// distinct value (try_compose declines otherwise).
   friend constexpr DlsWordOp compose(const DlsWordOp& f, const DlsWordOp& g) {
-    if (f.is_identity()) return g;
-    if (g.is_identity()) return f;
-    KRS_EXPECTS(f.nstates_ == g.nstates_);
-    DlsWordOp out;
-    out.nstates_ = f.nstates_;
-    std::uint16_t guard = 0;
-    for (unsigned s = 0; s < f.nstates_; ++s) {
-      const unsigned mid = f.next_of(s);
-      const bool store = f.stores_in(s) || g.stores_in(mid);
-      Word value = 0;
-      if (g.stores_in(mid)) {
-        value = g.values_[mid];
-      } else if (f.stores_in(s)) {
-        value = f.values_[s];
-      }
-      out.values_[s] = value;
-      out.ctrl_[s] = pack_ctrl(store, g.next_of(mid));
-      if ((f.guard_ & (1u << s)) && (g.guard_ & (1u << mid))) {
-        guard |= static_cast<std::uint16_t>(1u << s);
-      }
-    }
-    out.guard_ = guard;
-    out.size_budget_ = f.size_budget_ < g.size_budget_ ? f.size_budget_
-                                                       : g.size_budget_;
-    return out;
+    const auto out = chase(f, g);
+    KRS_EXPECTS(out.has_value());
+    return *out;
   }
 
-  /// Decline across distinct automata and past the wire budget; combine
-  /// otherwise. §7 partial combining makes every decline correct — the
-  /// switch serves the second individually at the root.
+  /// Decline across distinct automata, past a second store value and past
+  /// the wire budget; combine otherwise. §7 partial combining makes every
+  /// decline correct — the switch serves the second individually at the
+  /// root.
   friend constexpr std::optional<DlsWordOp> try_compose(
       const DlsWordOp& f, const DlsWordOp& g) noexcept {
     if (!f.is_identity() && !g.is_identity() && f.nstates_ != g.nstates_) {
       return std::nullopt;
     }
-    DlsWordOp out = compose(f, g);
-    if (out.encoded_size_bytes() > out.size_budget_) return std::nullopt;
+    const auto out = chase(f, g);
+    if (!out || out->encoded_size_bytes() > out->size_budget_) {
+      return std::nullopt;
+    }
     return out;
   }
 
  private:
-  static constexpr std::uint8_t kStoreBit = 0x80;
-  static constexpr std::uint8_t kNextMask = 0x0F;
+  static constexpr unsigned kNextBits = 4;
+  static constexpr std::uint64_t kNextMask = (1u << kNextBits) - 1;
 
-  static constexpr std::uint8_t pack_ctrl(bool store,
-                                          std::uint8_t next) noexcept {
-    return static_cast<std::uint8_t>((store ? kStoreBit : 0) |
-                                     (next & kNextMask));
+  [[nodiscard]] constexpr bool stores_in(unsigned s) const noexcept {
+    return (store_ >> s) & 1u;
+  }
+  [[nodiscard]] constexpr std::uint8_t next_of(unsigned s) const noexcept {
+    return static_cast<std::uint8_t>((next_ >> (kNextBits * s)) & kNextMask);
+  }
+
+  /// The composed table, or nullopt when it would need both f's and g's
+  /// store values and they differ: the one case the wire form cannot
+  /// carry.
+  static constexpr std::optional<DlsWordOp> chase(const DlsWordOp& f,
+                                                  const DlsWordOp& g) noexcept {
+    if (f.is_identity()) return g;
+    if (g.is_identity()) return f;
+    KRS_EXPECTS(f.nstates_ == g.nstates_);
+    DlsWordOp out;
+    out.nstates_ = f.nstates_;
+    bool keeps_f = false, takes_g = false;
+    for (unsigned s = 0; s < f.nstates_; ++s) {
+      const unsigned mid = f.next_of(s);
+      const bool by_g = g.stores_in(mid);
+      const bool by_f = !by_g && f.stores_in(s);
+      takes_g = takes_g || by_g;
+      keeps_f = keeps_f || by_f;
+      if (by_g || by_f) out.store_ |= static_cast<std::uint16_t>(1u << s);
+      out.next_ |= std::uint64_t{g.next_of(mid)} << (kNextBits * s);
+      if ((f.guard_ & (1u << s)) && (g.guard_ & (1u << mid))) {
+        out.guard_ |= static_cast<std::uint16_t>(1u << s);
+      }
+    }
+    if (keeps_f && takes_g && f.value_ != g.value_) return std::nullopt;
+    out.value_ = takes_g ? g.value_ : (keeps_f ? f.value_ : 0);
+    out.size_budget_ = f.size_budget_ < g.size_budget_ ? f.size_budget_
+                                                       : g.size_budget_;
+    return out;
   }
 
   static constexpr DlsWordOp make(
@@ -525,24 +528,27 @@ class DlsWordOp {
     op.size_budget_ =
         static_cast<std::uint16_t>(detail::dls_size_bound(nstates));
     for (unsigned s = 0; s < nstates; ++s) {
-      if (op.guard_ & (1u << s)) {
-        KRS_ASSERT(next[s] < nstates);
-        op.values_[s] = store ? v : 0;
-        op.ctrl_[s] = pack_ctrl(store, next[s]);
-      } else {
-        op.ctrl_[s] = pack_ctrl(false, static_cast<std::uint8_t>(s));
-      }
+      const bool in = (op.guard_ >> s) & 1u;
+      KRS_ASSERT(!in || next[s] < nstates);
+      op.next_ |= std::uint64_t{in ? next[s] : s} << (kNextBits * s);
+    }
+    if (store && op.guard_ != 0) {
+      op.value_ = v;
+      op.store_ = op.guard_;
     }
     return op;
   }
 
-  std::array<Word, kMaxStates> values_{};
-  std::array<std::uint8_t, kMaxStates> ctrl_{};
-  std::uint8_t nstates_ = 0;       ///< 0 = universal identity
+  Word value_ = 0;                 ///< the store value; 0 if none stores
+  std::uint64_t next_ = 0;         ///< successor of state s at bits 4s..4s+3
+  std::uint16_t store_ = 0;        ///< bit s: state s stores value_
   std::uint16_t guard_ = 0;
   std::uint16_t size_budget_ = 1;  ///< identity encodes as one opcode byte
+  std::uint8_t nstates_ = 0;       ///< 0 = universal identity
 };
 
 static_assert(Rmw<DlsWordOp>);
+static_assert(sizeof(DlsWordOp) <= 24,
+              "the wire form: one value word plus a two-word table");
 
 }  // namespace krs::core

@@ -339,8 +339,9 @@ class MappingCombiningTree
     bool declined = false;
     std::atomic<std::uint64_t> folds{0};
     std::atomic<std::uint64_t> declined_folds{0};
-    // Mapping slots on their own lines: the first writes `first_map`, the
-    // second deposits `second_map`; the status word hands ownership over.
+    // The mapping slots, past the status line: the first writes
+    // `first_map`, the second deposits `second_map`; the status word hands
+    // ownership over. Two 32-byte core::AnyRmw share one line.
     alignas(kCacheLine) M first_map{};
     M second_map{};
   };

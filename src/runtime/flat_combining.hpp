@@ -208,18 +208,22 @@ class FlatCombiner
     kDone = 3,
   };
 
+  // One line for the publication (the sequence word, the mapping and the
+  // reply), so a publish or a pickup moves one line between the owner and
+  // the combiner.
   struct alignas(kCacheLine) Slot {
     std::atomic<std::uint32_t> seq{kIdle};
     core::AnyRmw op{};
     core::Word result = 0;
-    // Direct CASes landed by this slot's threads, in the tail padding, so
-    // the direct path's count stays off the value word's line: the slot's
-    // owner counts with a plain store, aliased threads with a fetch_add
-    // on the second word (SlotCounter).
-    SlotCounter direct;
+    // Direct CASes landed by this slot's threads, on a line of their own:
+    // the owner counts with a plain store, aliased threads with a
+    // fetch_add on the second word (SlotCounter). Beside `seq`, which the
+    // combiner's scan reads for every slot, each count would pull the line
+    // away from the owner (krs-bench hot_flat lost 21% on a 4-CPU host).
+    alignas(kCacheLine) SlotCounter direct;
   };
-  static_assert(sizeof(Slot) == 3 * kCacheLine,
-                "both direct counter words must fit the slot's tail padding");
+  static_assert(sizeof(Slot) == 2 * kCacheLine,
+                "the publication on one line, the direct counter on another");
 
   template <typename Self>
   static auto& direct_counter(Self& c, unsigned slot) {

@@ -32,15 +32,13 @@
 
 #include <pthread.h>
 
-#include <algorithm>
 #include <atomic>
+#include <bit>
 #include <cstdint>
 #include <cstdlib>
-#include <functional>
 #include <mutex>
 #include <type_traits>
 #include <utility>
-#include <vector>
 
 namespace krs::runtime {
 
@@ -84,8 +82,17 @@ namespace detail {
 /// processor map) degenerates to a few aliased slots over time.
 /// Mutex-guarded: acquire/release run once per thread lifetime, never on
 /// an operation path.
+///
+/// The free set is a fixed bitmap of the first kCapacity ordinals, so
+/// release never allocates (it runs in an exiting thread's exit hook).
+/// Past the capacity, ordinals are handed out fresh from the counter and
+/// never reused: release drops an ordinal at or above kCapacity. A process
+/// that keeps more than kCapacity threads alive at once therefore counts
+/// past them, which widens only the aliasing of slot_of mappings.
 class OrdinalPool {
  public:
+  static constexpr unsigned kCapacity = 1024;
+
   static OrdinalPool& instance() {
     static OrdinalPool pool;
     return pool;
@@ -93,22 +100,25 @@ class OrdinalPool {
 
   unsigned acquire() {
     std::lock_guard<std::mutex> lk(mu_);
-    if (free_.empty()) return next_++;
-    std::pop_heap(free_.begin(), free_.end(), std::greater<>{});
-    const unsigned o = free_.back();
-    free_.pop_back();
-    return o;
+    for (unsigned i = 0; i < kWords; ++i) {
+      if (const std::uint64_t w = free_[i]; w != 0) {
+        free_[i] = w & (w - 1);
+        return i * 64 + static_cast<unsigned>(std::countr_zero(w));
+      }
+    }
+    return next_++;
   }
 
   void release(unsigned o) {
     std::lock_guard<std::mutex> lk(mu_);
-    free_.push_back(o);
-    std::push_heap(free_.begin(), free_.end(), std::greater<>{});
+    if (o < kCapacity) free_[o / 64] |= std::uint64_t{1} << (o % 64);
   }
 
  private:
+  static constexpr unsigned kWords = kCapacity / 64;
+
   std::mutex mu_;
-  std::vector<unsigned> free_;  // min-heap: smallest ordinal leaves first
+  std::uint64_t free_[kWords] = {};  // bit o: ordinal o is free
   unsigned next_ = 0;
 };
 

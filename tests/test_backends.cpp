@@ -1520,9 +1520,11 @@ TEST(CombineTelemetry, DlsDeclinedFoldServedAtRoot) {
   EXPECT_EQ(st.direct_applies, 0u);
 }
 
-// Control: the SAME two puts at the default budget (the §5.6 bound) fold
-// into one root application, and the second's reply is the decombination
-// first_map.apply(prior) — the state the second actually observed.
+// Control: two puts whose composition carries ONE store value (the same
+// value twice) fold at the default budget into one root application, and
+// the second's reply is the decombination first_map.apply(prior) — the
+// state the second actually observed. Two distinct values decline: DLS's
+// wire form carries one.
 TEST(CombineTelemetry, DlsFoldAtDefaultBudgetCombines) {
   const krs::workload::ProducerConsumerPath pc;
   MappingCombiningTree<AnyRmw> tree(8, dls_pack({0, 0}));
@@ -1530,19 +1532,22 @@ TEST(CombineTelemetry, DlsFoldAtDefaultBudgetCombines) {
   EXPECT_TRUE(Peer::precombine(tree, 2));
   EXPECT_FALSE(Peer::precombine(tree, 1));
   EXPECT_FALSE(Peer::precombine(tree, 4));
-  Peer::deposit_second(tree, 4, AnyRmw(pc.put(222)));
+  Peer::deposit_second(tree, 4, AnyRmw(pc.put(111)));
   AnyRmw combined = Peer::combine(tree, 4, AnyRmw(pc.put(111)));
   EXPECT_EQ(tree.declined_folds_at(4), 0u);
   combined = Peer::combine(tree, 2, std::move(combined));
   const Word prior = Peer::apply_at_root(tree, combined);
   EXPECT_EQ(prior, dls_pack({0, 0}));
   // ONE root application carried both automaton transitions.
-  EXPECT_EQ(tree.read(), dls_pack({222, 2}));
+  EXPECT_EQ(tree.read(), dls_pack({111, 2}));
   Peer::distribute(tree, 2, prior);
   Peer::distribute(tree, 4, prior);
   const Word second_prior = Peer::take_result(tree, 4);
   EXPECT_EQ(second_prior, dls_pack({111, 1}));
-  EXPECT_TRUE(pc.put(222).succeeded(second_prior));
+  EXPECT_TRUE(pc.put(111).succeeded(second_prior));
+  // The decline case at the same budget: two distinct values.
+  EXPECT_FALSE(
+      try_compose(AnyRmw(pc.put(111)), AnyRmw(pc.put(222))).has_value());
   const CombiningTreeStats st = tree.stats();
   EXPECT_EQ(st.folds, 1u);
   EXPECT_EQ(st.declined_folds, 0u);

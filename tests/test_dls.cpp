@@ -326,9 +326,13 @@ TEST(DlsWord, PackUnpackRoundTrip) {
 }
 
 // DlsWordOp::from(f) must mirror f on packed words: same transitions,
-// same success predicate, same composition, same encoded size.
+// same success predicate, same encoded size, and the same composition
+// wherever compose(f, g) carries at most one store value. The wire form
+// holds one value, so where the typed composition carries two,
+// try_compose(wf, wg) declines instead (§7 serves the second at the root).
 TEST(DlsWord, WordOpMirrorsTypedOp) {
   krs::util::Xoshiro256 rng(107);
+  unsigned folds = 0, declines = 0;
   for (int i = 0; i < 1000; ++i) {
     const Op4 f = random_op(rng), g = random_op(rng);
     const DlsWordOp wf = DlsWordOp::from(f), wg = DlsWordOp::from(g);
@@ -337,10 +341,23 @@ TEST(DlsWord, WordOpMirrorsTypedOp) {
       EXPECT_EQ(wf.apply(dls_pack(c)), dls_pack(f.apply(c)));
       EXPECT_EQ(wf.succeeded(dls_pack(c)), f.succeeded(c));
     }
-    EXPECT_EQ(compose(wf, wg), DlsWordOp::from(compose(f, g)));
-    EXPECT_EQ(compose(wf, wg).guard(), compose(f, g).guard());
     EXPECT_EQ(wf.encoded_size_bytes(), f.encoded_size_bytes());
+    const Op4 fg = compose(f, g);
+    const auto wfg = try_compose(wf, wg);
+    if (fg.distinct_store_values() <= 1) {
+      ++folds;
+      ASSERT_TRUE(wfg.has_value());
+      EXPECT_EQ(*wfg, DlsWordOp::from(fg));
+      EXPECT_EQ(compose(wf, wg), *wfg);
+      EXPECT_EQ(wfg->guard(), fg.guard());
+      EXPECT_EQ(wfg->encoded_size_bytes(), fg.encoded_size_bytes());
+    } else {
+      ++declines;
+      EXPECT_FALSE(wfg.has_value());
+    }
   }
+  EXPECT_GT(folds, 0u);
+  EXPECT_GT(declines, 0u);
 }
 
 TEST(DlsWord, UniversalIdentityAbsorbs) {
@@ -360,16 +377,23 @@ TEST(DlsWord, DeclinesAcrossDistinctAutomataAndBudgets) {
   const DlsWordOp three = DlsWordOp::guarded_load(3, 0b001, {1, 0, 2});
   // Different state counts = different automata: tables don't compose.
   EXPECT_FALSE(try_compose(two, three).has_value());
-  // Budget decline, mirroring the typed family: disjoint-path stores so
-  // the composed table carries two distinct values.
+  // Disjoint-path stores of two DISTINCT values: the composed table would
+  // carry both, which the one-value wire form cannot, so even the default
+  // budget (the §5.6 bound) declines.
   const DlsWordOp a = DlsWordOp::guarded_store(3, 11, 0b001, {1, 0, 0});
   const DlsWordOp b = DlsWordOp::guarded_store(3, 22, 0b100, {0, 0, 2});
-  ASSERT_EQ(compose(a, b).distinct_store_values(), 2u);
-  const auto narrow = a.encoded_size_bytes();
-  EXPECT_FALSE(try_compose(a.with_size_budget(narrow),
-                           b.with_size_budget(narrow))
-                   .has_value());
-  EXPECT_TRUE(try_compose(a, b).has_value());
+  EXPECT_EQ(a.size_budget(), detail::dls_size_bound(3));
+  EXPECT_FALSE(try_compose(a, b).has_value());
+  // The same paths storing the SAME value combine, into one value...
+  const DlsWordOp same = DlsWordOp::guarded_store(3, 11, 0b100, {0, 0, 2});
+  const auto ab = try_compose(a, same);
+  ASSERT_TRUE(ab.has_value());
+  EXPECT_EQ(ab->distinct_store_values(), 1u);
+  EXPECT_EQ(ab->apply(dls_pack({5, 0})), dls_pack({11, 1}));
+  EXPECT_EQ(ab->apply(dls_pack({5, 2})), dls_pack({11, 2}));
+  // ...unless the budget is narrowed below one value: table only.
+  const auto table_only = detail::dls_encoded_bytes(3, 0);
+  EXPECT_FALSE(try_compose(a.with_size_budget(table_only), same).has_value());
 }
 
 // Through AnyRmw: the family combines with itself, declines cross-family,
@@ -382,6 +406,56 @@ TEST(DlsWord, AnyRmwCarriesTheFamily) {
   EXPECT_EQ(any.encoded_size_bytes(), 1 + put.encoded_size_bytes());
   EXPECT_TRUE(try_compose(any, AnyRmw(put)).has_value());
   EXPECT_FALSE(try_compose(any, AnyRmw(FetchAdd(1))).has_value());
+}
+
+// §5.6's wire budget as exact combining rates, through the tree's
+// single-caller wave (BM_DlsWave's rig): each round two puts into
+// leaf-sharing slots, then two gets. Each wave makes one fold attempt; the
+// gets carry no store value and always fold.
+struct WaveRates {
+  double combine_rate;
+  double declined_fold_rate;
+};
+
+template <typename Put>
+WaveRates dls_wave_rates(const Put& put) {
+  const krs::workload::ProducerConsumerPath pc;
+  krs::runtime::CombiningBackend backend(4);
+  krs::runtime::CombiningBackend::Cell cell(backend, dls_pack({0, 0}));
+  for (Word v = 1; v <= 16; ++v) {
+    (void)cell.combiner.run_wave({{0, AnyRmw(put(pc, v))},
+                                  {1, AnyRmw(put(pc, v + 500))}});
+    (void)cell.combiner.run_wave({{0, AnyRmw(pc.get())},
+                                  {1, AnyRmw(pc.get())}});
+  }
+  const auto st = cell.combiner.stats();
+  EXPECT_EQ(st.ops, 64u);
+  return {st.combine_rate(),
+          static_cast<double>(st.declined_folds) /
+              static_cast<double>(st.folds + st.declined_folds)};
+}
+
+TEST(DlsWord, WaveRatesPinTheWireBudget) {
+  using PC = krs::workload::ProducerConsumerPath;
+  // Distinct values at the default budget: the puts' composition needs two
+  // store values, so every put fold declines and only the gets combine.
+  const WaveRates distinct =
+      dls_wave_rates([](const PC& pc, Word v) { return pc.put(v); });
+  EXPECT_DOUBLE_EQ(distinct.combine_rate, 0.25);
+  EXPECT_DOUBLE_EQ(distinct.declined_fold_rate, 0.5);
+  // The same value in both puts (v and v + 500 both put v): one store
+  // value, so both waves fold.
+  const WaveRates same =
+      dls_wave_rates([](const PC& pc, Word v) { return pc.put(v % 500); });
+  EXPECT_DOUBLE_EQ(same.combine_rate, 0.5);
+  EXPECT_DOUBLE_EQ(same.declined_fold_rate, 0.0);
+  // A table-only budget has no room for a value: same-value puts decline.
+  const auto table_only = detail::dls_encoded_bytes(3, 0);
+  const WaveRates narrow = dls_wave_rates([&](const PC& pc, Word v) {
+    return pc.put(v % 500).with_size_budget(table_only);
+  });
+  EXPECT_DOUBLE_EQ(narrow.combine_rate, 0.25);
+  EXPECT_DOUBLE_EQ(narrow.declined_fold_rate, 0.5);
 }
 
 // --- multi-thread guarded-op conservation over the substrates ----------------

@@ -11,7 +11,8 @@
 //    `status`;
 //  * the flat combiner's value word shares its line with no other member,
 //    and lock_, value_, the slots_ header, served_ and the telemetry sit
-//    on five distinct lines;
+//    on five distinct lines; a slot's publication (sequence word, mapping,
+//    reply) is one line and its direct counter another;
 //  * each reader slot of the readers–writers lock owns its lines, and the
 //    writer flag every reader loads shares a line with no slot.
 #include <gtest/gtest.h>
@@ -54,8 +55,12 @@ std::vector<std::string> line_mates(const std::vector<Member>& ms,
 using Tree = MappingCombiningTree<krs::core::AnyRmw>;
 using TreePeer = CombiningTreeTestPeer;
 
-static_assert(TreePeer::node_size<Tree>() == 6 * kCacheLine,
-              "a node is its status line plus the two mapping slots");
+// A mapping at its encoded size: DLS's wire form bounds the variant.
+static_assert(sizeof(krs::core::DlsWordOp) <= 24);
+static_assert(sizeof(krs::core::AnyRmw) <= 32);
+
+static_assert(TreePeer::node_size<Tree>() == 2 * kCacheLine,
+              "a node is its status line plus one line for both maps");
 
 TEST(CombiningTreeLayout, DirectPathLinesHaveOneWriter) {
   for (const unsigned width : {2u, 16u}) {
@@ -109,6 +114,34 @@ TEST(CombiningTreeLayout, DirectPathLinesHaveOneWriter) {
 
 using Fc = FlatCombiner<>;
 using FlatPeer = FlatCombinerTestPeer;
+
+static_assert(FlatPeer::slot_size<Fc>() == 2 * kCacheLine,
+              "a slot is its publication line plus its counter line");
+
+// A publication moves one line: the owner writes `op` and `seq`, the
+// combiner writes `result` and `seq` back, all on one line. The direct
+// counter's two words sit together on a second line that holds no
+// publication word, so the combiner's scan of `seq` never pulls the
+// owner's count away.
+TEST(FlatCombinerLayout, PublicationIsOneLineAndCounterAnother) {
+  const Fc fc(4);
+  for (unsigned s = 0; s < 4; ++s) {
+    SCOPED_TRACE(s);
+    const std::vector<LineSpan> pub = FlatPeer::publication_words(fc, s);
+    ASSERT_EQ(pub.size(), 3u);  // seq, op, result
+    for (const LineSpan& w : pub) {
+      EXPECT_EQ(w.first, pub[0].first);
+      EXPECT_EQ(w.last, pub[0].first);
+    }
+    const std::vector<LineSpan> counter = FlatPeer::direct_counter_words(fc, s);
+    ASSERT_EQ(counter.size(), 2u);  // own, shared
+    for (const LineSpan& w : counter) {
+      EXPECT_EQ(w.first, counter[0].first);
+      EXPECT_EQ(w.last, counter[0].first);
+      EXPECT_FALSE(w.overlaps(pub[0]));
+    }
+  }
+}
 
 TEST(FlatCombinerLayout, ValueWordLineHoldsOnlyTheValue) {
   for (const unsigned slots : {2u, 16u}) {

@@ -241,6 +241,24 @@ struct FlatCombinerTestPeer {
     const auto& c = fc.slots_[slot].direct;
     return {c.own.load(), c.shared.load()};
   }
+  /// One slot's publication words: seq, op, result.
+  template <typename FC>
+  static std::vector<LineSpan> publication_words(const FC& fc,
+                                                 unsigned slot) {
+    const auto& s = fc.slots_[slot];
+    return {lines_of(s.seq), lines_of(s.op), lines_of(s.result)};
+  }
+  /// One slot's two counter words: the owner's, then the aliases'.
+  template <typename FC>
+  static std::vector<LineSpan> direct_counter_words(const FC& fc,
+                                                    unsigned slot) {
+    const auto& c = fc.slots_[slot].direct;
+    return {lines_of(c.own), lines_of(c.shared)};
+  }
+  template <typename FC>
+  static constexpr std::size_t slot_size() {
+    return sizeof(typename FC::Slot);
+  }
 
   /// The lines of the members the one-writer-per-hot-line rule places;
   /// "telemetry" spans every counter from the front end's

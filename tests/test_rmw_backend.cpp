@@ -185,16 +185,39 @@ TEST(AtomicBackendNative, FetchRmwOfNativeFamiliesNeverPaces) {
 // --- ordinal reclamation ------------------------------------------------------
 
 TEST(ThreadOrdinal, SequentialChurnReusesOneOrdinal) {
-  // 64 spawn/join cycles: each thread's ordinal guard releases on exit
-  // (thread_local destructors run before join() returns), so every
-  // successor must reacquire the SAME ordinal. Pre-fix this walked
-  // 0,1,2,...,63 — far past any tree width.
+  // 64 spawn/join cycles: each thread's exit hook returns its ordinal to
+  // the pool (the hook runs before join() returns), so every successor
+  // must reacquire the SAME ordinal. Pre-fix this walked 0,1,2,...,63 —
+  // far past any tree width.
   std::set<unsigned> seen;
   for (int i = 0; i < 64; ++i) {
     std::jthread([&] { seen.insert(thread_ordinal()); }).join();
   }
   EXPECT_EQ(seen.size(), 1u);
   EXPECT_LT(*seen.begin(), 8u);  // bounded by peak live threads, not churn
+}
+
+// The pool's rule, on a local instance with no thread started: the
+// smallest free ordinal leaves first; below kCapacity a released ordinal
+// is reused, and at or above it release drops the ordinal and the counter
+// hands out fresh ones.
+TEST(ThreadOrdinal, PoolReusesBelowCapacityAndCountsOnPastIt) {
+  constexpr unsigned kCap = detail::OrdinalPool::kCapacity;
+  detail::OrdinalPool pool;
+  for (unsigned o = 0; o < kCap; ++o) ASSERT_EQ(pool.acquire(), o);
+  pool.release(7);
+  pool.release(3);
+  pool.release(kCap - 1);
+  EXPECT_EQ(pool.acquire(), 3u);
+  EXPECT_EQ(pool.acquire(), 7u);
+  EXPECT_EQ(pool.acquire(), kCap - 1);
+  // Capacity exhausted: fresh ordinals past it, never reused.
+  EXPECT_EQ(pool.acquire(), kCap);
+  pool.release(kCap);
+  EXPECT_EQ(pool.acquire(), kCap + 1);
+  pool.release(0);
+  EXPECT_EQ(pool.acquire(), 0u);  // a free one below the capacity wins
+  EXPECT_EQ(pool.acquire(), kCap + 2);
 }
 
 TEST(ThreadOrdinal, ConcurrentThreadsGetDistinctDenseOrdinals) {

@@ -12,7 +12,7 @@
 // destructible record torn down by a thread-specific-data key instead
 // (runtime/thread_ordinal.hpp), so a fresh thread's first operations on
 // every structure below, one wait episode and thread_wait_stats() make
-// no allocation at all.
+// no allocation at all, and neither does its exit hook.
 //
 // malloc, calloc, realloc, aligned_alloc, posix_memalign, memalign and
 // free are replaced by forwarders to glibc's __libc_* entry points; glibc
@@ -21,11 +21,15 @@
 // runtime owns malloc.
 #include <gtest/gtest.h>
 
+#include <pthread.h>
+
+#include <atomic>
 #include <cerrno>
 #include <cstddef>
 #include <cstdint>
 #include <cstdlib>
 #include <thread>
+#include <vector>
 
 #include "runtime/combining_backend.hpp"
 #include "runtime/coordination.hpp"
@@ -216,6 +220,58 @@ TEST(ThreadFootprint, ParallelQueueAllocatesNothing) {
             }),
             0u);
   EXPECT_EQ(got, 7);
+}
+
+// The exit hook returns a worker's ordinal to the pool and drains its
+// wait counters; neither may allocate, or a worker that never allocated
+// makes its first malloc (and gets its own arena) as it exits. A probe key
+// whose destructor re-arms itself once reads the counter on the second
+// destructor pass, after the hook has run; its baseline is taken at the
+// end of the thread's body, so the count is the hook's alone (std::thread
+// only frees its state in between). Eight workers live at once release
+// eight ordinals together, the case where a growable free list grows.
+namespace exit_probe {
+
+pthread_key_t key;
+thread_local constinit std::size_t at_body_end = 0;
+thread_local constinit bool rearmed = false;
+std::atomic<std::size_t> hook_allocations{0};
+std::atomic<unsigned> probes{0};
+
+void on_exit(void* p) {
+  if (!rearmed) {
+    rearmed = true;
+    pthread_setspecific(key, p);  // read on the next pass, after the hook
+    return;
+  }
+  hook_allocations += thread_allocations - at_body_end;
+  ++probes;
+}
+
+}  // namespace exit_probe
+
+TEST(ThreadFootprint, ExitHooksAllocateNothing) {
+  ASSERT_EQ(pthread_key_create(&exit_probe::key, exit_probe::on_exit), 0);
+  constexpr unsigned kWorkers = 8;
+  std::atomic<unsigned> arrived{0};
+  std::vector<std::thread> ts;
+  ts.reserve(kWorkers);
+  for (unsigned t = 0; t < kWorkers; ++t) {
+    ts.emplace_back([&] {
+      (void)thread_ordinal();  // takes an ordinal and arms the hook
+      SpinYieldWait pol;
+      pol.pause();
+      pol.reset();  // a wait count for the hook to drain
+      pthread_setspecific(exit_probe::key, &arrived);
+      ++arrived;
+      while (arrived.load() < kWorkers) std::this_thread::yield();
+      exit_probe::at_body_end = thread_allocations;
+    });
+  }
+  for (std::thread& t : ts) t.join();
+  pthread_key_delete(exit_probe::key);
+  EXPECT_EQ(exit_probe::probes.load(), kWorkers);
+  EXPECT_EQ(exit_probe::hook_allocations.load(), 0u);
 }
 
 }  // namespace

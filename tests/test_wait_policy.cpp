@@ -350,7 +350,9 @@ TEST(WaitTelemetry, WorkerCountsDrainAtThreadExit) {
   std::thread t([] {
     SpinWait pol;
     for (int i = 0; i < 8; ++i) pol.pause();
-    // No explicit flush: the thread-local block drains on thread exit.
+    // No explicit flush: the policy's destructor flushes into the thread
+    // record, and the thread's exit hook drains the record into the
+    // process totals before join() returns.
   });
   t.join();
   const WaitStats d = wait_stats_snapshot() - before;
