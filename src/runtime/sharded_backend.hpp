@@ -14,6 +14,10 @@
 // of a write-and-f-array, with the §3 decombination chain run at read time
 // instead of in the switches.
 //
+// S defaults to kDefaultShards = 4; an explicit `shards` overrides it. A
+// cell keeps the S it was built with: it routes, stores and folds over its
+// own block whatever the S of the backend that later drives it.
+//
 // Semantics — deliberately RELAXED relative to a single cell:
 //
 //  * fetch_add/or/and/xor/exchange/fetch_rmw apply to the ROUTED shard and
@@ -34,13 +38,13 @@
 //    routed one. Like any racing store, concurrent updates may interleave;
 //    use it for initialization/reset, not as a synchronization edge.
 //
-// Routing is striped: shard = key mod S, so consecutive client keys stripe
-// round-robin across shards (the Ultracomputer's interleaving). The
-// routing KEY defaults to thread_ordinal(), but a harness multiplexing
-// M logical clients onto N worker threads installs the client's identity
-// with ScopedRouteKey — the shard then follows the CLIENT, not the worker
-// thread, so thread churn (and thread_ordinal() reuse) can never migrate a
-// client's shard mid-sequence.
+// Routing is striped: shard = key mod the cell's S, so consecutive client
+// keys stripe round-robin across shards (the Ultracomputer's
+// interleaving). The routing KEY defaults to thread_ordinal(), but a
+// harness multiplexing M logical clients onto N worker threads installs
+// the client's identity with ScopedRouteKey — the shard then follows the
+// CLIENT, not the worker thread, so thread churn (and thread_ordinal()
+// reuse) can never migrate a client's shard mid-sequence.
 #pragma once
 
 #include <atomic>
@@ -54,6 +58,7 @@
 #include "core/types.hpp"
 #include "runtime/cacheline.hpp"
 #include "runtime/rmw_backend.hpp"
+#include "util/assert.hpp"
 
 namespace krs::runtime {
 
@@ -142,7 +147,13 @@ struct ShardedCellStats {
 template <RmwBackend Inner>
 class ShardedBackend : public MappingOps<ShardedBackend<Inner>> {
  public:
-  static constexpr unsigned kDefaultShards = 8;
+  /// The default S: as many shards as routing keys are hot at once in
+  /// krs-bench's `clients_sharded` (4 workers), where 4 beat 8 on p99 and
+  /// matched it on ops/s (PERFORMANCE §7). A larger S only widens the
+  /// load() fold, one line per shard. A smaller S makes the fold cheaper,
+  /// but two hot keys meet on one shard line more often (about 1 pair in
+  /// S), so updates pay more collisions.
+  static constexpr unsigned kDefaultShards = 4;
 
   /// `inner`: the per-shard substrate (copied; SimBackend copies share one
   /// machine by design). `shards` ≥ 1; 1 degrades to exactly the inner
@@ -222,8 +233,8 @@ class ShardedBackend : public MappingOps<ShardedBackend<Inner>> {
 
   /// Quiescing reset: identity into every shard, v into the routed one.
   void store(Cell& c, Word v) const {
-    const unsigned target = shard_of();
-    for (unsigned s = 0; s < shards_; ++s) {
+    const unsigned target = shard_of(c);
+    for (unsigned s = 0; s < c.count; ++s) {
       inner_.store(c.slots[s].cell, s == target ? v : agg_.identity);
     }
   }
@@ -231,13 +242,22 @@ class ShardedBackend : public MappingOps<ShardedBackend<Inner>> {
   [[nodiscard]] unsigned shards() const noexcept { return shards_; }
   [[nodiscard]] const Inner& inner() const noexcept { return inner_; }
 
-  /// The shard the given routing key resolves to.
+  /// The shard of `c` the CURRENT context routes to (ScopedRouteKey if
+  /// installed, thread_ordinal() otherwise): the route key mod the cell's
+  /// own S, which this backend's need not be. Every update and store()
+  /// routes through here.
+  [[nodiscard]] unsigned shard_of(const Cell& c) const noexcept {
+    return static_cast<unsigned>(route_key() % c.count);
+  }
+
+  /// The shard the given routing key resolves to in a cell this backend
+  /// builds (S = shards()).
   [[nodiscard]] unsigned shard_of_key(std::uint64_t key) const noexcept {
     return static_cast<unsigned>(key % shards_);
   }
 
-  /// The shard the CURRENT context routes to (ScopedRouteKey if installed,
-  /// thread_ordinal() otherwise).
+  /// The shard the current context routes to in a cell this backend
+  /// builds; shard_of(c) for a cell of any S.
   [[nodiscard]] unsigned shard_of() const noexcept {
     return shard_of_key(route_key());
   }
@@ -246,7 +266,7 @@ class ShardedBackend : public MappingOps<ShardedBackend<Inner>> {
 
   [[nodiscard]] ShardedCellStats cell_stats(const Cell& c) const {
     ShardedCellStats out;
-    out.shard_ops.reserve(shards_);
+    out.shard_ops.reserve(c.count);
     for (unsigned s = 0; s < c.count; ++s) {
       out.shard_ops.push_back(c.slots[s].ops.load(std::memory_order_relaxed));
     }
@@ -257,12 +277,13 @@ class ShardedBackend : public MappingOps<ShardedBackend<Inner>> {
   /// a semaphore's permits across shards before the clients arrive).
   [[nodiscard]] typename Inner::Cell& shard_cell(Cell& c,
                                                  unsigned s) const {
+    KRS_EXPECTS(s < c.count);
     return c.slots[s].cell;
   }
 
  private:
   typename Inner::Cell& routed(Cell& c) const {
-    auto& slot = c.slots[shard_of()];
+    auto& slot = c.slots[shard_of(c)];
     slot.ops.fetch_add(1, std::memory_order_relaxed);
     return slot.cell;
   }

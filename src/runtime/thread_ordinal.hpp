@@ -4,9 +4,11 @@
 // thread_ordinal() is the runtime layer's thread → slot map: a combiner's
 // slot, a reader slot, a simulated processor and a shard key are all
 // derived from it. An ordinal has at most one live owner at a time, and it
-// passes from an exiting thread to the next one through OrdinalPool's
-// mutex, so the old owner's last write happens-before the new owner's
-// first read. SlotCounter builds on that: a word only the slot's owner
+// passes from an exiting thread to the next one through OrdinalPool's free
+// bitmap: the old owner sets its bit with a release fetch_or, and the new
+// owner clears it with an acquire CAS that reads that fetch_or (or a later
+// RMW of the word), so the old owner's last write happens-before the new
+// owner's first read. SlotCounter builds on that: a word only the slot's owner
 // writes needs no locked read-modify-write to count exactly.
 //
 // A thread's runtime state is one constant-initialized, trivially
@@ -80,11 +82,13 @@ namespace detail {
 /// 0..peak-1 instead of leaking slots monotonically — otherwise every
 /// ordinal-mod-width mapping (the combiners' slot_of, the sim backend's
 /// processor map) degenerates to a few aliased slots over time.
-/// Mutex-guarded: acquire/release run once per thread lifetime, never on
-/// an operation path.
+/// Lock-free, so a thread preempted in acquire or release delays no other
+/// thread's start or exit; both run once per thread lifetime, never on an
+/// operation path.
 ///
-/// The free set is a fixed bitmap of the first kCapacity ordinals, so
-/// release never allocates (it runs in an exiting thread's exit hook).
+/// The free set is a fixed bitmap of the first kCapacity ordinals in
+/// atomic words, so release never allocates (it runs in an exiting
+/// thread's exit hook).
 /// Past the capacity, ordinals are handed out fresh from the counter and
 /// never reused: release drops an ordinal at or above kCapacity. A process
 /// that keeps more than kCapacity threads alive at once therefore counts
@@ -98,28 +102,34 @@ class OrdinalPool {
     return pool;
   }
 
-  unsigned acquire() {
-    std::lock_guard<std::mutex> lk(mu_);
+  /// Clears the lowest set bit of the first non-zero word (a lost CAS
+  /// retries on the word's new value), else takes a fresh ordinal.
+  unsigned acquire() noexcept {
     for (unsigned i = 0; i < kWords; ++i) {
-      if (const std::uint64_t w = free_[i]; w != 0) {
-        free_[i] = w & (w - 1);
-        return i * 64 + static_cast<unsigned>(std::countr_zero(w));
+      std::uint64_t w = free_[i].load(std::memory_order_relaxed);
+      while (w != 0) {
+        if (free_[i].compare_exchange_weak(w, w & (w - 1),
+                                           std::memory_order_acquire,
+                                           std::memory_order_relaxed)) {
+          return i * 64 + static_cast<unsigned>(std::countr_zero(w));
+        }
       }
     }
-    return next_++;
+    return next_.fetch_add(1, std::memory_order_relaxed);
   }
 
-  void release(unsigned o) {
-    std::lock_guard<std::mutex> lk(mu_);
-    if (o < kCapacity) free_[o / 64] |= std::uint64_t{1} << (o % 64);
+  void release(unsigned o) noexcept {
+    if (o < kCapacity) {
+      free_[o / 64].fetch_or(std::uint64_t{1} << (o % 64),
+                             std::memory_order_release);
+    }
   }
 
  private:
   static constexpr unsigned kWords = kCapacity / 64;
 
-  std::mutex mu_;
-  std::uint64_t free_[kWords] = {};  // bit o: ordinal o is free
-  unsigned next_ = 0;
+  std::atomic<std::uint64_t> free_[kWords] = {};  // bit o: ordinal o is free
+  std::atomic<unsigned> next_{0};
 };
 
 /// Wait work of exited threads, added once per thread exit and read only

@@ -84,8 +84,11 @@ using namespace krs::runtime;
 using Sharded = ShardedBackend<AtomicBackend>;
 
 TEST(Footprint, ShardedCellIsOneLineAlignedAllocation) {
-  for (const unsigned shards : {1u, 3u, 8u}) {
-    const Sharded b{AtomicBackend{}, shards};
+  // 0 stands for the default S, kDefaultShards.
+  for (const unsigned arg : {1u, 3u, 8u, 0u}) {
+    const Sharded b = arg == 0 ? Sharded{AtomicBackend{}}
+                               : Sharded{AtomicBackend{}, arg};
+    const unsigned shards = arg == 0 ? Sharded::kDefaultShards : arg;
     // Take the thread's ordinal (and any first-use state) outside the
     // counted window.
     { const Sharded::Cell warm(b, 0); }

@@ -244,6 +244,40 @@ TEST(ThreadOrdinal, ConcurrentThreadsGetDistinctDenseOrdinals) {
   EXPECT_LE(*uniq.rbegin(), kThreads);
 }
 
+TEST(ThreadOrdinal, ConcurrentChurnNeverSharesAnOrdinal) {
+  // 8 drivers each start and join 100 threads in turn, so at most 8
+  // threads hold ordinals at once while starts and exits overlap. Each
+  // live thread claims its ordinal's owner flag; a claim that finds the
+  // flag already set means two live threads hold one ordinal.
+  constexpr unsigned kDrivers = 8;
+  constexpr unsigned kRounds = 100;
+  constexpr unsigned kCap = detail::OrdinalPool::kCapacity;
+  std::vector<std::atomic<bool>> owned(kCap);
+  std::atomic<unsigned> shared{0};
+  std::atomic<unsigned> past_capacity{0};
+  {
+    std::vector<std::jthread> drivers;
+    for (unsigned d = 0; d < kDrivers; ++d) {
+      drivers.emplace_back([&] {
+        for (unsigned r = 0; r < kRounds; ++r) {
+          std::jthread([&] {
+            const unsigned o = thread_ordinal();
+            if (o >= kCap) {
+              past_capacity.fetch_add(1);
+              return;
+            }
+            if (owned[o].exchange(true)) shared.fetch_add(1);
+            std::this_thread::yield();
+            owned[o].store(false);
+          }).join();
+        }
+      });
+    }
+  }
+  EXPECT_EQ(shared.load(), 0u);
+  EXPECT_EQ(past_capacity.load(), 0u);
+}
+
 // A C++ thread_local destructor runs before the exit hook (glibc calls
 // the key destructors last), so it runs inside the tenancy.
 struct TenantProbe {

@@ -12,6 +12,8 @@
 //    each shard's op counter sitting on that shard's own cache line;
 //  * shards = 1 degrading to exactly the inner backend (globally
 //    distinct fetch_add tickets);
+//  * a cell routing within its own block when a backend of another S
+//    drives it;
 //  * a race_explorer model of the aggregation read: per-shard reads
 //    mediated by per-shard synchronization are race-free on EVERY
 //    schedule with no global lock — plus a naked-read control proving
@@ -163,6 +165,37 @@ TEST(ShardedSemantics, SingleShardDegradesToGloballyDistinctTickets) {
   EXPECT_EQ(seen.size(), kThreads * kOps);
   EXPECT_EQ(*seen.rbegin(), kThreads * kOps - 1);
   EXPECT_EQ(b.load(cell), kThreads * kOps);
+}
+
+TEST(ShardedSemantics, CellRoutesWithinItsOwnBlock) {
+  // A cell keeps the S it was built with: driven through a backend of a
+  // wider S, every key still lands in the cell's one shard, so nothing is
+  // written past its block and the fold sees every add.
+  const ShardedBackend<AtomicBackend> narrow{AtomicBackend{}, 1};
+  const ShardedBackend<AtomicBackend> wide{AtomicBackend{}, 4};
+  ShardedBackend<AtomicBackend>::Cell cell(narrow, 0);
+  constexpr unsigned kThreads = 4;
+  constexpr std::uint64_t kOps = 1000;
+  {
+    std::vector<std::jthread> ts;
+    for (unsigned k = 0; k < kThreads; ++k) {
+      ts.emplace_back([&, k] {
+        ScopedRouteKey route(k);
+        for (std::uint64_t i = 0; i < kOps; ++i) wide.fetch_add(cell, 1);
+      });
+    }
+  }
+  EXPECT_EQ(wide.load(cell), kThreads * kOps);
+  const auto stats = wide.cell_stats(cell);
+  ASSERT_EQ(stats.shard_ops.size(), 1u);
+  EXPECT_EQ(stats.shard_ops[0], kThreads * kOps);
+  {
+    ScopedRouteKey route(3);
+    EXPECT_EQ(wide.shard_of(), 3u);
+    EXPECT_EQ(wide.shard_of(cell), 0u);
+    wide.store(cell, 9);
+  }
+  EXPECT_EQ(wide.load(cell), 9u);
 }
 
 TEST(ShardedSemantics, AggregationFoldsAndStoreQuiesces) {
