@@ -120,8 +120,9 @@ void pairwise_ablation(unsigned log2_procs) {
   // §7's bus variant: no combining in the network, only in the module's
   // input FIFO — cheaper hardware, intermediate benefit.
   const Row mq = run(log2_procs, 1.0, net::CombinePolicy::kNone, 128, true);
-  std::printf("%-22s %9.1f %10.3f %10s %12llu %12llu\n",
-              "module FIFO only (§7)", mq.mean_latency, mq.throughput, "-",
+  std::printf("%-22s %9.1f %10.3f %10llu %12llu %12llu\n",
+              "module FIFO only (§7)", mq.mean_latency, mq.throughput,
+              static_cast<unsigned long long>(mq.combines),
               static_cast<unsigned long long>(mq.messages),
               static_cast<unsigned long long>(mq.bytes));
   std::printf("(combining also REDUCES total network traffic: merged "

@@ -96,7 +96,7 @@ struct SimBackendStats {
   core::Tick cycles = 0;                 ///< machine clock
   std::uint64_t network_ops = 0;         ///< RMWs routed through the network
   std::uint64_t root_serialized_ops = 0; ///< compare_exchange, at the module
-  std::uint64_t combines = 0;            ///< switch combine events
+  std::uint64_t combines = 0;            ///< combines, switch and module FIFO
   std::uint64_t latency_cycles = 0;      ///< summed issue→reply latency
   std::uint64_t switch_stall_cycles = 0; ///< arrivals that could not move
   std::vector<std::uint64_t> stage_stalls;  ///< stalls per network stage

@@ -10,24 +10,22 @@
 // are slow relative to the bus (ModuleConfig::service_interval), which is
 // exactly when the FIFO fills and queue combining pays.
 //
-// Reuses the memory module and processor models; the Theorem 4.2 checker
-// works unchanged (combine events come from the module FIFO).
+// The clock, processors, banks (memory modules), transcript and checker
+// surface come from MachineShell (sim/shell.hpp); the Theorem 4.2 checker
+// works unchanged (combine events come from the module FIFO). This file
+// is the bus: its two arbiters and the banks' reply staging.
 #pragma once
 
 #include <algorithm>
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "core/rmw.hpp"
 #include "core/types.hpp"
 #include "mem/module.hpp"
-#include "net/combine_buffer.hpp"
-#include "net/packet.hpp"
-#include "proc/processor.hpp"
-#include "sim/engine.hpp"
+#include "sim/shell.hpp"
 #include "util/assert.hpp"
-#include "util/stats.hpp"
+#include "util/ring.hpp"
 
 namespace krs::sim {
 
@@ -42,65 +40,36 @@ struct BusMachineConfig {
   unsigned bus_width = 1;
 };
 
-struct BusMachineStats {
-  core::Tick cycles = 0;
-  std::uint64_t ops_completed = 0;
+struct BusMachineStats : SimStats {
   std::uint64_t queue_combines = 0;
   std::uint64_t bus_busy_cycles = 0;
-  util::LogHistogram latency;
-  double throughput_ops_per_cycle = 0.0;
 };
 
 template <core::Rmw M>
-class BusMachine {
+class BusMachine : public MachineShell<BusMachine<M>, M> {
+  using Shell = MachineShell<BusMachine<M>, M>;
+  friend Shell;
+  using Shell::modules_, Shell::procs_, Shell::logs_, Shell::now_;
+
  public:
-  using rmw_type = M;
-  using Value = typename M::value_type;
-  using Fwd = net::FwdPacket<M>;
-  using Rev = net::RevPacket<M>;
+  using Stats = BusMachineStats;
+  using typename Shell::Fwd;
+  using typename Shell::Rev;
 
-  BusMachine(BusMachineConfig<M> cfg,
-             std::vector<std::unique_ptr<proc::TrafficSource<M>>> sources)
-      : cfg_(cfg), sources_(std::move(sources)) {
+  /// One engine shard per bank or processor, whichever is more: the bus
+  /// phases are inherently serial (one arbiter) and run on shard 0 alone;
+  /// bank service and processor issue are per-shard parallel.
+  BusMachine(BusMachineConfig<M> cfg, typename Shell::Sources sources)
+      : Shell(std::move(sources), cfg.processors, cfg.banks,
+              std::max(cfg.banks, cfg.processors), cfg.bank_cfg,
+              cfg.initial_value, cfg.window),
+        cfg_(cfg),
+        bank_out_(cfg.banks) {
     KRS_EXPECTS(cfg_.processors >= 1 && cfg_.banks >= 1);
-    KRS_EXPECTS(sources_.size() == cfg_.processors);
-    banks_.reserve(cfg_.banks);
-    for (std::uint32_t b = 0; b < cfg_.banks; ++b) {
-      banks_.emplace_back(cfg_.bank_cfg, cfg_.initial_value);
-    }
-    bank_out_.resize(cfg_.banks);
-    bank_due_.resize(cfg_.banks);
-    procs_.reserve(cfg_.processors);
-    for (std::uint32_t p = 0; p < cfg_.processors; ++p) {
-      procs_.emplace_back(p, cfg_.window, /*processor_side=*/false,
-                          sources_[p].get());
-    }
   }
 
-  [[nodiscard]] std::uint32_t bank_of(core::Addr addr) const noexcept {
+  [[nodiscard]] std::uint32_t module_of(core::Addr addr) const noexcept {
     return static_cast<std::uint32_t>(addr % cfg_.banks);
-  }
-
-  void tick() { SequentialEngine::step(*this); }
-
-  bool run(core::Tick max_cycles) {
-    return SequentialEngine::run(*this, max_cycles);
-  }
-
-  /// Bit-identical to run() at every worker count: the bus phases are
-  /// inherently serial (one arbiter) and run on shard 0 alone; bank
-  /// service and processor issue are per-shard parallel.
-  bool run_parallel(core::Tick max_cycles, unsigned workers) {
-    return ParallelEngine(workers).run(*this, max_cycles);
-  }
-
-  // --- engine concept (sim/engine.hpp) ------------------------------------
-
-  [[nodiscard]] std::uint32_t engine_shards() const noexcept {
-    return std::max(cfg_.banks, cfg_.processors);
-  }
-  [[nodiscard]] unsigned engine_subphases() const noexcept {
-    return kSubphases;
   }
 
   void engine_subphase(unsigned ph, std::uint32_t shard) {
@@ -109,7 +78,11 @@ class BusMachine {
         if (shard == 0) step_reply_bus();
         break;
       case 1:  // bank service: independent per bank
-        if (shard < cfg_.banks) step_bank(shard);
+        if (shard < cfg_.banks) {
+          this->service(shard, logs_[shard], [&](Rev&& rev) {
+            bank_out_[shard].push_back(std::move(rev));
+          });
+        }
         break;
       case 2:  // request bus: one arbiter, serial on shard 0
         if (shard == 0) step_request_bus();
@@ -120,56 +93,20 @@ class BusMachine {
     }
   }
 
-  void engine_end_cycle() { ++now_; }
+ private:
+  static constexpr unsigned kSubphases = 4;
 
-  [[nodiscard]] bool drained() const {
-    for (const auto& p : procs_) {
-      if (!p.quiescent()) return false;
-    }
-    for (const auto& b : banks_) {
-      if (!b.idle()) return false;
-    }
+  [[nodiscard]] bool network_drained() const {
     for (const auto& q : bank_out_) {
       if (!q.empty()) return false;
     }
     return true;
   }
 
-  // --- checker interface (same shape as sim::Machine) ----------------------
-  [[nodiscard]] std::uint32_t processors() const noexcept {
-    return cfg_.banks;  // the checker iterates module(0..processors())
-  }
-  [[nodiscard]] const mem::MemoryModule<M>& module(std::uint32_t b) const {
-    return banks_[b];
-  }
-  [[nodiscard]] const std::vector<proc::CompletedOp<M>>& completed() const {
-    return completed_;
-  }
-  [[nodiscard]] const std::vector<net::CombineEvent>& combine_log() const {
-    return combine_log_;
-  }
-  [[nodiscard]] Value value_at(core::Addr addr) const {
-    return banks_[bank_of(addr)].value_at(addr);
-  }
-
-  [[nodiscard]] core::Tick now() const noexcept { return now_; }
-
-  [[nodiscard]] BusMachineStats stats() const {
-    BusMachineStats s;
-    s.cycles = now_;
-    s.ops_completed = completed_.size();
-    for (const auto& op : completed_) s.latency.add(op.completed - op.issued);
-    for (const auto& b : banks_) s.queue_combines += b.stats().queue_combines;
+  void add_stats(BusMachineStats& s) const {
+    for (const auto& b : modules_) s.queue_combines += b.stats().queue_combines;
     s.bus_busy_cycles = bus_busy_;
-    s.throughput_ops_per_cycle =
-        now_ > 0
-            ? static_cast<double>(completed_.size()) / static_cast<double>(now_)
-            : 0.0;
-    return s;
   }
-
- private:
-  static constexpr unsigned kSubphases = 4;
 
   void step_reply_bus() {
     unsigned transferred = 0;
@@ -179,17 +116,10 @@ class BusMachine {
           (static_cast<std::uint32_t>(now_) + i) % cfg_.banks;
       if (bank_out_[b].empty()) continue;
       Rev rev = std::move(bank_out_[b].front());
-      bank_out_[b].erase(bank_out_[b].begin());
-      procs_[rev.reply.id.proc].deliver(std::move(rev), now_, &completed_);
+      bank_out_[b].pop_front();
+      this->deliver(rev.reply.id.proc, std::move(rev), logs_[0]);
       ++transferred;
     }
-  }
-
-  void step_bank(std::uint32_t b) {
-    auto& due = bank_due_[b];  // shard-local scratch, reused each cycle
-    due.clear();
-    banks_[b].tick(now_, due);
-    for (auto& rev : due) bank_out_[b].push_back(std::move(rev));
   }
 
   void step_request_bus() {
@@ -200,9 +130,9 @@ class BusMachine {
           (static_cast<std::uint32_t>(now_) + i) % cfg_.processors;
       Fwd* head = procs_[p].peek_outgoing();
       if (head == nullptr) continue;
-      auto& bank = banks_[bank_of(head->req.addr)];
+      auto& bank = modules_[module_of(head->req.addr)];
       // Bank FIFO full: the head stays put and retries later.
-      if (!bank.try_accept(*head, &combine_log_)) continue;
+      if (!bank.try_accept(*head, &logs_[0].events)) continue;
       procs_[p].pop_outgoing();
       ++transferred;
       ++bus_busy_;
@@ -210,15 +140,9 @@ class BusMachine {
   }
 
   BusMachineConfig<M> cfg_;
-  std::vector<std::unique_ptr<proc::TrafficSource<M>>> sources_;
-  std::vector<mem::MemoryModule<M>> banks_;
-  std::vector<std::vector<Rev>> bank_out_;
-  std::vector<std::vector<Rev>> bank_due_;
-  std::vector<proc::Processor<M>> procs_;
-  std::vector<proc::CompletedOp<M>> completed_;
-  std::vector<net::CombineEvent> combine_log_;
+  /// Per-bank replies awaiting the reply bus.
+  std::vector<util::RingBuffer<Rev>> bank_out_;
   std::uint64_t bus_busy_ = 0;
-  core::Tick now_ = 0;
 };
 
 }  // namespace krs::sim

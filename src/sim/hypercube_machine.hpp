@@ -11,6 +11,8 @@
 // FIFO, and one net::CombineBuffer per node applies §4.2's youngest-match
 // rule and wait-buffer decombination over all d of them, exactly as the
 // 2×2 switch does over its two; the Theorem 4.2 checker applies unchanged.
+// Node u's processor and memory module are the MachineShell's (sim/shell.hpp)
+// processor u and module u; this file is the routers.
 //
 // Engine layout (sim/engine.hpp): one shard per node. CONSUME ingests the
 // node's staging slots (replies, then local memory, then requests, then
@@ -25,20 +27,16 @@
 #include <algorithm>
 #include <cstdint>
 #include <deque>
-#include <memory>
 #include <vector>
 
 #include "core/rmw.hpp"
 #include "core/types.hpp"
 #include "mem/module.hpp"
 #include "net/combine_buffer.hpp"
-#include "net/packet.hpp"
-#include "proc/processor.hpp"
 #include "runtime/cacheline.hpp"
-#include "sim/engine.hpp"
+#include "sim/shell.hpp"
 #include "util/assert.hpp"
 #include "util/bits.hpp"
-#include "util/stats.hpp"
 
 namespace krs::sim {
 
@@ -53,44 +51,29 @@ struct HypercubeConfig {
   std::size_t wait_buffer_capacity = 64;
 };
 
-struct HypercubeStats {
-  core::Tick cycles = 0;
-  std::uint64_t ops_completed = 0;
-  std::uint64_t combines = 0;
+struct HypercubeStats : SimStats {
   std::uint64_t hops = 0;  ///< request link traversals
   std::uint64_t max_wait_buffer = 0;  ///< most records one node ever held
-  util::LogHistogram latency;
-  double throughput_ops_per_cycle = 0.0;
 };
 
 template <core::Rmw M>
-class HypercubeMachine {
- public:
-  using rmw_type = M;
-  using Value = typename M::value_type;
-  using Fwd = net::FwdPacket<M>;
-  using Rev = net::RevPacket<M>;
+class HypercubeMachine : public MachineShell<HypercubeMachine<M>, M> {
+  using Shell = MachineShell<HypercubeMachine<M>, M>;
+  friend Shell;
+  using Shell::modules_, Shell::procs_, Shell::logs_, Shell::now_;
 
-  HypercubeMachine(HypercubeConfig<M> cfg,
-                   std::vector<std::unique_ptr<proc::TrafficSource<M>>> sources)
-      : cfg_(cfg), sources_(std::move(sources)) {
-    KRS_EXPECTS(cfg_.dimensions >= 1 && cfg_.dimensions <= 10);
-    const std::uint32_t n = nodes();
-    KRS_EXPECTS(sources_.size() == n);
-    node_.resize(n);
-    logs_.resize(n);
-    for (std::uint32_t u = 0; u < n; ++u) {
-      node_[u].memory =
-          std::make_unique<mem::MemoryModule<M>>(cfg_.mem_cfg,
-                                                 cfg_.initial_value);
-      node_[u].proc = std::make_unique<proc::Processor<M>>(
-          u, cfg_.window, /*processor_side=*/false, sources_[u].get());
-      node_[u].out_req.resize(cfg_.dimensions);
-      node_[u].out_rep.resize(cfg_.dimensions);
-      node_[u].in_req.resize(cfg_.dimensions);
-      node_[u].in_rep.resize(cfg_.dimensions);
-      node_[u].wait_buffer = std::make_unique<net::CombineBuffer<M>>(
-          cfg_.policy, cfg_.wait_buffer_capacity);
+ public:
+  using Stats = HypercubeStats;
+  using typename Shell::Fwd;
+  using typename Shell::Rev;
+
+  HypercubeMachine(HypercubeConfig<M> cfg, typename Shell::Sources sources)
+      : Shell(std::move(sources), node_count(cfg), node_count(cfg),
+              node_count(cfg), cfg.mem_cfg, cfg.initial_value, cfg.window),
+        cfg_(cfg) {
+    node_.reserve(nodes());
+    for (std::uint32_t u = 0; u < nodes(); ++u) {
+      node_.emplace_back(cfg_);
     }
   }
 
@@ -98,31 +81,12 @@ class HypercubeMachine {
     return 1u << cfg_.dimensions;
   }
 
-  [[nodiscard]] std::uint32_t node_of(core::Addr addr) const noexcept {
+  /// The node (and so the module) that owns an address.
+  [[nodiscard]] std::uint32_t module_of(core::Addr addr) const noexcept {
     return static_cast<std::uint32_t>(addr & (nodes() - 1));
   }
 
-  /// Advance one cycle (sequential shard order).
-  void tick() { SequentialEngine::step(*this); }
-
-  bool run(core::Tick max_cycles) {
-    return SequentialEngine::run(*this, max_cycles);
-  }
-
-  /// Bit-identical to run() at every worker count.
-  bool run_parallel(core::Tick max_cycles, unsigned workers) {
-    return ParallelEngine(workers).run(*this, max_cycles);
-  }
-
-  // --- engine concept (sim/engine.hpp) ------------------------------------
-
-  [[nodiscard]] std::uint32_t engine_shards() const noexcept {
-    return nodes();
-  }
-  [[nodiscard]] unsigned engine_subphases() const noexcept {
-    return kSubphases;
-  }
-
+  /// One engine shard per node.
   void engine_subphase(unsigned ph, std::uint32_t shard) {
     if (ph == 0) {
       consume(shard);
@@ -131,21 +95,42 @@ class HypercubeMachine {
     }
   }
 
-  void engine_end_cycle() {
-    for (auto& log : logs_) {
-      combine_log_.insert(combine_log_.end(), log.events.begin(),
-                          log.events.end());
-      log.events.clear();
-      for (auto& op : log.completed) completed_.push_back(op);
-      log.completed.clear();
-    }
-    ++now_;
+ private:
+  using typename Shell::ShardLog;
+  static constexpr unsigned kSubphases = 2;
+
+  static std::uint32_t node_count(const HypercubeConfig<M>& cfg) {
+    KRS_EXPECTS(cfg.dimensions >= 1 && cfg.dimensions <= 10);
+    return 1u << cfg.dimensions;
   }
 
-  [[nodiscard]] bool drained() const {
+  /// A node's router: its processor and module are the shell's, index u.
+  struct alignas(runtime::kCacheLine) Node {
+    explicit Node(const HypercubeConfig<M>& cfg)
+        : out_req(cfg.dimensions),
+          out_rep(cfg.dimensions),
+          in_req(cfg.dimensions),
+          in_rep(cfg.dimensions),
+          wait_buffer(cfg.policy, cfg.wait_buffer_capacity) {}
+
+    /// Per-dimension outgoing FIFOs (request combining happens in
+    /// out_req) and single-slot incoming staging, filled by the neighbor
+    /// across that dimension during PRODUCE, drained here during CONSUME.
+    std::vector<std::deque<Fwd>> out_req;
+    std::vector<std::deque<Rev>> out_rep;
+    std::vector<std::deque<Fwd>> in_req;
+    std::vector<std::deque<Rev>> in_rep;
+    /// Replies destined for the local processor, delivered next cycle.
+    std::deque<Rev> local_rep;
+    /// Combining over all out_req FIFOs, and its decombination records.
+    net::CombineBuffer<M> wait_buffer;
+    /// Shard-local counter, summed by stats() — no shared cells.
+    std::uint64_t hops = 0;
+  };
+
+  [[nodiscard]] bool network_drained() const {
     for (const auto& nd : node_) {
-      if (!nd.proc->quiescent() || !nd.memory->idle()) return false;
-      if (!nd.wait_buffer->empty() || !nd.local_rep.empty()) return false;
+      if (!nd.wait_buffer.empty() || !nd.local_rep.empty()) return false;
       for (const auto& q : nd.out_req) {
         if (!q.empty()) return false;
       }
@@ -162,67 +147,13 @@ class HypercubeMachine {
     return true;
   }
 
-  // --- checker interface -----------------------------------------------------
-  [[nodiscard]] std::uint32_t processors() const noexcept { return nodes(); }
-  [[nodiscard]] const mem::MemoryModule<M>& module(std::uint32_t u) const {
-    return *node_[u].memory;
-  }
-  [[nodiscard]] const std::vector<proc::CompletedOp<M>>& completed() const {
-    return completed_;
-  }
-  [[nodiscard]] const std::vector<net::CombineEvent>& combine_log() const {
-    return combine_log_;
-  }
-  [[nodiscard]] Value value_at(core::Addr addr) const {
-    return node_[node_of(addr)].memory->value_at(addr);
-  }
-  [[nodiscard]] core::Tick now() const noexcept { return now_; }
-
-  [[nodiscard]] HypercubeStats stats() const {
-    HypercubeStats s;
-    s.cycles = now_;
-    s.ops_completed = completed_.size();
-    for (const auto& op : completed_) s.latency.add(op.completed - op.issued);
+  void add_stats(HypercubeStats& s) const {
     for (const auto& nd : node_) {
-      const net::CombineCounters& c = nd.wait_buffer->counters();
-      s.combines += c.combines;
-      s.max_wait_buffer = std::max(s.max_wait_buffer, c.max_records);
+      s.max_wait_buffer =
+          std::max(s.max_wait_buffer, nd.wait_buffer.counters().max_records);
       s.hops += nd.hops;
     }
-    s.throughput_ops_per_cycle =
-        now_ > 0
-            ? static_cast<double>(completed_.size()) / static_cast<double>(now_)
-            : 0.0;
-    return s;
   }
-
- private:
-  static constexpr unsigned kSubphases = 2;
-
-  struct alignas(runtime::kCacheLine) Node {
-    std::unique_ptr<mem::MemoryModule<M>> memory;
-    std::unique_ptr<proc::Processor<M>> proc;
-    /// Per-dimension outgoing FIFOs (request combining happens in
-    /// out_req) and single-slot incoming staging, filled by the neighbor
-    /// across that dimension during PRODUCE, drained here during CONSUME.
-    std::vector<std::deque<Fwd>> out_req;
-    std::vector<std::deque<Rev>> out_rep;
-    std::vector<std::deque<Fwd>> in_req;
-    std::vector<std::deque<Rev>> in_rep;
-    /// Replies destined for the local processor, delivered next cycle.
-    std::deque<Rev> local_rep;
-    /// Combining over all out_req FIFOs, and its decombination records.
-    std::unique_ptr<net::CombineBuffer<M>> wait_buffer;
-    /// Shard-local counter, summed by stats() — no shared cells.
-    std::uint64_t hops = 0;
-  };
-
-  /// Per-shard transcript segment, merged in node order every cycle.
-  struct alignas(runtime::kCacheLine) ShardLog {
-    std::vector<net::CombineEvent> events;
-    std::vector<proc::CompletedOp<M>> completed;
-    std::vector<Rev> due_scratch;
-  };
 
   /// e-cube: the dimension of the lowest differing bit (deterministic,
   /// unique path — the §4.1 assumptions hold).
@@ -245,7 +176,7 @@ class HypercubeMachine {
       Rev rev = std::move(nd.local_rep.front());
       nd.local_rep.pop_front();
       KRS_ASSERT(rev.path.empty());
-      nd.proc->deliver(std::move(rev), now_, &log.completed);
+      this->deliver(u, std::move(rev), log);
     }
     // One reply per incoming link: decombine and route onward.
     for (unsigned dim = 0; dim < cfg_.dimensions; ++dim) {
@@ -255,9 +186,7 @@ class HypercubeMachine {
       handle_reply(u, std::move(rev));
     }
     // Local memory services and emits due replies.
-    log.due_scratch.clear();
-    nd.memory->tick(now_, log.due_scratch);
-    for (auto& rev : log.due_scratch) handle_reply(u, std::move(rev));
+    this->service(u, log, [&](Rev&& rev) { handle_reply(u, std::move(rev)); });
     // One request per incoming link; a refused head stays staged (the
     // neighbor's PRODUCE sees the slot busy — back-pressure).
     for (unsigned dim = 0; dim < cfg_.dimensions; ++dim) {
@@ -267,17 +196,17 @@ class HypercubeMachine {
       }
     }
     // Local injection.
-    if (Fwd* head = nd.proc->peek_outgoing();
+    if (Fwd* head = procs_[u].peek_outgoing();
         head != nullptr && try_route(u, *head, /*arrival_dim=*/-1, &log)) {
-      nd.proc->pop_outgoing();
+      procs_[u].pop_outgoing();
     }
-    nd.proc->tick(now_);
+    procs_[u].tick(now_);
   }
 
   /// A reply present AT node u (after crossing a link or leaving memory):
   /// decombine against u's wait buffer, then route onward.
   void handle_reply(std::uint32_t u, Rev&& rev) {
-    node_[u].wait_buffer->decombine(
+    node_[u].wait_buffer.decombine(
         rev, [&](Rev&& second) { route_reply(u, std::move(second)); });
     route_reply(u, std::move(rev));
   }
@@ -301,13 +230,13 @@ class HypercubeMachine {
   /// `arrival_dim` is recorded in the path header (−1: local injection).
   bool try_route(std::uint32_t u, Fwd& head, int arrival_dim, ShardLog* log) {
     Node& nd = node_[u];
-    const std::uint32_t dest = node_of(head.req.addr);
+    const std::uint32_t dest = module_of(head.req.addr);
     if (dest == u) {
-      return nd.memory->try_accept(head, &log->events, arrival_dim);
+      return modules_[u].try_accept(head, &log->events, arrival_dim);
     }
     const unsigned dim = route_dim(u, dest);
     auto& q = nd.out_req[dim];
-    if (nd.wait_buffer->absorb(q, head, arrival_dim, &log->events)) return true;
+    if (nd.wait_buffer.absorb(q, head, arrival_dim, &log->events)) return true;
     if (q.size() >= cfg_.link_queue_capacity) return false;
     Fwd pkt = std::move(head);
     if (arrival_dim >= 0) {
@@ -339,12 +268,7 @@ class HypercubeMachine {
   }
 
   HypercubeConfig<M> cfg_;
-  std::vector<std::unique_ptr<proc::TrafficSource<M>>> sources_;
   std::vector<Node> node_;
-  std::vector<ShardLog> logs_;
-  std::vector<proc::CompletedOp<M>> completed_;
-  std::vector<net::CombineEvent> combine_log_;
-  core::Tick now_ = 0;
 };
 
 }  // namespace krs::sim

@@ -25,13 +25,12 @@
 //  * each completed operation's original mapping and observed reply.
 // The verifier (src/verify) expands the combined messages into the request
 // sequences they represent (Lemma 4.1) and replays them serially.
-// Per-shard event logs are merged in shard order at the end of each cycle,
-// so the global logs are identical at every worker count.
+// The clock, processors, modules, per-shard logs and checker surface live
+// in the shared MachineShell (sim/shell.hpp); this file is the network.
 #pragma once
 
 #include <algorithm>
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "core/combining.hpp"
@@ -41,12 +40,10 @@
 #include "net/omega.hpp"
 #include "net/packet.hpp"
 #include "net/switch.hpp"
-#include "proc/processor.hpp"
 #include "runtime/cacheline.hpp"
-#include "sim/engine.hpp"
+#include "sim/shell.hpp"
 #include "util/assert.hpp"
 #include "util/ring.hpp"
-#include "util/stats.hpp"
 
 namespace krs::sim {
 
@@ -64,18 +61,13 @@ struct MachineConfig {
   bool processor_side_rmw = false; ///< use the §2 baseline implementation
 };
 
-struct MachineStats {
-  Tick cycles = 0;
-  std::uint64_t ops_completed = 0;
-  std::uint64_t combines = 0;
+struct MachineStats : SimStats {
   std::uint64_t switch_stall_cycles = 0;
   /// Request messages (and their bytes) that actually occupied link/queue
   /// slots, summed over all switches — combining shows up as a reduction
   /// relative to ops × stages.
   std::uint64_t request_messages = 0;
   std::uint64_t request_bytes = 0;
-  util::LogHistogram latency;
-  double throughput_ops_per_cycle = 0.0;
 
   /// Fold another accumulator into this one. Counters add and the latency
   /// histogram merges bucket-exact, so per-shard (or per-worker) partials
@@ -107,18 +99,23 @@ struct alignas(runtime::kCacheLine) CycleLink {
 };
 
 template <core::Rmw M>
-class Machine {
- public:
-  using rmw_type = M;
-  using Value = typename M::value_type;
-  using Fwd = net::FwdPacket<M>;
-  using Rev = net::RevPacket<M>;
+class Machine : public MachineShell<Machine<M>, M> {
+  using Shell = MachineShell<Machine<M>, M>;
+  friend Shell;
+  using Shell::modules_, Shell::procs_, Shell::logs_, Shell::now_;
 
-  Machine(MachineConfig<M> cfg,
-          std::vector<std::unique_ptr<proc::TrafficSource<M>>> sources)
-      : cfg_(cfg), topo_(cfg.log2_procs), sources_(std::move(sources)) {
+ public:
+  using Stats = MachineStats;
+  using typename Shell::Fwd;
+  using typename Shell::Rev;
+
+  Machine(MachineConfig<M> cfg, typename Shell::Sources sources)
+      : Shell(std::move(sources), 1u << cfg.log2_procs, 1u << cfg.log2_procs,
+              (1u << cfg.log2_procs) / 2, cfg.mem_cfg, cfg.initial_value,
+              cfg.window, cfg.processor_side_rmw),
+        cfg_(cfg),
+        topo_(cfg.log2_procs) {
     const auto n = topo_.ports();
-    KRS_EXPECTS(sources_.size() == n);
     stages_.resize(topo_.stages());
     arb_priority_.assign(topo_.stages(),
                          std::vector<unsigned>(topo_.switches_per_stage(), 0));
@@ -128,13 +125,6 @@ class Machine {
         st.emplace_back(cfg_.switch_cfg);
       }
     }
-    modules_.reserve(n);
-    procs_.reserve(n);
-    for (std::uint32_t i = 0; i < n; ++i) {
-      modules_.emplace_back(cfg_.mem_cfg, cfg_.initial_value);
-      procs_.emplace_back(i, cfg_.window, cfg_.processor_side_rmw,
-                          sources_[i].get());
-    }
     // Boundary b sits between stage b-1 and stage b (b = 0: processors,
     // b = k: modules); each holds one link per wire per direction.
     fwd_links_.assign(topo_.stages() + 1,
@@ -142,11 +132,6 @@ class Machine {
     rev_links_.assign(topo_.stages() + 1,
                       std::vector<CycleLink<Rev>>(n));
     mod_out_.resize(n);
-    logs_.resize(topo_.switches_per_stage());
-  }
-
-  [[nodiscard]] std::uint32_t processors() const noexcept {
-    return topo_.ports();
   }
 
   /// Memory module that owns an address (low-order interleaving).
@@ -154,30 +139,9 @@ class Machine {
     return static_cast<std::uint32_t>(addr & (topo_.ports() - 1));
   }
 
-  /// Advance one cycle (sequential shard order).
-  void tick() { SequentialEngine::step(*this); }
-
-  /// Run until every processor is quiescent and the machine has drained,
-  /// or `max_cycles` elapse. Returns true iff fully drained.
-  bool run(Tick max_cycles) { return SequentialEngine::run(*this, max_cycles); }
-
-  /// Same semantics — and bit-identical results — on a worker pool.
-  /// `workers` is clamped to the shard count; 0/1 falls back to run().
-  bool run_parallel(Tick max_cycles, unsigned workers) {
-    return ParallelEngine(workers).run(*this, max_cycles);
-  }
-
-  // --- engine concept (sim/engine.hpp) ------------------------------------
-
-  /// Shard i owns switch row i of every stage, processors 2i and 2i+1, and
-  /// modules 2i and 2i+1 — all components whose input links it consumes.
-  [[nodiscard]] std::uint32_t engine_shards() const noexcept {
-    return topo_.switches_per_stage();
-  }
-  [[nodiscard]] unsigned engine_subphases() const noexcept {
-    return kSubphases;
-  }
-
+  /// Engine shard i owns switch row i of every stage, processors 2i and
+  /// 2i+1, and modules 2i and 2i+1 — all components whose input links it
+  /// consumes.
   void engine_subphase(unsigned ph, std::uint32_t shard) {
     if (ph == 0) {
       consume(shard);
@@ -186,31 +150,20 @@ class Machine {
     }
   }
 
-  /// Serial between cycles: merge per-shard logs in shard order (so the
-  /// global transcript is independent of the worker count) and advance
-  /// the clock.
-  void engine_end_cycle() {
-    for (auto& log : logs_) {
-      combine_log_.insert(combine_log_.end(), log.events.begin(),
-                          log.events.end());
-      log.events.clear();
-      for (auto& op : log.completed) completed_.push_back(op);
-      log.completed.clear();
-    }
-    ++now_;
+  [[nodiscard]] net::SwitchStats switch_stats(unsigned stage,
+                                              std::uint32_t row) const {
+    return stages_[stage][row].stats();
   }
 
-  [[nodiscard]] bool drained() const {
-    for (const auto& p : procs_) {
-      if (!p.quiescent()) return false;
-    }
+ private:
+  using typename Shell::ShardLog;
+  static constexpr unsigned kSubphases = 2;
+
+  [[nodiscard]] bool network_drained() const {
     for (const auto& st : stages_) {
       for (const auto& sw : st) {
         if (!sw.idle()) return false;
       }
-    }
-    for (const auto& m : modules_) {
-      if (!m.idle()) return false;
     }
     for (const auto& boundary : fwd_links_) {
       for (const auto& l : boundary) {
@@ -228,70 +181,21 @@ class Machine {
     return true;
   }
 
-  [[nodiscard]] Tick now() const noexcept { return now_; }
-
-  [[nodiscard]] const std::vector<proc::CompletedOp<M>>& completed() const {
-    return completed_;
-  }
-  [[nodiscard]] const std::vector<net::CombineEvent>& combine_log() const {
-    return combine_log_;
-  }
-  [[nodiscard]] const mem::MemoryModule<M>& module(std::uint32_t i) const {
-    return modules_[i];
-  }
-  [[nodiscard]] Value value_at(Addr addr) const {
-    return modules_[module_of(addr)].value_at(addr);
-  }
-
-  /// Directly set a memory cell, outside the simulated clock: no packets,
-  /// no cycles, no transcript entry. Seam for the runtime sim backend
-  /// (cell initialization, serialized compare-exchange): the write lands
-  /// in the owning module's serial state between services, so it
-  /// linearizes before every not-yet-serviced request and after every
-  /// serviced one.
-  void poke(Addr addr, Value v) { modules_[module_of(addr)].poke(addr, v); }
-
-  [[nodiscard]] MachineStats stats() const {
-    // Built as a per-shard reduction through MachineStats::merge — the
-    // same reduction a parallel stats pass performs, exercised on every
-    // call so sequential and parallel reports cannot drift apart.
-    MachineStats s;
-    s.cycles = now_;
+  /// Switch counters, reduced per column through MachineStats::merge —
+  /// the reduction a parallel stats pass would perform.
+  void add_stats(MachineStats& s) const {
     for (std::uint32_t col = 0; col < topo_.switches_per_stage(); ++col) {
       MachineStats part;
       part.cycles = now_;
       for (unsigned st = 0; st < topo_.stages(); ++st) {
         const auto& sw = stages_[st][col].stats();
-        part.combines += sw.combines;
         part.switch_stall_cycles += sw.stalls;
         part.request_messages += sw.requests_forwarded;
         part.request_bytes += sw.request_bytes;
       }
       s.merge(part);
     }
-    MachineStats ops;
-    ops.cycles = now_;
-    ops.ops_completed = completed_.size();
-    for (const auto& op : completed_) ops.latency.add(op.completed - op.issued);
-    s.merge(ops);
-    return s;
   }
-
-  [[nodiscard]] net::SwitchStats switch_stats(unsigned stage,
-                                              std::uint32_t row) const {
-    return stages_[stage][row].stats();
-  }
-
- private:
-  static constexpr unsigned kSubphases = 2;
-
-  /// Per-shard transcript segment, merged (and cleared) every cycle by
-  /// engine_end_cycle. Padded: adjacent shards append concurrently.
-  struct alignas(runtime::kCacheLine) ShardLog {
-    std::vector<net::CombineEvent> events;
-    std::vector<proc::CompletedOp<M>> completed;
-    std::vector<Rev> due_scratch;  ///< reused module.tick output buffer
-  };
 
   // --- link indexing -------------------------------------------------------
   // Boundary b, wire w: for b < k, w is the stage-b input wire
@@ -318,7 +222,7 @@ class Machine {
       auto& link = rev_links_[0][topo_.shuffle(p)];
       if (link.full) {
         KRS_ASSERT(link.pkt.path.empty());
-        procs_[p].deliver(std::move(link.pkt), now_, &log.completed);
+        this->deliver(p, std::move(link.pkt), log);
         link.full = false;
       }
       procs_[p].tick(now_);
@@ -369,11 +273,8 @@ class Machine {
       if (link.full && modules_[m].try_accept(link.pkt, &log.events)) {
         link.full = false;
       }
-      log.due_scratch.clear();
-      modules_[m].tick(now_, log.due_scratch);
-      for (auto& rev : log.due_scratch) {
-        mod_out_[m].push_back(std::move(rev));
-      }
+      this->service(m, log,
+                    [&](Rev&& rev) { mod_out_[m].push_back(std::move(rev)); });
     }
   }
 
@@ -425,12 +326,7 @@ class Machine {
 
   MachineConfig<M> cfg_;
   net::OmegaTopology topo_;
-  std::vector<std::unique_ptr<proc::TrafficSource<M>>> sources_;
   std::vector<std::vector<net::CombiningSwitch<M>>> stages_;
-  std::vector<mem::MemoryModule<M>> modules_;
-  std::vector<proc::Processor<M>> procs_;
-  std::vector<proc::CompletedOp<M>> completed_;
-  std::vector<net::CombineEvent> combine_log_;
   /// Rotating input-port priority per switch (see consume()).
   std::vector<std::vector<unsigned>> arb_priority_;
   /// Single-slot links at each stage boundary, [k+1][n] per direction.
@@ -438,8 +334,6 @@ class Machine {
   std::vector<std::vector<CycleLink<Rev>>> rev_links_;
   /// Per-module staged replies awaiting a free boundary link.
   std::vector<util::RingBuffer<Rev>> mod_out_;
-  std::vector<ShardLog> logs_;
-  Tick now_ = 0;
 };
 
 }  // namespace krs::sim

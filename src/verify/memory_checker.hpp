@@ -51,9 +51,9 @@ struct CheckResult {
 };
 
 /// Check a completed machine run against the initial cell value. `Machine`
-/// must expose rmw_type, combine_log(), completed(), processors(),
-/// module(i).access_log(), and value_at(addr) (satisfied by
-/// sim::Machine<M>).
+/// must expose rmw_type, combine_log(), completed(), module_count(),
+/// module(i).access_log() for each module i < module_count(), and
+/// value_at(addr) (satisfied by every sim::MachineShell machine).
 template <typename MachineT>
 CheckResult check_machine(
     const MachineT& m,
@@ -98,7 +98,7 @@ CheckResult check_machine(
     }
     return seq;
   };
-  for (std::uint32_t mod = 0; mod < m.processors(); ++mod) {
+  for (std::uint32_t mod = 0; mod < m.module_count(); ++mod) {
     for (const auto& rec : m.module(mod).access_log()) {
       const bool combined = children.count(rec.id) != 0;
       std::vector<ReqId> seq = expand(rec.id);

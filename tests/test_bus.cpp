@@ -61,7 +61,16 @@ TEST(BusMachine, HotBankSerializesWithoutCombining) {
     EXPECT_EQ(m.value_at(5), 512u);
     const auto check = verify::check_machine(m, 0);
     EXPECT_TRUE(check.ok) << check.error;
-    return m.stats();
+    // Every request is combined in a bank FIFO or serviced, exactly once.
+    std::uint64_t services = 0;
+    for (std::uint32_t b = 0; b < m.module_count(); ++b) {
+      services += m.module(b).stats().rmw_ops;
+    }
+    const auto st = m.stats();
+    EXPECT_EQ(m.completed().size(), st.combines + services);
+    EXPECT_EQ(m.combine_log().size(), st.combines);
+    EXPECT_EQ(st.queue_combines, st.combines);
+    return st;
   };
   // Slow banks (4 cycles/service): all 512 requests hit one bank.
   const auto base = run_with(false, 4);

@@ -40,7 +40,7 @@ struct FakeMachine {
   const std::vector<net::CombineEvent>& combine_log() const {
     return combines;
   }
-  std::uint32_t processors() const {
+  std::uint32_t module_count() const {
     return static_cast<std::uint32_t>(modules.size());
   }
   const FakeModule& module(std::uint32_t i) const { return modules[i]; }

@@ -48,7 +48,7 @@ struct RecordedRun {
   const std::vector<net::CombineEvent>& combine_log() const {
     return combines;
   }
-  std::uint32_t processors() const {
+  std::uint32_t module_count() const {
     return static_cast<std::uint32_t>(modules.size());
   }
   const RecModule& module(std::uint32_t i) const { return modules[i]; }
@@ -63,8 +63,8 @@ RecordedRun snapshot(const Machine<FetchAdd>& m,
   RecordedRun r;
   r.ops = m.completed();
   r.combines = m.combine_log();
-  r.modules.resize(m.processors());
-  for (std::uint32_t i = 0; i < m.processors(); ++i) {
+  r.modules.resize(m.module_count());
+  for (std::uint32_t i = 0; i < m.module_count(); ++i) {
     r.modules[i].log = m.module(i).access_log();
   }
   for (const core::Addr a : addrs) r.finals[a] = m.value_at(a);

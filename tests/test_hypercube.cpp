@@ -138,7 +138,7 @@ TEST(Hypercube, PairwisePolicyCombinesAtMostOncePerQueuedMessage) {
     }
     bool within = true;
     for (const auto& [rep, entry] : fan_in) {
-      const auto hops = std::popcount(rep.proc ^ m.node_of(entry.second));
+      const auto hops = std::popcount(rep.proc ^ m.module_of(entry.second));
       within = within && entry.first <= static_cast<unsigned>(hops);
     }
     return std::make_pair(m.stats().combines, within);
@@ -201,23 +201,36 @@ INSTANTIATE_TEST_SUITE_P(Seeds, HypercubeSeeds,
                          ::testing::Values(1, 2, 3, 4, 5));
 
 TEST(Hypercube, ConservationLaw) {
-  HypercubeConfig<FetchAdd> cfg;
-  cfg.dimensions = 3;
-  SourceVec<FetchAdd> src;
-  for (std::uint32_t u = 0; u < 8; ++u) {
-    workload::HotSpotSource<FetchAdd>::Params params;
-    params.total = 50;
-    params.hot_fraction = 0.6;
-    params.addr_space = 64;
-    src.push_back(std::make_unique<workload::HotSpotSource<FetchAdd>>(
-        params, [](util::Xoshiro256& r) { return FetchAdd(r.below(9)); },
-        99 + u));
+  // ops = combines (routers and, with module combining, module FIFOs) +
+  // memory services.
+  for (const bool module_combining : {false, true}) {
+    SCOPED_TRACE(module_combining ? "module combining" : "routers only");
+    HypercubeConfig<FetchAdd> cfg;
+    cfg.dimensions = 3;
+    cfg.mem_cfg.combine_in_queue = module_combining;
+    cfg.mem_cfg.service_interval = module_combining ? 4 : 1;
+    SourceVec<FetchAdd> src;
+    for (std::uint32_t u = 0; u < 8; ++u) {
+      workload::HotSpotSource<FetchAdd>::Params params;
+      params.total = 50;
+      params.hot_fraction = 0.6;
+      params.addr_space = 64;
+      src.push_back(std::make_unique<workload::HotSpotSource<FetchAdd>>(
+          params, [](util::Xoshiro256& r) { return FetchAdd(r.below(9)); },
+          99 + u));
+    }
+    HypercubeMachine<FetchAdd> m(cfg, std::move(src));
+    ASSERT_TRUE(m.run(1000000));
+    std::uint64_t services = 0;
+    std::uint64_t module_combines = 0;
+    for (std::uint32_t u = 0; u < 8; ++u) {
+      services += m.module(u).stats().rmw_ops;
+      module_combines += m.module(u).stats().queue_combines;
+    }
+    EXPECT_EQ(module_combines > 0, module_combining);
+    EXPECT_EQ(m.completed().size(), m.stats().combines + services);
+    EXPECT_EQ(m.combine_log().size(), m.stats().combines);
   }
-  HypercubeMachine<FetchAdd> m(cfg, std::move(src));
-  ASSERT_TRUE(m.run(1000000));
-  std::uint64_t services = 0;
-  for (std::uint32_t u = 0; u < 8; ++u) services += m.module(u).stats().rmw_ops;
-  EXPECT_EQ(m.completed().size(), m.stats().combines + services);
 }
 
 }  // namespace

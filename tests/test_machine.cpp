@@ -455,28 +455,37 @@ TEST(Machine, BitIdenticalAcrossRuns) {
 
 TEST(Machine, RequestsAreCombinedOrServicedExactlyOnce) {
   // Every issued request either gets absorbed by exactly one combine event
-  // or is serviced at a module: ops = combines + memory services. This is
-  // the counting skeleton behind Lemma 4.1's expansion argument.
-  MachineConfig<FetchAdd> cfg;
-  cfg.log2_procs = 4;
-  SourceVec<FetchAdd> src;
-  for (std::uint32_t p = 0; p < 16; ++p) {
-    workload::HotSpotSource<FetchAdd>::Params params;
-    params.total = 100;
-    params.hot_fraction = 0.7;
-    params.addr_space = 128;
-    src.push_back(std::make_unique<workload::HotSpotSource<FetchAdd>>(
-        params, [](util::Xoshiro256& r) { return FetchAdd(r.below(5)); },
-        40 + p));
+  // (in a switch or, with module combining, in a module FIFO) or is
+  // serviced at a module: ops = combines + memory services. This is the
+  // counting skeleton behind Lemma 4.1's expansion argument.
+  for (const bool module_combining : {false, true}) {
+    SCOPED_TRACE(module_combining ? "module combining" : "switches only");
+    MachineConfig<FetchAdd> cfg;
+    cfg.log2_procs = 4;
+    cfg.mem_cfg.combine_in_queue = module_combining;
+    cfg.mem_cfg.service_interval = module_combining ? 4 : 1;
+    SourceVec<FetchAdd> src;
+    for (std::uint32_t p = 0; p < 16; ++p) {
+      workload::HotSpotSource<FetchAdd>::Params params;
+      params.total = 100;
+      params.hot_fraction = 0.7;
+      params.addr_space = 128;
+      src.push_back(std::make_unique<workload::HotSpotSource<FetchAdd>>(
+          params, [](util::Xoshiro256& r) { return FetchAdd(r.below(5)); },
+          40 + p));
+    }
+    Machine<FetchAdd> m(cfg, std::move(src));
+    ASSERT_TRUE(m.run(1000000));
+    std::uint64_t services = 0;
+    std::uint64_t module_combines = 0;
+    for (std::uint32_t i = 0; i < m.module_count(); ++i) {
+      services += m.module(i).stats().rmw_ops;
+      module_combines += m.module(i).stats().queue_combines;
+    }
+    EXPECT_EQ(module_combines > 0, module_combining);
+    EXPECT_EQ(m.completed().size(), m.stats().combines + services);
+    EXPECT_EQ(m.combine_log().size(), m.stats().combines);
   }
-  Machine<FetchAdd> m(cfg, std::move(src));
-  ASSERT_TRUE(m.run(1000000));
-  std::uint64_t services = 0;
-  for (std::uint32_t i = 0; i < m.processors(); ++i) {
-    services += m.module(i).stats().rmw_ops;
-  }
-  EXPECT_EQ(m.completed().size(), m.stats().combines + services);
-  EXPECT_EQ(m.combine_log().size(), m.stats().combines);
 }
 
 // --- §7 bus-FIFO combining at the memory module -------------------------------

@@ -55,7 +55,7 @@ void expect_identical(const MachineT& seq, const MachineT& par,
     ASSERT_EQ(se[i].addr, pe[i].addr) << "event " << i;
     ASSERT_EQ(se[i].reversed, pe[i].reversed) << "event " << i;
   }
-  for (std::uint32_t mi = 0; mi < seq.processors(); ++mi) {
+  for (std::uint32_t mi = 0; mi < seq.module_count(); ++mi) {
     const auto& sa = seq.module(mi).access_log();
     const auto& pa = par.module(mi).access_log();
     ASSERT_EQ(sa.size(), pa.size()) << "module " << mi;

@@ -4,6 +4,8 @@
 // The expected values were recorded from a build before the combining rule
 // moved into net::CombineBuffer, so any drift in how a switch, a router or
 // a memory FIFO combines and decombines shows up here as a changed hash.
+// The two module-combining pins were recorded before the machines shared
+// one shell (sim/shell.hpp).
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -102,13 +104,22 @@ LssOp random_lss(util::Xoshiro256& r) {
   }
 }
 
+/// §7's FIFO combining at the memory module, into slow (4-cycle) banks.
+mem::ModuleConfig module_combining() {
+  mem::ModuleConfig c;
+  c.combine_in_queue = true;
+  c.service_interval = 4;
+  return c;
+}
+
 void run_omega(net::CombinePolicy policy, std::size_t wait_buffer,
-               const Pin& want) {
+               const Pin& want, const mem::ModuleConfig& mem_cfg = {}) {
   sim::MachineConfig<FetchAdd> cfg;
   cfg.log2_procs = 4;
   cfg.window = 4;
   cfg.switch_cfg.policy = policy;
   cfg.switch_cfg.wait_buffer_capacity = wait_buffer;
+  cfg.mem_cfg = mem_cfg;
   sim::Machine<FetchAdd> m(cfg,
                            hot_spot<FetchAdd>(16, 64, 0.5, random_add, 11));
   ASSERT_TRUE(m.run(kMaxCycles));
@@ -126,10 +137,12 @@ void run_omega(net::CombinePolicy policy, std::size_t wait_buffer,
   EXPECT_EQ(declined_full > 0, wait_buffer < 64);
 }
 
-void run_hypercube(net::CombinePolicy policy, const Pin& want) {
+void run_hypercube(net::CombinePolicy policy, const Pin& want,
+                   const mem::ModuleConfig& mem_cfg = {}) {
   sim::HypercubeConfig<FetchAdd> cfg;
   cfg.dimensions = 4;
   cfg.policy = policy;
+  cfg.mem_cfg = mem_cfg;
   sim::HypercubeMachine<FetchAdd> m(
       cfg, hot_spot<FetchAdd>(16, 64, 0.5, random_add, 13));
   ASSERT_TRUE(m.run(kMaxCycles));
@@ -154,6 +167,12 @@ TEST(Transcript, OmegaUnlimited) {
 TEST(Transcript, OmegaUnlimitedSmallWaitBuffer) {
   run_omega(net::CombinePolicy::kUnlimited, 2,
             {276, 1024, 287, 8648967805139062384u, 3771352196693844041u});
+}
+
+TEST(Transcript, OmegaModuleCombining) {
+  run_omega(net::CombinePolicy::kNone, 64,
+            {569, 1024, 400, 10730250080886619956u, 5534687681890472991u},
+            module_combining());
 }
 
 TEST(Transcript, OmegaLssOrderReversal) {
@@ -191,6 +210,12 @@ TEST(Transcript, HypercubeNoCombining) {
 TEST(Transcript, HypercubeUnlimited) {
   run_hypercube(net::CombinePolicy::kUnlimited,
                 {352, 1024, 247, 14107040478277890438u, 6188110891884879272u});
+}
+
+TEST(Transcript, HypercubeModuleCombining) {
+  run_hypercube(net::CombinePolicy::kNone,
+                {305, 1024, 500, 13830361019822592315u, 9433166413691999129u},
+                module_combining());
 }
 
 }  // namespace

@@ -135,20 +135,6 @@ bool parse(int argc, char** argv, Options& o) {
   return true;
 }
 
-// Runs the machine on the selected engine. The parallel engine produces a
-// transcript bit-identical to the sequential one, so the Theorem 4.2 check
-// and all reported statistics are engine-independent.
-template <typename MachineT>
-bool run_machine(MachineT& m, const Options& o) {
-  if (o.engine == "parallel") {
-    const unsigned workers =
-        o.workers != 0 ? o.workers
-                       : std::max(1u, std::thread::hardware_concurrency());
-    return m.run_parallel(o.max_cycles, workers);
-  }
-  return m.run(o.max_cycles);
-}
-
 net::CombinePolicy parse_policy(const std::string& s) {
   if (s == "none") return net::CombinePolicy::kNone;
   if (s == "pairwise") return net::CombinePolicy::kPairwise;
@@ -216,108 +202,85 @@ std::function<core::AnyRmw(util::Xoshiro256&)> op_factory() {
   };
 }
 
-struct Summary {
-  std::uint64_t cycles;
-  std::uint64_t ops;
-  double throughput;
-  double latency;
-  std::uint64_t combines;
-  bool drained;
-  bool checked;
-};
-
-void report(const Options& o, const Summary& s) {
+void report(const Options& o, const sim::SimStats& s, bool drained,
+            bool checked) {
+  const auto cycles = static_cast<unsigned long long>(s.cycles);
+  const auto ops = static_cast<unsigned long long>(s.ops_completed);
+  const auto combines = static_cast<unsigned long long>(s.combines);
+  const double latency = s.latency.mean();
   if (o.csv) {
     std::printf("machine,family,hot,policy,cycles,ops,throughput,latency,"
                 "combines,drained,checked\n");
     std::printf("%s,%s,%.4f,%s,%llu,%llu,%.4f,%.2f,%llu,%d,%d\n",
                 o.machine.c_str(), o.family.c_str(), o.hot, o.policy.c_str(),
-                static_cast<unsigned long long>(s.cycles),
-                static_cast<unsigned long long>(s.ops), s.throughput,
-                s.latency, static_cast<unsigned long long>(s.combines),
-                s.drained, s.checked);
+                cycles, ops, s.throughput_ops_per_cycle, latency, combines,
+                drained, checked);
   } else {
     std::printf("%s machine, %s ops, hot=%.1f%%, policy=%s%s\n",
                 o.machine.c_str(), o.family.c_str(), o.hot * 100,
                 o.policy.c_str(),
                 o.module_combining ? " + module FIFO combining" : "");
-    std::printf("  cycles      %llu\n",
-                static_cast<unsigned long long>(s.cycles));
-    std::printf("  ops         %llu\n", static_cast<unsigned long long>(s.ops));
-    std::printf("  throughput  %.3f ops/cycle\n", s.throughput);
-    std::printf("  latency     %.1f cycles (mean)\n", s.latency);
-    std::printf("  combines    %llu\n",
-                static_cast<unsigned long long>(s.combines));
-    std::printf("  drained     %s\n", s.drained ? "yes" : "NO");
-    std::printf("  theorem 4.2 %s\n", s.checked ? "PASS" : "FAIL");
+    std::printf("  cycles      %llu\n", cycles);
+    std::printf("  ops         %llu\n", ops);
+    std::printf("  throughput  %.3f ops/cycle\n", s.throughput_ops_per_cycle);
+    std::printf("  latency     %.1f cycles (mean)\n", latency);
+    std::printf("  combines    %llu\n", combines);
+    std::printf("  drained     %s\n", drained ? "yes" : "NO");
+    std::printf("  theorem 4.2 %s\n", checked ? "PASS" : "FAIL");
   }
 }
 
-template <core::Rmw M>
-int run_omega(const Options& o) {
-  sim::MachineConfig<M> cfg;
-  cfg.log2_procs = o.log2_procs;
-  cfg.switch_cfg.policy = parse_policy(o.policy);
-  cfg.switch_cfg.allow_order_reversal = o.order_reversal;
-  cfg.mem_cfg.combine_in_queue = o.module_combining;
-  cfg.mem_cfg.service_interval = o.service_interval;
-  cfg.mem_cfg.latency = o.mem_latency;
-  cfg.window = o.window;
-  sim::Machine<M> m(cfg, make_sources<M>(o, 1u << o.log2_procs,
-                                         op_factory<M>()));
-  const bool drained = run_machine(m, o);
+// Runs one machine on the selected engine, checks it against Theorem 4.2
+// and reports. The parallel engine produces a transcript bit-identical to
+// the sequential one, so the check and every reported statistic are
+// engine-independent; the three machines differ only in their config.
+template <typename MachineT, typename Config>
+int simulate(const Options& o, const Config& cfg, std::uint32_t procs) {
+  using M = typename MachineT::rmw_type;
+  MachineT m(cfg, make_sources<M>(o, procs, op_factory<M>()));
+  const unsigned workers =
+      o.workers != 0 ? o.workers
+                     : std::max(1u, std::thread::hardware_concurrency());
+  const bool drained = o.engine == "parallel"
+                           ? m.run_parallel(o.max_cycles, workers)
+                           : m.run(o.max_cycles);
   const auto check = verify::check_machine(m, typename M::value_type{});
-  const auto st = m.stats();
-  report(o, {st.cycles, st.ops_completed, st.throughput_ops_per_cycle,
-             st.latency.mean(), st.combines, drained, check.ok});
-  if (!check.ok) std::fprintf(stderr, "checker: %s\n", check.error.c_str());
-  return drained && check.ok ? 0 : 1;
-}
-
-template <core::Rmw M>
-int run_bus(const Options& o) {
-  sim::BusMachineConfig<M> cfg;
-  cfg.processors = o.procs;
-  cfg.banks = o.banks;
-  cfg.bank_cfg.combine_in_queue = o.module_combining;
-  cfg.bank_cfg.service_interval = o.service_interval;
-  cfg.bank_cfg.latency = o.mem_latency;
-  cfg.window = o.window;
-  sim::BusMachine<M> m(cfg, make_sources<M>(o, o.procs, op_factory<M>()));
-  const bool drained = run_machine(m, o);
-  const auto check = verify::check_machine(m, typename M::value_type{});
-  const auto st = m.stats();
-  report(o, {st.cycles, st.ops_completed, st.throughput_ops_per_cycle,
-             st.latency.mean(), st.queue_combines, drained, check.ok});
-  if (!check.ok) std::fprintf(stderr, "checker: %s\n", check.error.c_str());
-  return drained && check.ok ? 0 : 1;
-}
-
-template <core::Rmw M>
-int run_hypercube(const Options& o) {
-  sim::HypercubeConfig<M> cfg;
-  cfg.dimensions = o.dims;
-  cfg.policy = parse_policy(o.policy);
-  cfg.mem_cfg.combine_in_queue = o.module_combining;
-  cfg.mem_cfg.service_interval = o.service_interval;
-  cfg.mem_cfg.latency = o.mem_latency;
-  cfg.window = o.window;
-  sim::HypercubeMachine<M> m(cfg,
-                             make_sources<M>(o, 1u << o.dims, op_factory<M>()));
-  const bool drained = run_machine(m, o);
-  const auto check = verify::check_machine(m, typename M::value_type{});
-  const auto st = m.stats();
-  report(o, {st.cycles, st.ops_completed, st.throughput_ops_per_cycle,
-             st.latency.mean(), st.combines, drained, check.ok});
+  report(o, m.stats(), drained, check.ok);
   if (!check.ok) std::fprintf(stderr, "checker: %s\n", check.error.c_str());
   return drained && check.ok ? 0 : 1;
 }
 
 template <core::Rmw M>
 int dispatch(const Options& o) {
-  if (o.machine == "omega") return run_omega<M>(o);
-  if (o.machine == "bus") return run_bus<M>(o);
-  if (o.machine == "hypercube") return run_hypercube<M>(o);
+  mem::ModuleConfig mem_cfg;
+  mem_cfg.combine_in_queue = o.module_combining;
+  mem_cfg.service_interval = o.service_interval;
+  mem_cfg.latency = o.mem_latency;
+  if (o.machine == "omega") {
+    sim::MachineConfig<M> cfg;
+    cfg.log2_procs = o.log2_procs;
+    cfg.switch_cfg.policy = parse_policy(o.policy);
+    cfg.switch_cfg.allow_order_reversal = o.order_reversal;
+    cfg.mem_cfg = mem_cfg;
+    cfg.window = o.window;
+    return simulate<sim::Machine<M>>(o, cfg, 1u << o.log2_procs);
+  }
+  if (o.machine == "bus") {
+    sim::BusMachineConfig<M> cfg;
+    cfg.processors = o.procs;
+    cfg.banks = o.banks;
+    cfg.bank_cfg = mem_cfg;
+    cfg.window = o.window;
+    return simulate<sim::BusMachine<M>>(o, cfg, o.procs);
+  }
+  if (o.machine == "hypercube") {
+    sim::HypercubeConfig<M> cfg;
+    cfg.dimensions = o.dims;
+    cfg.policy = parse_policy(o.policy);
+    cfg.mem_cfg = mem_cfg;
+    cfg.window = o.window;
+    return simulate<sim::HypercubeMachine<M>>(o, cfg, 1u << o.dims);
+  }
   std::fprintf(stderr, "unknown machine: %s\n", o.machine.c_str());
   return 2;
 }
