@@ -14,8 +14,9 @@
 //  * BasicClhLock — the implicit-queue variant: an arrival spins on its
 //    PREDECESSOR's node, and release is a single local store; the
 //    releaser recycles its predecessor's node for its own next
-//    acquisition. One fewer remote write than MCS on release; nodes are
-//    arena-owned (the queue outlives any single acquisition).
+//    acquisition. One fewer remote write than MCS on release. Nodes
+//    migrate between threads, so a thread keeps its spare nodes in its
+//    runtime record (thread_ordinal.hpp), and the lock owns only its tail.
 //  * BasicParkingLock — the modern third tier (SNIPPETS part 2): a
 //    3-state word (free / locked / locked-with-waiters) driven by CAS,
 //    with the WaitPolicy deciding whether contended waiters spin, yield,
@@ -40,17 +41,13 @@
 
 #include <atomic>
 #include <cstdint>
-#include <deque>
-#include <mutex>
-#include <unordered_map>
-#include <utility>
 
 #include "analysis/instrument.hpp"
 #include "core/any_rmw.hpp"
 #include "runtime/cacheline.hpp"
 #include "runtime/rmw_backend.hpp"
+#include "runtime/thread_ordinal.hpp"
 #include "runtime/wait_policy.hpp"
-#include "util/assert.hpp"
 
 namespace krs::runtime {
 
@@ -154,69 +151,27 @@ class BasicMcsLock {
 using McsLock = BasicMcsLock<>;
 
 /// Craig / Landin–Hagersten queue lock: the implicit queue. An arrival
-/// swaps its own node onto the tail and spins on the PREDECESSOR's node;
-/// release is one local store. The releaser then adopts the predecessor's
-/// (now free) node for its next acquisition — nodes migrate between
-/// threads, so the lock's arena owns them and handles carry two pointers.
+/// swaps one of its spare nodes onto the tail and spins on the
+/// PREDECESSOR's node; release is one local store. The releaser then
+/// adopts the predecessor's (now free) node as a spare — nodes migrate
+/// between threads and between locks, so they live in the threads' spare
+/// lists (thread_ordinal.hpp), and a thread allocates one only when its
+/// list is empty. The lock owns its tail node: the released dummy it
+/// builds, and whichever node the last release left there.
+///
+/// The node count is bounded by the number of locks plus, for each live
+/// thread, its deepest CLH nesting: an exiting thread's spares pass to the
+/// next thread that takes its ordinal.
 template <WaitPolicy Policy = SpinYieldWait,
           typename Instrument = analysis::DefaultInstrument>
 class BasicClhLock {
- private:
-  struct alignas(kCacheLine) Node {
-    std::atomic<std::uint32_t> locked{0};
-  };
+  using Node = detail::ClhNode;
 
  public:
-  BasicClhLock() : id_(next_id()) {
-    tail_.store(new_node(), std::memory_order_relaxed);  // released dummy
-  }
+  BasicClhLock() { tail_.store(new Node, std::memory_order_relaxed); }
   BasicClhLock(const BasicClhLock&) = delete;
   BasicClhLock& operator=(const BasicClhLock&) = delete;
-
-  /// A thread's reusable queue position. Make one per thread per lock
-  /// (Scoped caches them thread-locally); a handle must not be used
-  /// concurrently with itself.
-  class Handle {
-   public:
-    Handle() = default;
-
-   private:
-    friend class BasicClhLock;
-    Node* mine = nullptr;
-    Node* pred = nullptr;
-  };
-
-  [[nodiscard]] Handle make_handle() {
-    Handle h;
-    h.mine = new_node();
-    return h;
-  }
-
-  void lock(Handle& h) noexcept(!Instrument::enabled) {
-    KRS_EXPECTS(h.mine != nullptr);
-    h.mine->locked.store(1, std::memory_order_relaxed);
-    Instrument::contended_rmw(&tail_, KRS_SITE);
-    Node* pred = tail_.exchange(h.mine, std::memory_order_acq_rel);
-    h.pred = pred;
-    if (pred->locked.load(std::memory_order_relaxed) != 0) {
-      contended_.fetch_add(1, std::memory_order_relaxed);
-    }
-    Policy pol;
-    Instrument::shared_load(&pred->locked, KRS_SITE);
-    while (pred->locked.load(std::memory_order_acquire) != 0) {
-      pol.wait_while_equal(pred->locked, 1);
-    }
-    Instrument::acquire(this);
-  }
-
-  void unlock(Handle& h) noexcept(!Instrument::enabled) {
-    Instrument::release(this);
-    Node* released = h.mine;
-    h.mine = h.pred;  // adopt the predecessor's free node for next time
-    h.pred = nullptr;
-    released->locked.store(0, std::memory_order_release);
-    if constexpr (Policy::kParks) Policy::notify_one(released->locked);
-  }
+  ~BasicClhLock() { delete tail_.load(std::memory_order_relaxed); }
 
   /// Acquisitions that observed a still-held predecessor when they queued.
   /// The deterministic FIFO-stagger tests key on this growing one per
@@ -226,46 +181,48 @@ class BasicClhLock {
     return contended_.load(std::memory_order_relaxed);
   }
 
+  /// The only way to hold the lock: one acquisition, released on scope
+  /// exit, queued on a node taken from the calling thread's spares.
   class Scoped {
    public:
-    explicit Scoped(BasicClhLock& l) : l_(l), h_(l.tls_handle()) {
-      l_.lock(*h_);
+    explicit Scoped(BasicClhLock& l) : l_(l), mine_(detail::pop_clh_node()) {
+      mine_->locked.store(1, std::memory_order_relaxed);
+      Instrument::contended_rmw(&l_.tail_, KRS_SITE);
+      pred_ = l_.tail_.exchange(mine_, std::memory_order_acq_rel);
+      if (pred_->locked.load(std::memory_order_relaxed) != 0) {
+        l_.contended_.fetch_add(1, std::memory_order_relaxed);
+      }
+      Policy pol;
+      Instrument::shared_load(&pred_->locked, KRS_SITE);
+      while (pred_->locked.load(std::memory_order_acquire) != 0) {
+        pol.wait_while_equal(pred_->locked, 1);
+      }
+      Instrument::acquire(&l_);
     }
     Scoped(const Scoped&) = delete;
     Scoped& operator=(const Scoped&) = delete;
-    ~Scoped() { l_.unlock(*h_); }
+
+    /// Hands `mine_` to the successor and keeps the predecessor's node,
+    /// which no other thread reads any more. A parking policy wakes after
+    /// the store, when the successor may already have reused or freed the
+    /// node; the wake only names the word's address, so that costs at most
+    /// a spurious wake.
+    ~Scoped() {
+      Instrument::release(&l_);
+      mine_->locked.store(0, std::memory_order_release);
+      if constexpr (Policy::kParks) Policy::notify_one(mine_->locked);
+      detail::push_clh_node(pred_);
+    }
 
    private:
     BasicClhLock& l_;
-    Handle* h_;
+    Node* mine_;
+    Node* pred_ = nullptr;
   };
 
  private:
-  static std::uint64_t next_id() noexcept {
-    static std::atomic<std::uint64_t> c{0};
-    return c.fetch_add(1, std::memory_order_relaxed);
-  }
-
-  Node* new_node() {
-    std::lock_guard<std::mutex> lk(arena_mu_);
-    return &arena_.emplace_back();  // deque: pointer-stable, lock-owned
-  }
-
-  /// One cached handle per (thread, lock) pair, keyed by a process-unique
-  /// lock id so a destroyed lock's stale cache entries are never touched
-  /// again. Acquires the arena mutex once per pair, never per operation.
-  Handle* tls_handle() {
-    thread_local std::unordered_map<std::uint64_t, Handle> cache;
-    auto [it, fresh] = cache.try_emplace(id_);
-    if (fresh) it->second = make_handle();
-    return &it->second;
-  }
-
-  const std::uint64_t id_;
   alignas(kCacheLine) std::atomic<Node*> tail_{nullptr};
   std::atomic<std::uint64_t> contended_{0};
-  std::mutex arena_mu_;
-  std::deque<Node> arena_;  // owns every node ever issued for this lock
 };
 
 using ClhLock = BasicClhLock<>;

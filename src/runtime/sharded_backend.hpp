@@ -51,6 +51,7 @@
 #include <cstdint>
 #include <new>
 #include <numeric>
+#include <utility>
 #include <vector>
 
 #include "analysis/instrument.hpp"
@@ -62,43 +63,33 @@
 
 namespace krs::runtime {
 
-namespace detail {
-
-struct RouteKeyState {
-  std::uint64_t key = 0;
-  bool active = false;
-};
-
-inline RouteKeyState& route_key_state() noexcept {
-  thread_local RouteKeyState st;
-  return st;
-}
-
-}  // namespace detail
-
 /// The routing key sharded backends resolve for the current thread: the
 /// innermost ScopedRouteKey if one is installed, thread_ordinal()
 /// otherwise.
 inline std::uint64_t route_key() noexcept {
-  const detail::RouteKeyState& st = detail::route_key_state();
-  return st.active ? st.key : thread_ordinal();
+  const detail::ThreadRecord& r = detail::thread_record;
+  return r.routed ? r.route_key : thread_ordinal();
 }
 
-/// RAII override of the current thread's routing key. A worker thread
-/// multiplexing logical clients installs the client's id around each of
-/// the client's operations; nesting restores the outer key on exit.
+/// RAII override of the current thread's routing key, kept in its record
+/// (thread_ordinal.hpp). A worker thread multiplexing logical clients
+/// installs the client's id around each of the client's operations;
+/// nesting restores the outer key on exit.
 class ScopedRouteKey {
  public:
   explicit ScopedRouteKey(std::uint64_t key) noexcept
-      : saved_(detail::route_key_state()) {
-    detail::route_key_state() = {key, true};
-  }
+      : saved_key_(std::exchange(detail::thread_record.route_key, key)),
+        saved_routed_(std::exchange(detail::thread_record.routed, true)) {}
   ScopedRouteKey(const ScopedRouteKey&) = delete;
   ScopedRouteKey& operator=(const ScopedRouteKey&) = delete;
-  ~ScopedRouteKey() { detail::route_key_state() = saved_; }
+  ~ScopedRouteKey() {
+    detail::thread_record.route_key = saved_key_;
+    detail::thread_record.routed = saved_routed_;
+  }
 
  private:
-  detail::RouteKeyState saved_;
+  std::uint64_t saved_key_;
+  bool saved_routed_;
 };
 
 /// The semigroup the aggregation read folds shard values with. Must be

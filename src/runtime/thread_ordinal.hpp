@@ -1,5 +1,5 @@
-// Dense per-thread ordinals, the per-thread record that holds them, and
-// the per-slot counter that keys on them.
+// Dense per-thread ordinals, the per-thread record that holds them and the
+// thread's other runtime state, and the per-slot counter that keys on them.
 //
 // thread_ordinal() is the runtime layer's thread → slot map: a combiner's
 // slot, a reader slot, a simulated processor and a shard key are all
@@ -9,18 +9,22 @@
 // owner clears it with an acquire CAS that reads that fetch_or (or a later
 // RMW of the word), so the old owner's last write happens-before the new
 // owner's first read. SlotCounter builds on that: a word only the slot's owner
-// writes needs no locked read-modify-write to count exactly.
+// writes needs no locked read-modify-write to count exactly. The thread's
+// spare CLH queue nodes pass the same way: the exit hook parks them in the
+// ordinal's pool slot, and the ordinal's next tenant adopts them.
 //
 // A thread's runtime state is one constant-initialized, trivially
-// destructible thread_local record: its ordinal, its wait counters
-// (wait_policy.hpp) and two flags. It registers no C++ thread_local
-// destructor, so a thread's first runtime call allocates nothing (glibc's
-// __cxa_thread_atexit callocs one entry per destructor, and a thread's
-// first malloc gives it its own arena: 4 KiB resident and 64 MiB of
-// address space). The record is torn down by one POSIX thread-specific
-// key instead, the exit hook, armed on the thread's first thread_ordinal()
-// or first wait flush. glibc keeps a key below index 32 inside the thread
-// descriptor, so arming it allocates nothing either.
+// destructible thread_local record, the only thread_local in the runtime:
+// its ordinal, its wait counters (wait_policy.hpp), its shard route key
+// (sharded_backend.hpp), its spare CLH nodes (local_spin_locks.hpp) and
+// three flags. It registers no C++ thread_local destructor, so a thread's
+// first runtime call allocates nothing (glibc's __cxa_thread_atexit callocs
+// one entry per destructor, and a thread's first malloc gives it its own
+// arena: 4 KiB resident and 64 MiB of address space). The record is torn
+// down by one POSIX thread-specific key instead, the exit hook, armed on
+// the thread's first thread_ordinal(), first wait flush or first spare CLH
+// node. glibc keeps a key below index 32 inside the thread descriptor, so
+// arming it allocates nothing either.
 //
 // The tenancy ends in the exit hook, which glibc runs after every C++
 // thread_local destructor: such a destructor still reads the live ordinal
@@ -41,6 +45,8 @@
 #include <mutex>
 #include <type_traits>
 #include <utility>
+
+#include "runtime/cacheline.hpp"
 
 namespace krs::runtime {
 
@@ -76,6 +82,15 @@ struct WaitStats {
 
 namespace detail {
 
+/// A CLH queue node (local_spin_locks.hpp). Nodes migrate between threads
+/// and between locks: a thread enqueues one of its spares and adopts its
+/// predecessor's node on release. `next` links the owning thread's spare
+/// list and is unused while the node is queued.
+struct alignas(kCacheLine) ClhNode {
+  std::atomic<std::uint32_t> locked{0};
+  ClhNode* next = nullptr;
+};
+
 /// Process-wide pool of dense thread ordinals. An exiting thread returns
 /// its ordinal (in the exit hook below) and the smallest free ordinal is
 /// handed out next, so a churny process keeps its live threads dense in
@@ -88,11 +103,17 @@ namespace detail {
 ///
 /// The free set is a fixed bitmap of the first kCapacity ordinals in
 /// atomic words, so release never allocates (it runs in an exiting
-/// thread's exit hook).
+/// thread's exit hook). Each of those ordinals also has a slot that parks
+/// its last tenant's spare CLH nodes for the next one. A slot is touched
+/// only by the ordinal's owner, ordered by the bitmap's fetch_or and CAS.
+/// The slot table is allocated on the process's first CLH node allocation
+/// (make_slots), before any thread can hold a spare, so parking allocates
+/// nothing either, and a process that takes no CLH lock has no table.
 /// Past the capacity, ordinals are handed out fresh from the counter and
-/// never reused: release drops an ordinal at or above kCapacity. A process
-/// that keeps more than kCapacity threads alive at once therefore counts
-/// past them, which widens only the aliasing of slot_of mappings.
+/// never reused: release drops an ordinal at or above kCapacity, and
+/// park_spares frees its spares. A process that keeps more than kCapacity
+/// threads alive at once therefore counts past them, which widens only the
+/// aliasing of slot_of mappings.
 class OrdinalPool {
  public:
   static constexpr unsigned kCapacity = 1024;
@@ -125,11 +146,37 @@ class OrdinalPool {
     }
   }
 
+  /// Parks the spares of ordinal `o`'s tenant for the next one, before
+  /// release(o); past the capacity, where `o` is never reused, frees them.
+  void park_spares(unsigned o, ClhNode* spares) noexcept {
+    ClhNode** const slots = slots_.load(std::memory_order_acquire);
+    if (o >= kCapacity || slots == nullptr) {
+      while (spares != nullptr) delete std::exchange(spares, spares->next);
+    } else if (spares != nullptr) {
+      slots[o] = spares;
+    }
+  }
+
+  /// Takes the spares parked for ordinal `o`, after acquire() returned it.
+  ClhNode* adopt_spares(unsigned o) noexcept {
+    ClhNode** const slots = slots_.load(std::memory_order_acquire);
+    if (o >= kCapacity || slots == nullptr) return nullptr;
+    return std::exchange(slots[o], nullptr);
+  }
+
+  void make_slots() {
+    if (slots_.load(std::memory_order_acquire) != nullptr) return;
+    ClhNode** expected = nullptr;
+    ClhNode** const made = new ClhNode*[kCapacity]{};
+    if (!slots_.compare_exchange_strong(expected, made)) delete[] made;
+  }
+
  private:
   static constexpr unsigned kWords = kCapacity / 64;
 
   std::atomic<std::uint64_t> free_[kWords] = {};  // bit o: ordinal o is free
   std::atomic<unsigned> next_{0};
+  std::atomic<ClhNode**> slots_{nullptr};  // slot o: its last tenant's spares
 };
 
 /// Wait work of exited threads, added once per thread exit and read only
@@ -149,22 +196,29 @@ struct ThreadRecord {
   /// The ordinal while the tenancy lasts, else kNoOrdinal (before the
   /// first thread_ordinal() and after the exit hook).
   unsigned ordinal = kNoOrdinal;
-  bool ended = false;  ///< the exit hook has run: take no ordinal again
-  bool armed = false;  ///< the exit hook runs when this thread exits
-  WaitStats waits;     ///< running totals, drained by the exit hook
+  bool ended = false;   ///< the exit hook has run: take no ordinal again
+  bool armed = false;   ///< the exit hook runs when this thread exits
+  bool routed = false;  ///< a ScopedRouteKey installed route_key
+  WaitStats waits;      ///< running totals, drained by the exit hook
+  std::uint64_t route_key = 0;  ///< the shard route key while routed
+  ClhNode* spares = nullptr;    ///< spare CLH nodes, linked by `next`
 };
 
 // Constant-initialized and trivially destructible: reading the record is
 // one thread-local access with no initialization guard or wrapper call,
 // and it registers no destructor.
 static_assert(std::is_trivially_destructible_v<ThreadRecord>);
+// Every thread carries it in its static TLS block: keep it within a line.
+static_assert(sizeof(ThreadRecord) <= kCacheLine);
 inline thread_local constinit ThreadRecord thread_record{};
 
 /// The exit hook: drains the wait counters into the process totals, so a
 /// coordinator that has JOINED its workers reads exact sums, then ends the
-/// tenancy, clearing the ordinal before it goes back to the pool. The key
-/// was cleared before this call (POSIX), so a wait flush from a later key
-/// destructor re-arms the hook and is drained on the next pass.
+/// tenancy, clearing the ordinal before it goes back to the pool with the
+/// thread's spare CLH nodes. The key was cleared before this call (POSIX),
+/// so a wait flush or a spare from a later key destructor re-arms the hook
+/// and is drained on the next pass, where the ordinal reads kNoOrdinal and
+/// the spares are freed.
 inline void on_thread_exit(void* p) noexcept {
   ThreadRecord& r = *static_cast<ThreadRecord*>(p);
   r.armed = false;
@@ -174,14 +228,14 @@ inline void on_thread_exit(void* p) noexcept {
     const std::lock_guard<std::mutex> lk(g.mu);
     g.exited += std::exchange(r.waits, {});
   }
-  if (const unsigned o = std::exchange(r.ordinal, kNoOrdinal);
-      o != kNoOrdinal) {
-    OrdinalPool::instance().release(o);
-  }
+  OrdinalPool& pool = OrdinalPool::instance();
+  const unsigned o = std::exchange(r.ordinal, kNoOrdinal);
+  pool.park_spares(o, std::exchange(r.spares, nullptr));
+  pool.release(o);
 }
 
 /// Arms the exit hook for the calling thread: once, on its first
-/// thread_ordinal() or first wait flush.
+/// thread_ordinal(), first wait flush or first spare CLH node.
 [[gnu::cold, gnu::noinline]] inline void arm_exit_hook() noexcept {
   static const pthread_key_t key = [] {
     pthread_key_t k;
@@ -193,13 +247,49 @@ inline void on_thread_exit(void* p) noexcept {
 }
 
 /// The cold half of thread_ordinal(): takes the tenancy on a thread's
-/// first call. A call after the exit hook ran returns kNoOrdinal.
+/// first call, with the spare CLH nodes the ordinal's last tenant parked.
+/// The thread holds no spare yet: its first comes from a CLH release, and
+/// its first CLH acquire takes the tenancy. A call after the exit hook ran
+/// returns kNoOrdinal.
 [[gnu::cold, gnu::noinline]] inline unsigned take_ordinal() noexcept {
   ThreadRecord& r = thread_record;
   if (r.ended) return kNoOrdinal;
-  r.ordinal = OrdinalPool::instance().acquire();
+  OrdinalPool& pool = OrdinalPool::instance();
+  r.ordinal = pool.acquire();
+  r.spares = pool.adopt_spares(r.ordinal);
   if (!r.armed) arm_exit_hook();
   return r.ordinal;
+}
+
+/// The calling thread's record with its exit hook armed, so that the
+/// wait counters and spare CLH nodes it gains drain when the thread exits.
+inline ThreadRecord& armed_record() noexcept {
+  if (!thread_record.armed) [[unlikely]] arm_exit_hook();
+  return thread_record;
+}
+
+/// The cold half of pop_clh_node(): takes the tenancy, which may adopt
+/// spares, and allocates only if it adopted none.
+[[gnu::cold, gnu::noinline]] inline ClhNode* take_clh_node() {
+  ThreadRecord& r = thread_record;
+  if (r.ordinal == kNoOrdinal) (void)take_ordinal();
+  if (r.spares != nullptr) return std::exchange(r.spares, r.spares->next);
+  OrdinalPool::instance().make_slots();
+  return new ClhNode;
+}
+
+/// One of the calling thread's spare CLH nodes, for it to enqueue.
+inline ClhNode* pop_clh_node() {
+  ThreadRecord& r = thread_record;
+  if (r.spares == nullptr) [[unlikely]] return take_clh_node();
+  return std::exchange(r.spares, r.spares->next);
+}
+
+/// Gives the calling thread a spare CLH node: the predecessor's node a
+/// release adopts.
+inline void push_clh_node(ClhNode* n) noexcept {
+  ThreadRecord& r = armed_record();
+  n->next = std::exchange(r.spares, n);
 }
 
 }  // namespace detail

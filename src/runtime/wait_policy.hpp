@@ -100,17 +100,6 @@ inline void cpu_relax() noexcept {
 #endif
 }
 
-namespace detail {
-
-/// The calling thread's wait counters, with the exit hook armed so that
-/// they drain into the process totals when the thread exits.
-inline WaitStats& wait_counters() noexcept {
-  if (!thread_record.armed) [[unlikely]] arm_exit_hook();
-  return thread_record.waits;
-}
-
-}  // namespace detail
-
 /// This thread's accumulated wait work (policies flush here on reset and
 /// destruction — counts from a policy object mid-episode are not yet
 /// visible). Monotone within a thread; sample deltas around a region.
@@ -338,7 +327,7 @@ class PacedWait {
   static void notify(std::atomic<std::uint32_t>& w, bool all) noexcept {
     if constexpr (kParks) {
       detail::do_wake(&w, all);
-      ++detail::wait_counters().wakes;
+      ++detail::armed_record().waits.wakes;
     }
   }
 
@@ -384,7 +373,7 @@ class PacedWait {
   }
 
   void flush() noexcept {
-    detail::wait_counters() += local_;
+    detail::armed_record().waits += local_;
     local_ = {};
   }
 

@@ -41,7 +41,6 @@ struct BusMachineConfig {
 };
 
 struct BusMachineStats : SimStats {
-  std::uint64_t queue_combines = 0;
   std::uint64_t bus_busy_cycles = 0;
 };
 
@@ -104,7 +103,6 @@ class BusMachine : public MachineShell<BusMachine<M>, M> {
   }
 
   void add_stats(BusMachineStats& s) const {
-    for (const auto& b : modules_) s.queue_combines += b.stats().queue_combines;
     s.bus_busy_cycles = bus_busy_;
   }
 

@@ -1,12 +1,16 @@
-// The sharded cell's heap footprint, pinned with a counting global
-// allocator. This is its own executable so that no other test sees the
-// replaced operator new/delete.
+// Heap footprints pinned with a counting global allocator. This is its
+// own executable so that no other test sees the replaced operator
+// new/delete.
 //
 // A ShardedBackend<AtomicBackend>::Cell of S shards is one allocation of
 // S lines (the shards, built in place in one line-aligned block) and a
 // Cell object of at most 24 bytes. A node-based container fails it: a
 // std::deque of the same shards makes 3 allocations of 1088 bytes in all
 // at S = 8.
+//
+// A CLH lock's queue nodes migrate between threads, and an exiting
+// thread's spares pass to the next thread that takes its ordinal, so
+// thread churn on one lock allocates a node once, not once per thread.
 //
 // Every form of the global operator new/delete is replaced (plain,
 // array, aligned, sized, nothrow), all on malloc/posix_memalign/free, so
@@ -19,8 +23,10 @@
 #include <cstdint>
 #include <cstdlib>
 #include <new>
+#include <thread>
 
 #include "runtime/cacheline.hpp"
+#include "runtime/local_spin_locks.hpp"
 #include "runtime/rmw_backend.hpp"
 #include "runtime/sharded_backend.hpp"
 
@@ -108,6 +114,28 @@ TEST(Footprint, ShardedCellIsOneLineAlignedAllocation) {
 
 TEST(Footprint, ShardedCellObjectIsSmall) {
   EXPECT_LE(sizeof(Sharded::Cell), 24u);
+}
+
+/// operator new calls made while `threads` threads run `body` one after
+/// another, each joined before the next starts.
+template <typename F>
+std::size_t sequential_thread_allocations(unsigned threads, F body) {
+  allocations = 0;
+  counting = true;
+  for (unsigned t = 0; t < threads; ++t) std::thread(body).join();
+  counting = false;
+  return allocations.load();
+}
+
+TEST(Footprint, ClhLockThreadChurnDoesNotGrow) {
+  constexpr unsigned kThreads = 1000;
+  const std::size_t baseline = sequential_thread_allocations(kThreads, [] {});
+  ClhLock lock;
+  const std::size_t churn = sequential_thread_allocations(
+      kThreads, [&] { const ClhLock::Scoped g(lock); });
+  // The first thread allocates one node and the pool's slot table; a
+  // per-lock cache per thread would allocate at least once per thread.
+  EXPECT_LE(churn, baseline + 4) << "baseline " << baseline;
 }
 
 }  // namespace

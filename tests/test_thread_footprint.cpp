@@ -12,7 +12,9 @@
 // destructible record torn down by a thread-specific-data key instead
 // (runtime/thread_ordinal.hpp), so a fresh thread's first operations on
 // every structure below, one wait episode and thread_wait_stats() make
-// no allocation at all, and neither does its exit hook.
+// no allocation at all, and neither does its exit hook. A CLH lock queues
+// on nodes the thread keeps in that record; a thread that finds none
+// adopts those its ordinal's last tenant left.
 //
 // malloc, calloc, realloc, aligned_alloc, posix_memalign, memalign and
 // free are replaced by forwarders to glibc's __libc_* entry points; glibc
@@ -33,6 +35,7 @@
 
 #include "runtime/combining_backend.hpp"
 #include "runtime/coordination.hpp"
+#include "runtime/local_spin_locks.hpp"
 #include "runtime/parallel_queue.hpp"
 #include "runtime/rmw_backend.hpp"
 #include "runtime/sharded_backend.hpp"
@@ -222,14 +225,25 @@ TEST(ThreadFootprint, ParallelQueueAllocatesNothing) {
   EXPECT_EQ(got, 7);
 }
 
-// The exit hook returns a worker's ordinal to the pool and drains its
-// wait counters; neither may allocate, or a worker that never allocated
-// makes its first malloc (and gets its own arena) as it exits. A probe key
-// whose destructor re-arms itself once reads the counter on the second
-// destructor pass, after the hook has run; its baseline is taken at the
-// end of the thread's body, so the count is the hook's alone (std::thread
-// only frees its state in between). Eight workers live at once release
-// eight ordinals together, the case where a growable free list grows.
+TEST(ThreadFootprint, ClhLockAllocatesNothing) {
+  // The warm-up thread allocates the node its acquisition queues on and
+  // the pool's slot table; its exit hook parks the node it adopted on
+  // release, and the next thread to take the ordinal queues on that one.
+  ClhLock lock;
+  std::thread([&] { const ClhLock::Scoped g(lock); }).join();
+  EXPECT_EQ(first_use_allocations([&] { const ClhLock::Scoped g(lock); }),
+            0u);
+}
+
+// The exit hook returns a worker's ordinal to the pool with its spare CLH
+// nodes and drains its wait counters; none of it may allocate, or a worker
+// that never allocated makes its first malloc (and gets its own arena) as
+// it exits. A probe key whose destructor re-arms itself once reads the
+// counter on the second destructor pass, after the hook has run; its
+// baseline is taken at the end of the thread's body, so the count is the
+// hook's alone (std::thread only frees its state in between). Eight
+// workers live at once release eight ordinals together, the case where a
+// growable free list grows.
 namespace exit_probe {
 
 pthread_key_t key;
@@ -253,12 +267,14 @@ void on_exit(void* p) {
 TEST(ThreadFootprint, ExitHooksAllocateNothing) {
   ASSERT_EQ(pthread_key_create(&exit_probe::key, exit_probe::on_exit), 0);
   constexpr unsigned kWorkers = 8;
+  ClhLock lock;
   std::atomic<unsigned> arrived{0};
   std::vector<std::thread> ts;
   ts.reserve(kWorkers);
   for (unsigned t = 0; t < kWorkers; ++t) {
     ts.emplace_back([&] {
       (void)thread_ordinal();  // takes an ordinal and arms the hook
+      { const ClhLock::Scoped g(lock); }  // a spare node for the hook
       SpinYieldWait pol;
       pol.pause();
       pol.reset();  // a wait count for the hook to drain

@@ -29,6 +29,7 @@
 #include <chrono>
 #include <cstdint>
 #include <mutex>
+#include <optional>
 #include <thread>
 #include <vector>
 
@@ -494,8 +495,7 @@ TEST(McsLock, FifoHandoffUnderStagger) {
 TEST(ClhLock, FifoHandoffUnderStagger) {
   for (unsigned nthreads : {2u, 4u, 8u}) {
     ClhLock lk;
-    ClhLock::Handle h = lk.make_handle();
-    lk.lock(h);
+    std::optional<ClhLock::Scoped> main_hold(std::in_place, lk);
 
     std::mutex order_mu;
     std::vector<unsigned> order;
@@ -509,7 +509,7 @@ TEST(ClhLock, FifoHandoffUnderStagger) {
       });
       while (lk.contended_acquires() < i) std::this_thread::yield();
     }
-    lk.unlock(h);
+    main_hold.reset();
     for (auto& t : threads) t.join();
 
     ASSERT_EQ(order.size(), nthreads);
