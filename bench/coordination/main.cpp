@@ -9,8 +9,8 @@
 // OPERATION rather than host wall-clock. One benchmark iteration = one
 // round of the primitive's §6 traffic pattern injected as simultaneous
 // waves via SimBackend::run_wave, so the reported cycles_per_op is a pure
-// function of the pattern — bit-identical at every --workers count and on
-// every host, comparable against the paper's analytic O(lg n) formulas.
+// function of the pattern — bit-identical on every host, comparable
+// against the paper's analytic O(lg n) formulas.
 //
 // One translation unit per substrate (coordination_loops.hpp says why):
 //   atomic.cpp     — the backend rows on AtomicBackend;

@@ -27,9 +27,6 @@ namespace {
 //   combine_rate        — switch combine events per network op (§4.2)
 //   mean_latency_cycles — mean issue→reply latency
 //   sim_cycles          — total simulated cycles (scales with iterations)
-// The `workers` arg is the ENGINE worker count: it must not change any
-// counter (the parallel engine is bit-identical) — pinned by
-// test_sim_backend.cpp and visible in the JSON as identical rows.
 
 using krs::core::AnyRmw;
 using krs::core::FetchAdd;
@@ -37,10 +34,8 @@ using krs::core::LssOp;
 
 constexpr unsigned kSimLogProcs = 3;  // n = 8
 
-SimBackend make_sim_backend(benchmark::State& state) {
-  return SimBackend(SimBackendConfig{
-      .log2_procs = kSimLogProcs,
-      .engine_workers = static_cast<unsigned>(state.range(0))});
+SimBackend make_sim_backend() {
+  return SimBackend(SimBackendConfig{.log2_procs = kSimLogProcs});
 }
 
 std::vector<SimBackend::WaveOp> full_wave(const SimBackend& b,
@@ -61,21 +56,19 @@ void report_sim_counters(benchmark::State& state, const SimBackend& b) {
 
 void BM_SimCounter(benchmark::State& state) {
   // The hotspot counter: every processor fetch-adds the same cell at once.
-  SimBackend b = make_sim_backend(state);
+  SimBackend b = make_sim_backend();
   SimBackend::Cell cell(b, 0);
   for (auto _ : state) {
     benchmark::DoNotOptimize(b.run_wave(full_wave(b, cell, AnyRmw(FetchAdd(1)))));
   }
   report_sim_counters(state, b);
 }
-BENCHMARK(BM_SimCounter)
-    ->Name("BM_SimCoordination/counter")
-    ->ArgNames({"workers"})->Arg(1)->Arg(2);
+BENCHMARK(BM_SimCounter)->Name("BM_SimCoordination/counter");
 
 void BM_SimBarrier(benchmark::State& state) {
   // One barrier episode: all n increment the arrival count, all n read the
   // phase word while waiting, the last arriver advances the phase.
-  SimBackend b = make_sim_backend(state);
+  SimBackend b = make_sim_backend();
   SimBackend::Cell count(b, 0);
   SimBackend::Cell phase(b, 0);
   for (auto _ : state) {
@@ -85,15 +78,13 @@ void BM_SimBarrier(benchmark::State& state) {
   }
   report_sim_counters(state, b);
 }
-BENCHMARK(BM_SimBarrier)
-    ->Name("BM_SimCoordination/barrier")
-    ->ArgNames({"workers"})->Arg(1)->Arg(2);
+BENCHMARK(BM_SimBarrier)->Name("BM_SimCoordination/barrier");
 
 void BM_SimRwLock(benchmark::State& state) {
   // Read-mostly acquire/release: all n join the reader count, all n leave.
   // (The writer path is the same fetch-add traffic on the same word with a
   // writer-weight operand, so the reader wave is the cost-carrying shape.)
-  SimBackend b = make_sim_backend(state);
+  SimBackend b = make_sim_backend();
   SimBackend::Cell word(b, 0);
   for (auto _ : state) {
     (void)b.run_wave(full_wave(b, word, AnyRmw(FetchAdd(1))));
@@ -101,13 +92,11 @@ void BM_SimRwLock(benchmark::State& state) {
   }
   report_sim_counters(state, b);
 }
-BENCHMARK(BM_SimRwLock)
-    ->Name("BM_SimCoordination/rwlock")
-    ->ArgNames({"workers"})->Arg(1)->Arg(2);
+BENCHMARK(BM_SimRwLock)->Name("BM_SimCoordination/rwlock");
 
 void BM_SimSemaphore(benchmark::State& state) {
   // P then V from every processor: decrement wave, increment wave.
-  SimBackend b = make_sim_backend(state);
+  SimBackend b = make_sim_backend();
   SimBackend::Cell sem(b, 8);
   for (auto _ : state) {
     (void)b.run_wave(full_wave(b, sem, AnyRmw(FetchAdd(Word(0) - 1))));
@@ -115,14 +104,12 @@ void BM_SimSemaphore(benchmark::State& state) {
   }
   report_sim_counters(state, b);
 }
-BENCHMARK(BM_SimSemaphore)
-    ->Name("BM_SimCoordination/semaphore")
-    ->ArgNames({"workers"})->Arg(1)->Arg(2);
+BENCHMARK(BM_SimSemaphore)->Name("BM_SimCoordination/semaphore");
 
 void BM_SimQueue(benchmark::State& state) {
   // The parallel FIFO's traffic: a tail-ticket wave (hot), one swap per
   // processor into its own slot (conflict-free), then a head-ticket wave.
-  SimBackend b = make_sim_backend(state);
+  SimBackend b = make_sim_backend();
   SimBackend::Cell tail(b, 0);
   SimBackend::Cell head(b, 0);
   std::vector<std::unique_ptr<SimBackend::Cell>> slots;  // cells don't move
@@ -140,9 +127,7 @@ void BM_SimQueue(benchmark::State& state) {
   }
   report_sim_counters(state, b);
 }
-BENCHMARK(BM_SimQueue)
-    ->Name("BM_SimCoordination/queue")
-    ->ArgNames({"workers"})->Arg(1)->Arg(2);
+BENCHMARK(BM_SimQueue)->Name("BM_SimCoordination/queue");
 
 // --- stochastic arrival scenarios (the workload dimension) ------------------
 //
@@ -153,7 +138,7 @@ BENCHMARK(BM_SimQueue)
 // mixture, on/off bursty, closed-loop with think times), so cycles_per_op
 // gains a `scenario` dimension and the per-op latency distribution comes
 // out in machine cycles (latency_p50/p99_cycles). Deterministic like the
-// waves: fixed seeds, fixed poll order, engine-independent.
+// waves: fixed seeds, fixed poll order.
 //
 // The machine has n = 64 processors, and each row runs with the switches'
 // combining off and on (`combine` = 0/1). With one op in flight per
@@ -170,9 +155,8 @@ SimBackend make_scenario_backend(benchmark::State& state) {
   krs::net::SwitchConfig sw;
   sw.policy = state.range(0) != 0 ? krs::net::CombinePolicy::kUnlimited
                                   : krs::net::CombinePolicy::kNone;
-  return SimBackend(SimBackendConfig{.log2_procs = kScenarioLogProcs,
-                                     .engine_workers = 1,
-                                     .switch_cfg = sw});
+  return SimBackend(
+      SimBackendConfig{.log2_procs = kScenarioLogProcs, .switch_cfg = sw});
 }
 
 template <typename MakeSource>
@@ -294,8 +278,7 @@ void BM_SimCounterScale(benchmark::State& state) {
   krs::net::SwitchConfig sw;
   sw.policy = combine ? krs::net::CombinePolicy::kUnlimited
                       : krs::net::CombinePolicy::kNone;
-  SimBackend b(SimBackendConfig{
-      .log2_procs = k, .engine_workers = 1, .switch_cfg = sw});
+  SimBackend b(SimBackendConfig{.log2_procs = k, .switch_cfg = sw});
   SimBackend::Cell cell(b, 0);
   for (auto _ : state) {
     benchmark::DoNotOptimize(

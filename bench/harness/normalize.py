@@ -24,11 +24,10 @@ tracks (see docs/PERFORMANCE.md):
       ratio hovers near 1.0 by construction.
   sim_cycles_per_op — the sim-backend dimension: network cycles per RMW
       for each BM_SimCoordination/<primitive> row, keyed by the family
-      suffix with benchmark args folded in ("counter/workers=W",
+      suffix with benchmark args folded in ("counter",
       "counter_scale/k=K/combine=C"). Cycle-accounted on the simulated
-      Omega machine, so the values are HOST-INDEPENDENT (and identical
-      across workers=… rows — the parallel engine is bit-identical);
-      these are the numbers to place against the paper's §6 formulas.
+      Omega machine, so the values are HOST-INDEPENDENT; these are the
+      numbers to place against the paper's §6 formulas.
       The counter_scale rows sweep machine size k ∈ {6,8,10} × combine
       policy on/off — the §4.2 curve pair.
   flat_vs_tree_ops_ratio — fourth-substrate crossover: throughput of
@@ -242,9 +241,9 @@ def normalize(runs, context, config, profiles=()):
 
     # The sim-backend dimension: cycle-accounted cost per §6 primitive on
     # the simulated Omega machine, keyed by the family suffix with every
-    # benchmark arg folded in ("counter/workers=W",
+    # benchmark arg folded in ("counter",
     # "counter_scale/k=K/combine=C"). These are paper units —
-    # deterministic per pattern, identical across workers.
+    # deterministic per pattern.
     sim_prefix = "BM_SimCoordination/"
     sim_cycles = {}
     for b in benchmarks:

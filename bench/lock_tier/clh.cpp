@@ -7,7 +7,7 @@ using namespace krs::runtime;
 namespace {
 
 LockBackend<ClhLock> g_rig;
-LockBackend<ClhLock>::Cell g_cell(g_rig, 0);
+alignas(krs::bench::kCellAlign) LockBackend<ClhLock>::Cell g_cell(g_rig, 0);
 
 void BM_LockTierClh(benchmark::State& state) {
   krs::bench::lock_tier_loop(state, g_rig, g_cell);

@@ -8,7 +8,7 @@ using namespace krs::runtime;
 namespace {
 
 CombiningBackend g_rig{16};
-CombiningBackend::Cell g_cell(g_rig, 0);
+alignas(krs::bench::kCellAlign) CombiningBackend::Cell g_cell(g_rig, 0);
 
 void BM_LockTierCombining(benchmark::State& state) {
   krs::bench::lock_tier_loop(state, g_rig, g_cell);

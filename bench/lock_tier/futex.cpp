@@ -8,7 +8,7 @@ using namespace krs::runtime;
 namespace {
 
 LockBackend<ParkingLock> g_rig;
-LockBackend<ParkingLock>::Cell g_cell(g_rig, 0);
+alignas(krs::bench::kCellAlign) LockBackend<ParkingLock>::Cell g_cell(g_rig, 0);
 
 void BM_LockTierFutex(benchmark::State& state) {
   krs::bench::lock_tier_loop(state, g_rig, g_cell);

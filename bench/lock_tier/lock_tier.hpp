@@ -11,9 +11,15 @@
 #include <thread>
 #include <vector>
 
+#include "runtime/cacheline.hpp"
 #include "runtime/wait_policy.hpp"
 
 namespace krs::bench {
+
+/// Every rig's `g_cell` starts on a 128-byte boundary, so its lines share
+/// one adjacent-line-prefetch pair whatever `.bss` layout the link picks:
+/// without it a row moved with unrelated size changes elsewhere.
+inline constexpr std::size_t kCellAlign = 2 * runtime::kCacheLine;
 
 /// One hot counter through `backend`: a fetch_add per iteration, with the
 /// thread's wait telemetry delta reported as counters.

@@ -7,7 +7,7 @@ using namespace krs::runtime;
 namespace {
 
 LockBackend<McsLock> g_rig;
-LockBackend<McsLock>::Cell g_cell(g_rig, 0);
+alignas(krs::bench::kCellAlign) LockBackend<McsLock>::Cell g_cell(g_rig, 0);
 
 void BM_LockTierMcs(benchmark::State& state) {
   krs::bench::lock_tier_loop(state, g_rig, g_cell);

@@ -8,7 +8,8 @@ using namespace krs::runtime;
 namespace {
 
 LockBackend<BasicParkingLock<SpinWait>> g_rig;
-LockBackend<BasicParkingLock<SpinWait>>::Cell g_cell(g_rig, 0);
+alignas(krs::bench::kCellAlign)
+    LockBackend<BasicParkingLock<SpinWait>>::Cell g_cell(g_rig, 0);
 
 void BM_LockTierSpin(benchmark::State& state) {
   krs::bench::lock_tier_loop(state, g_rig, g_cell);

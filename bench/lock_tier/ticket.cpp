@@ -9,7 +9,7 @@ using namespace krs::runtime;
 namespace {
 
 LockBackend<TicketLock> g_rig;
-LockBackend<TicketLock>::Cell g_cell(g_rig, 0);
+alignas(krs::bench::kCellAlign) LockBackend<TicketLock>::Cell g_cell(g_rig, 0);
 
 void BM_LockTierTicket(benchmark::State& state) {
   krs::bench::lock_tier_loop(state, g_rig, g_cell);

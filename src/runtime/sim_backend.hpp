@@ -5,13 +5,12 @@
 // and software-combining backends): every Cell is an ALLOCATED ADDRESS in
 // a cycle-accurate Omega machine (sim/machine.hpp), and every fetch-and-θ
 // becomes a combinable RMW packet injected at the calling thread's
-// simulated processor, stepped through the cycle-sharded engine, combined
-// in the switches per §4, and decombined back per §3. The §6 coordination
-// repertoire — written once against the RmwBackend concept — therefore
-// runs unchanged on the machine the paper actually analyzes, and its costs
-// come out in PAPER UNITS (network cycles per operation, combine rate,
-// per-stage stalls) instead of wall-clock on whatever host CI happens to
-// own.
+// simulated processor, stepped cycle by cycle, combined in the switches
+// per §4, and decombined back per §3. The §6 coordination repertoire —
+// written once against the RmwBackend concept — therefore runs unchanged
+// on the machine the paper actually analyzes, and its costs come out in
+// PAPER UNITS (network cycles per operation, combine rate, issue→reply
+// latency) instead of wall-clock on whatever host CI happens to own.
 //
 // Operation mapping: fetch_rmw(m) injects m verbatim as one packet
 // (cross-family pairs decline in the switches — §7); store and load are
@@ -29,16 +28,17 @@
 // its own reply lands) or spins with backoff while another thread's
 // driving serves it. Mailbox hand-off is a small atomic state machine
 // (Empty → Claimed → Posted → InFlight → Done → Empty); the driver side
-// runs inside the engine's consume sub-phase, where each processor's
-// source is touched by exactly one shard.
+// runs inside machine.tick(), and every tick is taken under the driver
+// mutex, so the machine is only ever stepped sequentially.
 //
-// Determinism. Threaded injection is scheduled by the OS, but run_wave()
-// posts one operation per simulated processor in the SAME cycle and steps
-// the machine to drain under a single caller — and the parallel engine is
-// bit-identical to the sequential one, so every cycle count the backend
-// reports from a wave workload is a pure function of the wave sequence,
-// identical at every engine worker count and host CPU count. That is what
-// lets bench_coordination's sim dimension claim paper-unit numbers.
+// Determinism. Threaded injection is scheduled by the OS; the single-
+// caller driver is not. run_traffic() polls its sources in processor
+// order once per cycle and ticks until they finish and every reply has
+// landed, and run_wave() is run_traffic() over one-shot sources that all
+// issue in its first cycle. Every cycle count the backend reports from
+// either is therefore a pure function of the traffic, identical on every
+// host. That is what lets bench_coordination's sim dimension claim
+// paper-unit numbers.
 #pragma once
 
 #include <atomic>
@@ -46,7 +46,6 @@
 #include <memory>
 #include <mutex>
 #include <optional>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -69,10 +68,6 @@ namespace krs::runtime {
 struct SimBackendConfig {
   /// n = 2^k simulated processors, memory modules, and network stages.
   unsigned log2_procs = 3;
-  /// Engine worker threads used by run_wave() drains (1 = sequential).
-  /// Any value yields bit-identical machine states and cycle counts; >1
-  /// only changes host wall-clock.
-  unsigned engine_workers = 1;
   net::SwitchConfig switch_cfg{};
   mem::ModuleConfig mem_cfg{};
 };
@@ -90,16 +85,14 @@ struct SimCellStats {
   }
 };
 
-/// Backend-wide cycle accounting, aggregated from the machine transcript
-/// and the per-processor sources.
+/// Backend-wide cycle accounting: the machine clock and combine log, the
+/// serialized compare_exchange count, and the per-cell accounting summed.
 struct SimBackendStats {
   core::Tick cycles = 0;                 ///< machine clock
   std::uint64_t network_ops = 0;         ///< RMWs routed through the network
   std::uint64_t root_serialized_ops = 0; ///< compare_exchange, at the module
   std::uint64_t combines = 0;            ///< combines, switch and module FIFO
   std::uint64_t latency_cycles = 0;      ///< summed issue→reply latency
-  std::uint64_t switch_stall_cycles = 0; ///< arrivals that could not move
-  std::vector<std::uint64_t> stage_stalls;  ///< stalls per network stage
 
   [[nodiscard]] std::uint64_t ops() const {
     return network_ops + root_serialized_ops;
@@ -210,34 +203,23 @@ class BasicSimBackend
 
   /// Inject wave[i] at simulated processor i in the SAME cycle, step the
   /// machine until every reply has decombined back, and return the priors
-  /// in processor order. The caller must be the only thread using the
-  /// backend. Cycle counts after a wave sequence are a pure function of
-  /// that sequence — identical at every engine_workers value (the
-  /// parallel engine is bit-identical to the sequential one) and on every
-  /// host. This is the §6 measurement surface: one wave = one round of a
-  /// primitive's hot-path RMW pattern across all n processors.
+  /// in wave order. This is run_traffic over one-shot sources, one per
+  /// op, that all issue on their first poll: same single-caller contract,
+  /// same determinism. It is the §6 measurement surface: one wave = one
+  /// round of a primitive's hot-path RMW pattern across all n processors.
   std::vector<Word> run_wave(const std::vector<WaveOp>& wave) const {
-    KRS_EXPECTS(wave.size() <= s_->nprocs);
-    std::lock_guard<std::mutex> lk(s_->mu);
-    for (std::size_t i = 0; i < wave.size(); ++i) {
-      Mailbox& mb = s_->mailboxes[i];
-      unsigned expect = kEmpty;
-      const bool claimed = mb.state.compare_exchange_strong(
-          expect, kClaimed, std::memory_order_acquire,
-          std::memory_order_relaxed);
-      KRS_EXPECTS(claimed && "run_wave requires an otherwise idle backend");
-      mb.addr = wave[i].cell->addr;
-      mb.op = wave[i].op;
-      mb.state.store(kPosted, std::memory_order_release);
+    if (wave.empty()) return {};
+    std::vector<OneShot> shots;
+    std::vector<proc::TrafficSource<core::AnyRmw>*> sources;
+    shots.reserve(wave.size());  // no reallocation: sources point in
+    for (const WaveOp& w : wave) {
+      shots.emplace_back(w.cell->addr, w.op);
+      sources.push_back(&shots.back());
     }
-    s_->drive_until_drained_locked();
-    std::vector<Word> priors(wave.size());
-    for (std::size_t i = 0; i < wave.size(); ++i) {
-      Mailbox& mb = s_->mailboxes[i];
-      KRS_ASSERT(mb.state.load(std::memory_order_relaxed) == kDone);
-      priors[i] = mb.reply;
-      mb.state.store(kEmpty, std::memory_order_release);
-    }
+    (void)run_traffic(sources);
+    std::vector<Word> priors;
+    priors.reserve(shots.size());
+    for (const OneShot& shot : shots) priors.push_back(shot.reply);
     return priors;
   }
 
@@ -261,10 +243,9 @@ class BasicSimBackend
   /// source's addr_space spreads uniform traffic across every cell the
   /// caller created while hot_addr pins the hot spot to one of them.
   ///
-  /// The caller must be the only thread using the backend (same contract
-  /// as run_wave). Polling order is fixed (processor 0..n-1 each cycle),
-  /// so the result is a pure function of the generator sequence — same
-  /// determinism claim as run_wave, at every engine_workers value.
+  /// The caller must be the only thread using the backend. Polling order
+  /// is fixed (processor 0..n-1 each cycle), so the result is a pure
+  /// function of the generator sequence.
   ///
   /// `max_cycles` bounds the drive (0 = until every generator finishes);
   /// in-flight operations are drained before returning either way.
@@ -332,7 +313,7 @@ class BasicSimBackend
       if (all_done) break;
       if (max_cycles != 0 && now - start >= max_cycles) {
         // Out of budget: drain what is in flight, reap, and stop.
-        s_->drive_until_drained_locked();
+        while (!s_->machine.drained()) s_->machine.tick();
         for (std::size_t p = 0; p < generators.size(); ++p) reap(p);
         break;
       }
@@ -351,15 +332,7 @@ class BasicSimBackend
 
   [[nodiscard]] SimCellStats cell_stats(const Cell& c) const {
     std::lock_guard<std::mutex> lk(s_->mu);
-    SimCellStats out;
-    for (const MailboxSource* src : s_->sources) {
-      auto it = src->per_cell.find(c.addr);
-      if (it != src->per_cell.end()) {
-        out.ops += it->second.ops;
-        out.latency_cycles += it->second.latency_cycles;
-      }
-    }
-    return out;
+    return s_->cells[c.addr];
   }
 
   [[nodiscard]] std::uint32_t processors() const noexcept {
@@ -386,14 +359,36 @@ class BasicSimBackend
     Word reply = 0;
   };
 
+  /// run_wave's source: issues its one op on the first poll and keeps
+  /// the reply run_traffic hands back.
+  struct OneShot final : proc::TrafficSource<core::AnyRmw> {
+    OneShot(core::Addr a, const core::AnyRmw& m) : addr(a), op(m) {}
+
+    std::optional<std::pair<core::Addr, core::AnyRmw>> next(
+        core::Tick /*now*/, unsigned /*outstanding*/) override {
+      issued = true;
+      return std::make_pair(addr, op);
+    }
+    [[nodiscard]] bool finished() const override { return issued; }
+    void on_complete(core::ReqId /*id*/, const Word& old_value,
+                     core::Tick /*now*/) override {
+      reply = old_value;
+    }
+
+    core::Addr addr;
+    core::AnyRmw op;
+    bool issued = false;
+    Word reply = 0;
+  };
+
   /// The per-processor traffic source: feeds its mailbox's posted op to
-  /// the simulated processor and completes it back into the mailbox.
-  /// Stats members are touched only from the engine shard that owns this
-  /// processor (inside the consume sub-phase) and read while the machine
-  /// is quiesced under the driver mutex — never concurrently.
+  /// the simulated processor and completes it back into the mailbox,
+  /// charging the cell's accounting. Runs inside machine.tick(), so under
+  /// the driver mutex, like every other reader and writer of `cells`.
   class MailboxSource final : public proc::TrafficSource<core::AnyRmw> {
    public:
-    explicit MailboxSource(Mailbox* mb) : mb_(mb) {}
+    MailboxSource(Mailbox* mb, std::vector<SimCellStats>* cells)
+        : mb_(mb), cells_(cells) {}
 
     std::optional<std::pair<core::Addr, core::AnyRmw>> next(
         core::Tick now, unsigned /*outstanding*/) override {
@@ -405,10 +400,10 @@ class BasicSimBackend
       return std::make_pair(mb_->addr, mb_->op);
     }
 
-    /// "Finished" for the engine's drain condition: nothing is posted for
-    /// the machine right now. A live backend never finishes for good, so
-    /// Machine::drained() becomes "every currently injected operation has
-    /// replied" — the exact stop condition the drivers need.
+    /// "Finished" for the machine's drain condition: nothing is posted
+    /// for the machine right now. A live backend never finishes for good,
+    /// so Machine::drained() becomes "every currently injected operation
+    /// has replied" — the stop condition of run_traffic's budget drain.
     [[nodiscard]] bool finished() const override {
       const unsigned st = mb_->state.load(std::memory_order_acquire);
       return st != kPosted && st != kInFlight;
@@ -416,21 +411,16 @@ class BasicSimBackend
 
     void on_complete(core::ReqId /*id*/, const Word& old_value,
                      core::Tick now) override {
-      ops += 1;
-      latency_cycles += now - issued_;
-      auto& cs = per_cell[mb_->addr];
+      SimCellStats& cs = (*cells_)[mb_->addr];
       cs.ops += 1;
       cs.latency_cycles += now - issued_;
       mb_->reply = old_value;
       mb_->state.store(kDone, std::memory_order_release);
     }
 
-    std::uint64_t ops = 0;
-    std::uint64_t latency_cycles = 0;
-    std::unordered_map<core::Addr, SimCellStats> per_cell;
-
    private:
     Mailbox* mb_;
+    std::vector<SimCellStats>* cells_;
     core::Tick issued_ = 0;
   };
 
@@ -438,7 +428,7 @@ class BasicSimBackend
     SimBackendConfig cfg;
     std::uint32_t nprocs;
     std::vector<Mailbox> mailboxes;
-    std::vector<MailboxSource*> sources;  ///< owned by the machine
+    std::vector<SimCellStats> cells;  ///< per allocated address, under mu
     sim::Machine<core::AnyRmw> machine;
     mutable std::mutex mu;     ///< driver lock: stepping, CAS, stats reads
     core::Addr next_addr = 0;  ///< under mu
@@ -494,20 +484,6 @@ class BasicSimBackend
       }
     }
 
-    /// Step until drained, by the configured engine. Both engines stop on
-    /// the same drained() condition and produce bit-identical states, so
-    /// machine.now() afterwards is independent of engine_workers.
-    void drive_until_drained_locked() {
-      static constexpr core::Tick kChunk = 1024;
-      while (!machine.drained()) {
-        if (cfg.engine_workers > 1) {
-          machine.run_parallel(machine.now() + kChunk, cfg.engine_workers);
-        } else {
-          machine.run(machine.now() + kChunk);
-        }
-      }
-    }
-
     /// Cost model for the serialized compare_exchange: one uncontended
     /// network round trip (k stages each way + one service + the module
     /// latency), charged by actually advancing the clock — which also
@@ -520,21 +496,12 @@ class BasicSimBackend
 
     [[nodiscard]] SimBackendStats stats_locked() const {
       SimBackendStats out;
-      const sim::MachineStats ms = machine.stats();
       out.cycles = machine.now();
-      out.combines = ms.combines;
-      out.switch_stall_cycles = ms.switch_stall_cycles;
+      out.combines = machine.combine_log().size();
       out.root_serialized_ops = root_ops;
-      for (const MailboxSource* src : sources) {
-        out.network_ops += src->ops;
-        out.latency_cycles += src->latency_cycles;
-      }
-      out.stage_stalls.assign(cfg.log2_procs, 0);
-      const std::uint32_t rows = nprocs / 2;
-      for (unsigned st = 0; st < cfg.log2_procs; ++st) {
-        for (std::uint32_t r = 0; r < rows; ++r) {
-          out.stage_stalls[st] += machine.switch_stats(st, r).stalls;
-        }
+      for (const SimCellStats& cs : cells) {
+        out.network_ops += cs.ops;
+        out.latency_cycles += cs.latency_cycles;
       }
       return out;
     }
@@ -554,11 +521,9 @@ class BasicSimBackend
     make_sources(State& st) {
       std::vector<std::unique_ptr<proc::TrafficSource<core::AnyRmw>>> v;
       v.reserve(st.nprocs);
-      st.sources.reserve(st.nprocs);
       for (std::uint32_t p = 0; p < st.nprocs; ++p) {
-        auto src = std::make_unique<MailboxSource>(&st.mailboxes[p]);
-        st.sources.push_back(src.get());
-        v.push_back(std::move(src));
+        v.push_back(
+            std::make_unique<MailboxSource>(&st.mailboxes[p], &st.cells));
       }
       return v;
     }
@@ -570,6 +535,7 @@ class BasicSimBackend
   [[nodiscard]] core::Addr allocate(Word initial) const {
     std::lock_guard<std::mutex> lk(s_->mu);
     const core::Addr a = s_->next_addr++;
+    s_->cells.emplace_back();
     s_->machine.poke(a, initial);
     return a;
   }

@@ -1,28 +1,31 @@
 // The sim backend proper: cells as addresses in the cycle-accurate Omega
 // machine, RMWs as combinable packets, costs in paper units.
 //
-//  * run_wave determinism — the same wave sequence produces identical
-//    priors AND identical cycle counts at every engine worker count (the
-//    parallel engine is bit-identical to the sequential one), which is
-//    what makes bench_coordination's sim numbers host-independent;
+//  * run_wave is run_traffic over one-shot sources — the same wave
+//    sequence produces identical priors AND identical accounting through
+//    either driver, which is what lets bench_coordination's wave rows
+//    and scenario rows share one host-independent cost model;
 //  * the §4.2 claim in miniature: a full wave of same-cell fetch-adds
 //    combines in the switches (combines > 0) and hands out exactly the
 //    tickets 0..N-1;
-//  * per-cell and per-backend accounting (ops, latency, stage stalls);
+//  * per-cell and per-backend accounting (ops, latency, combines);
 //  * compare_exchange serialization at the module: counted separately,
 //    linearized against network traffic, expected-reload semantics.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <memory>
-#include <tuple>
+#include <optional>
 #include <set>
+#include <tuple>
+#include <utility>
 #include <vector>
 
 #include "core/any_rmw.hpp"
 #include "core/fetch_theta.hpp"
 #include "core/load_store_swap.hpp"
 #include "runtime/sim_backend.hpp"
+#include "util/rng.hpp"
 #include "workload/workloads.hpp"
 
 namespace {
@@ -30,27 +33,9 @@ namespace {
 using namespace krs::runtime;
 using krs::core::AnyRmw;
 using krs::core::FetchAdd;
+using krs::core::FetchMax;
 using krs::core::FetchOr;
 using krs::core::LssOp;
-
-// Drive kWaves full waves of fetch-add-1 against one cell and return
-// (priors in injection order, final machine cycle count).
-std::pair<std::vector<Word>, std::uint64_t> add_waves(unsigned engine_workers,
-                                                      unsigned kWaves) {
-  SimBackend b(
-      SimBackendConfig{.log2_procs = 3, .engine_workers = engine_workers});
-  SimBackend::Cell cell(b, 0);
-  std::vector<Word> priors;
-  for (unsigned w = 0; w < kWaves; ++w) {
-    std::vector<SimBackend::WaveOp> wave;
-    for (std::uint32_t p = 0; p < b.processors(); ++p) {
-      wave.push_back({&cell, AnyRmw(FetchAdd(1))});
-    }
-    const auto replies = b.run_wave(wave);
-    priors.insert(priors.end(), replies.begin(), replies.end());
-  }
-  return {priors, b.stats().cycles};
-}
 
 TEST(SimBackend, WaveTicketsAndCombining) {
   SimBackend b(SimBackendConfig{.log2_procs = 3});
@@ -78,22 +63,100 @@ TEST(SimBackend, WaveTicketsAndCombining) {
   EXPECT_GT(st.combines, 0u);
   EXPECT_GT(st.cycles_per_op(), 0.0);
   EXPECT_GT(st.mean_latency(), 0.0);
-  ASSERT_EQ(st.stage_stalls.size(), 3u);  // one bucket per network stage
 
   const SimCellStats cs = b.cell_stats(cell);
   EXPECT_EQ(cs.ops, 41u);
   EXPECT_GT(cs.mean_latency(), 0.0);
 }
 
-TEST(SimBackend, WaveCostsIdenticalAcrossEngineWorkers) {
-  // The acceptance bar: cycles_per_op deterministic across --workers.
-  // Identical priors AND identical final cycle counts at 1/2/3/4 engine
-  // workers — not statistically close, bit-equal.
-  const auto [p1, c1] = add_waves(1, 5);
-  for (const unsigned w : {2u, 3u, 4u}) {
-    const auto [pw, cw] = add_waves(w, 5);
-    EXPECT_EQ(pw, p1) << "priors diverged at engine_workers=" << w;
-    EXPECT_EQ(cw, c1) << "cycle count diverged at engine_workers=" << w;
+// A source that issues one op on its first poll and keeps the reply —
+// what a run_wave op is, built outside the backend.
+struct OneShotSource final : krs::proc::TrafficSource<AnyRmw> {
+  OneShotSource(krs::core::Addr a, AnyRmw m) : addr(a), op(std::move(m)) {}
+  std::optional<std::pair<krs::core::Addr, AnyRmw>> next(
+      krs::core::Tick, unsigned) override {
+    issued = true;
+    return std::make_pair(addr, op);
+  }
+  [[nodiscard]] bool finished() const override { return issued; }
+  void on_complete(krs::core::ReqId, const Word& old_value,
+                   krs::core::Tick) override {
+    reply = old_value;
+  }
+  krs::core::Addr addr;
+  AnyRmw op;
+  bool issued = false;
+  Word reply = 0;
+};
+
+TEST(SimBackend, WavesMatchOneShotTraffic) {
+  // The same 64 mixed waves — two cells, adds, ors, maxes, loads, stores
+  // and swaps, 1..8 ops each — on two fresh n = 8 backends: one through
+  // run_wave, one through run_traffic with a one-shot source per op.
+  // Priors, backend stats and both cells' stats must agree exactly.
+  struct Op {
+    unsigned cell;
+    AnyRmw rmw;
+  };
+  krs::util::Xoshiro256 rng(0x3a7e);
+  const auto random_op = [&rng] {
+    const Word v = rng.next() % 1000;
+    switch (rng.next() % 6) {
+      case 0: return AnyRmw(FetchAdd(v));
+      case 1: return AnyRmw(FetchOr(Word{1} << (v % 64)));
+      case 2: return AnyRmw(FetchMax(v));
+      case 3: return AnyRmw(LssOp::load());
+      case 4: return AnyRmw(LssOp::store(v));
+      default: return AnyRmw(LssOp::swap(v));
+    }
+  };
+  std::vector<std::vector<Op>> waves(64);
+  for (auto& wave : waves) {
+    const auto size = 1 + rng.next() % 8;
+    for (std::uint64_t i = 0; i < size; ++i) {
+      const auto cell = static_cast<unsigned>(rng.next() % 2);
+      wave.push_back({cell, random_op()});
+    }
+  }
+
+  const SimBackendConfig cfg{.log2_procs = 3};
+  SimBackend by_wave(cfg);
+  SimBackend by_traffic(cfg);
+  const SimBackend::Cell wave_cells[2] = {{by_wave, 3}, {by_wave, 40}};
+  const SimBackend::Cell traffic_cells[2] = {{by_traffic, 3},
+                                             {by_traffic, 40}};
+  std::vector<Word> wave_priors;
+  std::vector<Word> traffic_priors;
+  for (const auto& wave : waves) {
+    std::vector<SimBackend::WaveOp> ops;
+    std::vector<OneShotSource> shots;
+    shots.reserve(wave.size());
+    std::vector<krs::proc::TrafficSource<AnyRmw>*> sources;
+    for (const Op& op : wave) {
+      ops.push_back({&wave_cells[op.cell], op.rmw});
+      shots.emplace_back(traffic_cells[op.cell].addr, op.rmw);
+      sources.push_back(&shots.back());
+    }
+    const auto replies = by_wave.run_wave(ops);
+    wave_priors.insert(wave_priors.end(), replies.begin(), replies.end());
+    (void)by_traffic.run_traffic(sources);
+    for (const auto& shot : shots) traffic_priors.push_back(shot.reply);
+  }
+  EXPECT_EQ(wave_priors, traffic_priors);
+
+  const SimBackendStats a = by_wave.stats();
+  const SimBackendStats b = by_traffic.stats();
+  EXPECT_GT(a.combines, 0u);
+  EXPECT_EQ(a.cycles, b.cycles);
+  EXPECT_EQ(a.network_ops, b.network_ops);
+  EXPECT_EQ(a.combines, b.combines);
+  EXPECT_EQ(a.latency_cycles, b.latency_cycles);
+  for (unsigned c = 0; c < 2; ++c) {
+    const SimCellStats x = by_wave.cell_stats(wave_cells[c]);
+    const SimCellStats y = by_traffic.cell_stats(traffic_cells[c]);
+    EXPECT_GT(x.ops, 0u);
+    EXPECT_EQ(x.ops, y.ops) << "cell " << c;
+    EXPECT_EQ(x.latency_cycles, y.latency_cycles) << "cell " << c;
   }
 }
 
